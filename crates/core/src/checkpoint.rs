@@ -31,7 +31,10 @@
 //!
 //! Every checkpoint file follows the `FGRVPROF` codec conventions
 //! established by [`crate::store`]: an 8-byte magic, a `u32` version, a
-//! section tag, then a little-endian payload; decoding surfaces
+//! section tag, then a little-endian payload. Every section decodes from
+//! a whole buffer (a file read, an mmap, or a wire payload) through one
+//! path — `from_bytes`, or [`EntryArtifactView::parse`] for entries —
+//! and surfaces
 //! [`CheckpointError::BadMagic`] / [`CheckpointError::UnsupportedVersion`]
 //! / [`CheckpointError::Truncated`] / [`CheckpointError::Corrupt`] —
 //! never a panic — and bounds every allocation before trusting a length
@@ -90,7 +93,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use fingrav_sim::kernel::KernelHandle;
@@ -131,8 +134,8 @@ const SECTION_STAGE: u32 = 3;
 /// larger is a corrupt length field, not data.
 const MAX_SEQ_LEN: usize = u32::MAX as usize;
 /// Elements of capacity committed ahead of decoding a sequence. Bounds the
-/// memory a corrupt length field can commit before the first short read
-/// surfaces as `Truncated` (mirrors the `FGRVPROF` chunked column reads).
+/// memory a corrupt length field can commit before the buffer runs out
+/// and surfaces as `Truncated`.
 const PREALLOC_ELEMS: usize = 64 * 1024;
 /// Ceiling on decoded string lengths (labels are tens of bytes).
 const MAX_STR_LEN: usize = 1 << 20;
@@ -229,9 +232,6 @@ impl From<StoreCodecError> for CheckpointError {
         // of the checkpoint stream itself.
         match e {
             StoreCodecError::Truncated(block) => CheckpointError::Truncated(block),
-            StoreCodecError::Io(io) if io.kind() == io::ErrorKind::UnexpectedEof => {
-                CheckpointError::Truncated("embedded profile store")
-            }
             other => CheckpointError::Store(other),
         }
     }
@@ -247,25 +247,37 @@ impl From<CheckpointError> for MethodologyError {
 // Low-level codec plumbing
 // ---------------------------------------------------------------------
 
-pub(crate) fn read_exact_ck<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
+/// Splits the first `n` bytes off the front of `r`, or reports the
+/// stream as truncated inside `block`.
+pub(crate) fn take<'a>(
+    r: &mut &'a [u8],
+    n: usize,
     block: &'static str,
-) -> Result<(), CheckpointError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            CheckpointError::Truncated(block)
-        } else {
-            CheckpointError::Io(e)
-        }
-    })
+) -> Result<&'a [u8], CheckpointError> {
+    let (head, rest) = r
+        .split_at_checked(n)
+        .ok_or(CheckpointError::Truncated(block))?;
+    *r = rest;
+    Ok(head)
+}
+
+/// [`take`] for a fixed-size field.
+fn take_array<const N: usize>(
+    r: &mut &[u8],
+    block: &'static str,
+) -> Result<[u8; N], CheckpointError> {
+    let (head, rest) = r
+        .split_first_chunk::<N>()
+        .ok_or(CheckpointError::Truncated(block))?;
+    *r = rest;
+    Ok(*head)
 }
 
 /// Decodes a `u64` count/index and converts it to `usize`, surfacing
 /// values that do not fit the host address width as typed corruption
 /// instead of silently truncating (a 32-bit host reading a 64-bit
 /// producer's checkpoint).
-fn decode_usize<R: Read>(r: &mut R) -> Result<usize, CheckpointError> {
+fn decode_usize(r: &mut &[u8]) -> Result<usize, CheckpointError> {
     let v = u64::decode(r)?;
     usize::try_from(v).map_err(|_| {
         cover::hit(cover::CKPT_COUNT_OVERFLOW);
@@ -279,7 +291,7 @@ fn decode_usize<R: Read>(r: &mut R) -> Result<usize, CheckpointError> {
 /// larger value is a corrupt field — rejecting it here keeps a hostile
 /// stream from planting absurd counts that downstream code would loop
 /// or allocate over.
-fn decode_count<R: Read>(r: &mut R, what: &'static str) -> Result<usize, CheckpointError> {
+fn decode_count(r: &mut &[u8], what: &'static str) -> Result<usize, CheckpointError> {
     let v = decode_usize(r)?;
     if v > MAX_SEQ_LEN {
         cover::hit(cover::CKPT_COUNT_IMPLAUSIBLE);
@@ -299,7 +311,7 @@ pub(crate) trait Codec: Sized {
     /// Static block label used in [`CheckpointError::Truncated`].
     const BLOCK: &'static str;
     fn encode<W: Write>(&self, w: &mut W) -> io::Result<()>;
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError>;
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError>;
 }
 
 macro_rules! int_codec {
@@ -309,10 +321,8 @@ macro_rules! int_codec {
             fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
                 w.write_all(&self.to_le_bytes())
             }
-            fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-                let mut b = [0u8; std::mem::size_of::<$t>()];
-                read_exact_ck(r, &mut b, Self::BLOCK)?;
-                Ok(<$t>::from_le_bytes(b))
+            fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+                Ok(<$t>::from_le_bytes(take_array(r, Self::BLOCK)?))
             }
         }
     };
@@ -327,10 +337,9 @@ impl Codec for f64 {
     fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(&self.to_bits().to_le_bytes())
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-        let mut b = [0u8; 8];
-        read_exact_ck(r, &mut b, Self::BLOCK)?;
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let bits = take_array(r, Self::BLOCK)?;
+        Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
 }
 
@@ -339,7 +348,7 @@ impl Codec for bool {
     fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(&[u8::from(*self)])
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -359,7 +368,7 @@ impl Codec for String {
         (self.len() as u64).encode(w)?;
         w.write_all(self.as_bytes())
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         let len = decode_usize(r)?;
         if len > MAX_STR_LEN {
             cover::hit(cover::CKPT_STR_IMPLAUSIBLE);
@@ -367,9 +376,8 @@ impl Codec for String {
                 "implausible string length {len}"
             )));
         }
-        let mut buf = vec![0u8; len];
-        read_exact_ck(r, &mut buf, Self::BLOCK)?;
-        String::from_utf8(buf).map_err(|_| {
+        let bytes = take(r, len, Self::BLOCK)?;
+        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| {
             cover::hit(cover::CKPT_STR_BAD_UTF8);
             CheckpointError::Corrupt("string is not valid UTF-8".into())
         })
@@ -387,7 +395,7 @@ impl<T: Codec> Codec for Option<T> {
             }
         }
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(r)?)),
@@ -410,7 +418,7 @@ impl<T: Codec> Codec for Vec<T> {
         }
         Ok(())
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         let len = decode_usize(r)?;
         if len > MAX_SEQ_LEN {
             cover::hit(cover::CKPT_SEQ_IMPLAUSIBLE);
@@ -419,7 +427,7 @@ impl<T: Codec> Codec for Vec<T> {
             )));
         }
         // Capacity is committed ahead only up to a chunk: a corrupt length
-        // cannot drive allocation past what the stream actually delivers.
+        // cannot drive allocation past what the buffer actually holds.
         let mut out = Vec::with_capacity(len.min(PREALLOC_ELEMS));
         for _ in 0..len {
             out.push(T::decode(r)?);
@@ -434,7 +442,7 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
         self.0.encode(w)?;
         self.1.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
 }
@@ -451,7 +459,7 @@ macro_rules! u64_newtype_codec {
                 #[allow(clippy::redundant_closure_call)] // macro-passed closure, called once
                 ($get)(self).encode(w)
             }
-            fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+            fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
                 #[allow(clippy::redundant_closure_call)] // macro-passed closure, called once
                 Ok(($make)(u64::decode(r)?))
             }
@@ -479,7 +487,7 @@ impl Codec for KernelHandle {
     fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
         (self.index() as u64).encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         // A handle indexes the campaign's kernel table, which is itself
         // a decoded sequence bounded by `MAX_SEQ_LEN` — so a larger (or
         // non-address-width) value is corruption, not data. Checked
@@ -505,7 +513,7 @@ impl Codec for ComponentPower {
         }
         Ok(())
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(ComponentPower::new(
             f64::decode(r)?,
             f64::decode(r)?,
@@ -521,7 +529,7 @@ impl Codec for PowerLog {
         self.ticks.encode(w)?;
         self.avg.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(PowerLog {
             ticks: GpuTicks::decode(r)?,
             avg: ComponentPower::decode(r)?,
@@ -537,7 +545,7 @@ impl Codec for TimedExecution {
         self.cpu_start.encode(w)?;
         self.cpu_end.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(TimedExecution {
             kernel: KernelHandle::decode(r)?,
             index: u32::decode(r)?,
@@ -554,7 +562,7 @@ impl Codec for TimestampRead {
         self.cpu_after.encode(w)?;
         self.ticks.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(TimestampRead {
             cpu_before: CpuTime::decode(r)?,
             cpu_after: CpuTime::decode(r)?,
@@ -573,7 +581,7 @@ impl Codec for TrueExecution {
         self.execs_since_cold.encode(w)?;
         self.outlier.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(TrueExecution {
             kernel: KernelHandle::decode(r)?,
             start: SimTime::decode(r)?,
@@ -593,7 +601,7 @@ impl Codec for GroundTruth {
         self.final_temp_c.encode(w)?;
         self.instant_power.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(GroundTruth {
             executions: Vec::decode(r)?,
             freq_changes: Vec::decode(r)?,
@@ -613,7 +621,7 @@ impl Codec for RunTrace {
         self.aborted.encode(w)?;
         self.truth.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(RunTrace {
             executions: Vec::decode(r)?,
             timestamp_reads: Vec::decode(r)?,
@@ -651,7 +659,7 @@ impl Codec for HostOp {
             HostOp::BeginRun => 8u8.encode(w),
         }
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(HostOp::Sleep(SimDuration::decode(r)?)),
             1 => Ok(HostOp::SleepUniform {
@@ -721,7 +729,7 @@ impl Codec for TelemetryEvent {
             ))),
         }
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(TelemetryEvent::ScriptStarted {
                 ops: decode_count(r, "script op count")?,
@@ -768,7 +776,7 @@ impl Codec for TimeSync {
         anchor_ticks.encode(w)?;
         ns_per_tick.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(TimeSync::from_parts(
             f64::decode(r)?,
             f64::decode(r)?,
@@ -783,7 +791,7 @@ impl Codec for ReadDelayCalibration {
         self.median_rtt_ns.encode(w)?;
         self.assumed_sample_frac.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(ReadDelayCalibration {
             median_rtt_ns: u64::decode(r)?,
             assumed_sample_frac: f64::decode(r)?,
@@ -800,7 +808,7 @@ impl Codec for GuidanceEntry {
         self.loi_interval.encode(w)?;
         self.margin_frac.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(GuidanceEntry {
             min_exec: SimDuration::decode(r)?,
             max_exec: Option::decode(r)?,
@@ -820,7 +828,7 @@ impl Codec for TimingArtifact {
         self.runs.encode(w)?;
         self.margin_frac.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(TimingArtifact {
             sse_index: u32::decode(r)?,
             exec_time_ns: u64::decode(r)?,
@@ -839,7 +847,7 @@ impl Codec for SspArtifact {
         self.executions_per_run.encode(w)?;
         self.loi_target.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(SspArtifact {
             ssp_index: u32::decode(r)?,
             throttle_detected: bool::decode(r)?,
@@ -857,7 +865,7 @@ impl Codec for Bin {
         let members: Vec<u64> = self.members.iter().map(|&m| m as u64).collect();
         members.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         let low_ns = u64::decode(r)?;
         let high_ns = u64::decode(r)?;
         let raw = Vec::<u64>::decode(r)?;
@@ -891,7 +899,7 @@ impl Codec for Binning {
         (self.golden as u64).encode(w)?;
         self.margin_frac.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         let bins: Vec<Bin> = Vec::decode(r)?;
         let golden = decode_usize(r)?;
         // A valid binning always holds at least one bin (the golden one),
@@ -926,7 +934,7 @@ impl Codec for ProfileKind {
             }
         }
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(ProfileKind::Run),
             1 => Ok(ProfileKind::Sse),
@@ -952,12 +960,8 @@ impl Codec for PowerProfile {
         // persisted bytes are exactly what `ProfileStore::write_to` emits.
         self.store.write_to(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-        Ok(PowerProfile {
-            label: String::decode(r)?,
-            kind: ProfileKind::decode(r)?,
-            store: ProfileStore::read_from(r)?,
-        })
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
+        Ok(ProfileViewPart::parse(r)?.to_profile())
     }
 }
 
@@ -968,7 +972,7 @@ impl Codec for CollectedRun {
         self.sync.encode(w)?;
         self.steady_median_ns.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(CollectedRun {
             trace: RunTrace::decode(r)?,
             sync: TimeSync::decode(r)?,
@@ -984,7 +988,7 @@ impl Codec for StitchedProfiles {
         self.sse.encode(w)?;
         self.ssp.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(StitchedProfiles {
             run: PowerProfile::decode(r)?,
             sse: PowerProfile::decode(r)?,
@@ -1000,57 +1004,11 @@ impl Codec for RunCollection {
         self.binning.encode(w)?;
         self.profiles.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(RunCollection {
             collected: Vec::decode(r)?,
             binning: Binning::decode(r)?,
             profiles: StitchedProfiles::decode(r)?,
-        })
-    }
-}
-
-impl Codec for KernelPowerReport {
-    const BLOCK: &'static str = "kernel power report";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.label.encode(w)?;
-        self.exec_time_ns.encode(w)?;
-        self.guidance.encode(w)?;
-        self.margin_frac.encode(w)?;
-        self.sse_index.encode(w)?;
-        self.ssp_index.encode(w)?;
-        self.executions_per_run.encode(w)?;
-        self.runs_executed.encode(w)?;
-        self.golden_runs.encode(w)?;
-        self.throttle_detected.encode(w)?;
-        self.read_delay_ns.encode(w)?;
-        self.estimated_drift_ppm.encode(w)?;
-        self.run_profile.encode(w)?;
-        self.sse_profile.encode(w)?;
-        self.ssp_profile.encode(w)?;
-        self.sse_mean_total_w.encode(w)?;
-        self.ssp_mean_total_w.encode(w)?;
-        self.sse_vs_ssp_error.encode(w)
-    }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-        Ok(KernelPowerReport {
-            label: String::decode(r)?,
-            exec_time_ns: u64::decode(r)?,
-            guidance: GuidanceEntry::decode(r)?,
-            margin_frac: f64::decode(r)?,
-            sse_index: u32::decode(r)?,
-            ssp_index: u32::decode(r)?,
-            executions_per_run: u32::decode(r)?,
-            runs_executed: u32::decode(r)?,
-            golden_runs: u32::decode(r)?,
-            throttle_detected: bool::decode(r)?,
-            read_delay_ns: f64::decode(r)?,
-            estimated_drift_ppm: Option::decode(r)?,
-            run_profile: PowerProfile::decode(r)?,
-            sse_profile: PowerProfile::decode(r)?,
-            ssp_profile: PowerProfile::decode(r)?,
-            sse_mean_total_w: Option::decode(r)?,
-            ssp_mean_total_w: Option::decode(r)?,
-            sse_vs_ssp_error: Option::decode(r)?,
         })
     }
 }
@@ -1065,9 +1023,8 @@ fn write_header<W: Write>(w: &mut W, section: u32) -> io::Result<()> {
     w.write_all(&section.to_le_bytes())
 }
 
-fn read_header<R: Read>(r: &mut R, expected_section: u32) -> Result<(), CheckpointError> {
-    let mut magic = [0u8; 8];
-    read_exact_ck(r, &mut magic, "magic")?;
+fn read_header(r: &mut &[u8], expected_section: u32) -> Result<(), CheckpointError> {
+    let magic: [u8; 8] = take_array(r, "magic")?;
     if magic != CKPT_MAGIC {
         cover::hit(cover::CKPT_BAD_MAGIC);
         return Err(CheckpointError::BadMagic(magic));
@@ -1088,9 +1045,9 @@ fn read_header<R: Read>(r: &mut R, expected_section: u32) -> Result<(), Checkpoi
     Ok(())
 }
 
-pub(crate) fn from_bytes_with<T>(
-    bytes: &[u8],
-    read: impl FnOnce(&mut &[u8]) -> Result<T, CheckpointError>,
+pub(crate) fn from_bytes_with<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut &'a [u8]) -> Result<T, CheckpointError>,
 ) -> Result<T, CheckpointError> {
     let mut cursor = bytes;
     let value = read(&mut cursor)?;
@@ -1181,7 +1138,7 @@ impl Codec for EntryStatus {
         };
         tag.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(EntryStatus::Pending),
             1 => Ok(EntryStatus::Done),
@@ -1219,7 +1176,7 @@ impl Codec for ManifestEntry {
         self.status.encode(w)?;
         self.shard.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         Ok(ManifestEntry {
             label: String::decode(r)?,
             seed: Option::decode(r)?,
@@ -1319,23 +1276,6 @@ impl CampaignManifest {
         self.entries.encode(w)
     }
 
-    /// Reads a manifest previously written by [`CampaignManifest::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`CheckpointError`] for foreign, newer, truncated,
-    /// or invariant-violating streams.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-        read_header(r, SECTION_MANIFEST)?;
-        let manifest = CampaignManifest {
-            config_digest: u64::decode(r)?,
-            workers: u32::decode(r)?,
-            entries: Vec::decode(r)?,
-        };
-        cover::hit(cover::CKPT_MANIFEST_OK);
-        Ok(manifest)
-    }
-
     /// Encodes to an owned buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1343,14 +1283,25 @@ impl CampaignManifest {
         out
     }
 
-    /// Decodes from an owned buffer, rejecting trailing bytes.
+    /// Decodes a manifest previously written by
+    /// [`CampaignManifest::write_to`], rejecting trailing bytes.
     ///
     /// # Errors
     ///
-    /// As [`CampaignManifest::read_from`], plus
-    /// [`CheckpointError::Corrupt`] on trailing bytes.
+    /// Returns the typed [`CheckpointError`] for foreign, newer, truncated,
+    /// or invariant-violating buffers, and [`CheckpointError::Corrupt`] on
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        from_bytes_with(bytes, |r| CampaignManifest::read_from(r))
+        from_bytes_with(bytes, |r| {
+            read_header(r, SECTION_MANIFEST)?;
+            let manifest = CampaignManifest {
+                config_digest: u64::decode(r)?,
+                workers: u32::decode(r)?,
+                entries: Vec::decode(r)?,
+            };
+            cover::hit(cover::CKPT_MANIFEST_OK);
+            Ok(manifest)
+        })
     }
 
     /// Checks that this manifest belongs to `campaign`: digest, entry
@@ -1413,23 +1364,6 @@ impl EntryArtifact {
         write_entry_to(w, self.index, self.config_digest, &self.report)
     }
 
-    /// Reads an artifact previously written by [`EntryArtifact::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`CheckpointError`] for foreign, newer, truncated,
-    /// or invariant-violating streams.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-        read_header(r, SECTION_ENTRY)?;
-        let artifact = EntryArtifact {
-            index: u32::decode(r)?,
-            config_digest: u64::decode(r)?,
-            report: KernelPowerReport::decode(r)?,
-        };
-        cover::hit(cover::CKPT_ENTRY_OK);
-        Ok(artifact)
-    }
-
     /// Encodes to an owned buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1437,14 +1371,15 @@ impl EntryArtifact {
         out
     }
 
-    /// Decodes from an owned buffer, rejecting trailing bytes.
+    /// Decodes an artifact previously written by
+    /// [`EntryArtifact::write_to`]: [`EntryArtifactView::parse`] followed
+    /// by [`EntryArtifactView::to_artifact`].
     ///
     /// # Errors
     ///
-    /// As [`EntryArtifact::read_from`], plus [`CheckpointError::Corrupt`]
-    /// on trailing bytes.
+    /// As [`EntryArtifactView::parse`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        from_bytes_with(bytes, |r| EntryArtifact::read_from(r))
+        Ok(EntryArtifactView::parse(bytes)?.to_artifact())
     }
 }
 
@@ -1457,7 +1392,25 @@ fn write_entry_to<W: Write>(
     write_header(w, SECTION_ENTRY)?;
     index.encode(w)?;
     config_digest.encode(w)?;
-    report.encode(w)
+    // The report's field order; `EntryArtifactView::parse` decodes it.
+    report.label.encode(w)?;
+    report.exec_time_ns.encode(w)?;
+    report.guidance.encode(w)?;
+    report.margin_frac.encode(w)?;
+    report.sse_index.encode(w)?;
+    report.ssp_index.encode(w)?;
+    report.executions_per_run.encode(w)?;
+    report.runs_executed.encode(w)?;
+    report.golden_runs.encode(w)?;
+    report.throttle_detected.encode(w)?;
+    report.read_delay_ns.encode(w)?;
+    report.estimated_drift_ppm.encode(w)?;
+    report.run_profile.encode(w)?;
+    report.sse_profile.encode(w)?;
+    report.ssp_profile.encode(w)?;
+    report.sse_mean_total_w.encode(w)?;
+    report.ssp_mean_total_w.encode(w)?;
+    report.sse_vs_ssp_error.encode(w)
 }
 
 /// Encodes an entry artifact straight from a borrowed report — the bytes
@@ -1510,12 +1463,10 @@ impl<'a> ProfileViewPart<'a> {
 /// validating, diffing, or concatenating an entry never materialises its
 /// per-column `Vec`s.
 ///
-/// [`EntryArtifactView::parse`] performs exactly the validation of
-/// [`EntryArtifact::from_bytes`] (same error taxonomy, including the
-/// canonical-form scan of every embedded store), and
-/// [`EntryArtifactView::to_artifact`] decodes to a value equal to what
-/// `from_bytes` would have produced — the view is a lazier route to the
-/// same artifact, not a weaker one.
+/// [`EntryArtifactView::parse`] is the one decoder of the entry section:
+/// it runs the full validation, including the canonical-form scan of
+/// every embedded store, and [`EntryArtifact::from_bytes`] is `parse`
+/// followed by [`EntryArtifactView::to_artifact`].
 #[derive(Debug, Clone)]
 pub struct EntryArtifactView<'a> {
     /// Campaign index of the entry.
@@ -1549,46 +1500,38 @@ impl<'a> EntryArtifactView<'a> {
     ///
     /// # Errors
     ///
-    /// The same typed [`CheckpointError`]s as
-    /// [`EntryArtifact::from_bytes`]: foreign magic, newer version,
-    /// truncation (with the block name), invariant violations, and
-    /// trailing bytes.
+    /// Returns the typed [`CheckpointError`] for a foreign magic, a newer
+    /// version, truncation (with the block name), invariant violations,
+    /// and trailing bytes.
     pub fn parse(bytes: &'a [u8]) -> Result<EntryArtifactView<'a>, CheckpointError> {
-        let mut r = bytes;
-        read_header(&mut r, SECTION_ENTRY)?;
-        let view = EntryArtifactView {
-            index: u32::decode(&mut r)?,
-            config_digest: u64::decode(&mut r)?,
-            // The scalar prefix of `KernelPowerReport::decode`, field for
-            // field (the equivalence is pinned by a unit test).
-            label: String::decode(&mut r)?,
-            exec_time_ns: u64::decode(&mut r)?,
-            guidance: GuidanceEntry::decode(&mut r)?,
-            margin_frac: f64::decode(&mut r)?,
-            sse_index: u32::decode(&mut r)?,
-            ssp_index: u32::decode(&mut r)?,
-            executions_per_run: u32::decode(&mut r)?,
-            runs_executed: u32::decode(&mut r)?,
-            golden_runs: u32::decode(&mut r)?,
-            throttle_detected: bool::decode(&mut r)?,
-            read_delay_ns: f64::decode(&mut r)?,
-            estimated_drift_ppm: Option::decode(&mut r)?,
-            run: ProfileViewPart::parse(&mut r)?,
-            sse: ProfileViewPart::parse(&mut r)?,
-            ssp: ProfileViewPart::parse(&mut r)?,
-            sse_mean_total_w: Option::decode(&mut r)?,
-            ssp_mean_total_w: Option::decode(&mut r)?,
-            sse_vs_ssp_error: Option::decode(&mut r)?,
-        };
-        if !r.is_empty() {
-            cover::hit(cover::CKPT_TRAILING);
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after the payload",
-                r.len()
-            )));
-        }
-        cover::hit(cover::CKPT_ENTRY_VIEW_OK);
-        Ok(view)
+        from_bytes_with(bytes, |r| {
+            read_header(r, SECTION_ENTRY)?;
+            let view = EntryArtifactView {
+                index: u32::decode(r)?,
+                config_digest: u64::decode(r)?,
+                // The report, in the field order `write_entry_to` encodes.
+                label: String::decode(r)?,
+                exec_time_ns: u64::decode(r)?,
+                guidance: GuidanceEntry::decode(r)?,
+                margin_frac: f64::decode(r)?,
+                sse_index: u32::decode(r)?,
+                ssp_index: u32::decode(r)?,
+                executions_per_run: u32::decode(r)?,
+                runs_executed: u32::decode(r)?,
+                golden_runs: u32::decode(r)?,
+                throttle_detected: bool::decode(r)?,
+                read_delay_ns: f64::decode(r)?,
+                estimated_drift_ppm: Option::decode(r)?,
+                run: ProfileViewPart::parse(r)?,
+                sse: ProfileViewPart::parse(r)?,
+                ssp: ProfileViewPart::parse(r)?,
+                sse_mean_total_w: Option::decode(r)?,
+                ssp_mean_total_w: Option::decode(r)?,
+                sse_vs_ssp_error: Option::decode(r)?,
+            };
+            cover::hit(cover::CKPT_ENTRY_OK);
+            Ok(view)
+        })
     }
 
     /// The report's kernel label.
@@ -1635,8 +1578,8 @@ impl<'a> EntryArtifactView<'a> {
         }
     }
 
-    /// Decodes the whole artifact — equal to what
-    /// [`EntryArtifact::from_bytes`] returns on the same bytes.
+    /// Decodes the whole artifact, materialising the three profile
+    /// stores.
     pub fn to_artifact(&self) -> EntryArtifact {
         EntryArtifact {
             index: self.index,
@@ -1685,25 +1628,6 @@ impl StageCheckpoint {
         self.collection.encode(w)
     }
 
-    /// Reads stage state previously written by [`StageCheckpoint::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`CheckpointError`] for foreign, newer, truncated,
-    /// or invariant-violating streams.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
-        read_header(r, SECTION_STAGE)?;
-        let stage = StageCheckpoint {
-            label: String::decode(r)?,
-            calibration: ReadDelayCalibration::decode(r)?,
-            timing: Option::decode(r)?,
-            ssp: Option::decode(r)?,
-            collection: Option::decode(r)?,
-        };
-        cover::hit(cover::CKPT_STAGE_OK);
-        Ok(stage)
-    }
-
     /// Encodes to an owned buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1711,14 +1635,27 @@ impl StageCheckpoint {
         out
     }
 
-    /// Decodes from an owned buffer, rejecting trailing bytes.
+    /// Decodes stage state previously written by
+    /// [`StageCheckpoint::write_to`], rejecting trailing bytes.
     ///
     /// # Errors
     ///
-    /// As [`StageCheckpoint::read_from`], plus [`CheckpointError::Corrupt`]
-    /// on trailing bytes.
+    /// Returns the typed [`CheckpointError`] for foreign, newer, truncated,
+    /// or invariant-violating buffers, and [`CheckpointError::Corrupt`] on
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        from_bytes_with(bytes, |r| StageCheckpoint::read_from(r))
+        from_bytes_with(bytes, |r| {
+            read_header(r, SECTION_STAGE)?;
+            let stage = StageCheckpoint {
+                label: String::decode(r)?,
+                calibration: ReadDelayCalibration::decode(r)?,
+                timing: Option::decode(r)?,
+                ssp: Option::decode(r)?,
+                collection: Option::decode(r)?,
+            };
+            cover::hit(cover::CKPT_STAGE_OK);
+            Ok(stage)
+        })
     }
 }
 
@@ -2280,115 +2217,6 @@ pub(crate) fn restore_done_entries(
     Ok((restored, plan))
 }
 
-// ---------------------------------------------------------------------------
-// Assignment leases
-// ---------------------------------------------------------------------------
-
-/// In-memory lease on one in-flight distributed assignment.
-///
-/// The transport coordinator grants a lease when it assigns an entry to a
-/// worker shard and renews it on every frame (including heartbeats) that
-/// arrives from that worker. A lease whose renewal silence exceeds its
-/// deadline marks the assignment evictable: the coordinator abandons the
-/// connection and re-queues the entry to the front of the plan.
-///
-/// Leases are *not* part of any on-disk format — `FGRVCKPT` manifests are
-/// unchanged — because a coordinator restart already recovers in-flight
-/// entries through the ordinary pending-status re-plan. The lease only has
-/// to outlive the connection it guards.
-#[derive(Debug, Clone)]
-pub struct AssignmentLease {
-    /// Campaign index of the leased entry.
-    pub index: usize,
-    /// Worker shard holding the lease.
-    pub shard: u32,
-    /// When the lease was granted.
-    pub granted_at: std::time::Instant,
-    /// Last proof of life from the owning worker.
-    pub renewed_at: std::time::Instant,
-    /// Maximum renewal silence before the assignment is evictable.
-    pub deadline: std::time::Duration,
-}
-
-impl AssignmentLease {
-    /// Grants a fresh lease on `index` to worker `shard`.
-    pub fn grant(index: usize, shard: u32, deadline: std::time::Duration) -> Self {
-        let now = std::time::Instant::now();
-        AssignmentLease {
-            index,
-            shard,
-            granted_at: now,
-            renewed_at: now,
-            deadline,
-        }
-    }
-
-    /// Records proof of life from the owning worker.
-    pub fn renew(&mut self) {
-        self.renewed_at = std::time::Instant::now();
-    }
-
-    /// Time since the last renewal.
-    pub fn silence(&self) -> std::time::Duration {
-        self.renewed_at.elapsed()
-    }
-
-    /// True once renewal silence has met or exceeded the deadline.
-    pub fn lapsed(&self) -> bool {
-        self.silence() >= self.deadline
-    }
-}
-
-/// The coordinator's live set of [`AssignmentLease`]s, keyed by campaign
-/// index. Small (bounded by connected workers), so a flat `Vec` beats a
-/// map; entries are removed eagerly on release.
-#[derive(Debug, Default)]
-pub struct LeaseTable {
-    leases: Vec<AssignmentLease>,
-}
-
-impl LeaseTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        LeaseTable::default()
-    }
-
-    /// Grants (or re-grants, replacing any stale lease on the same index)
-    /// a lease on `index` to worker `shard`.
-    pub fn grant(&mut self, index: usize, shard: u32, deadline: std::time::Duration) {
-        self.release(index);
-        self.leases
-            .push(AssignmentLease::grant(index, shard, deadline));
-    }
-
-    /// Renews the lease on `index`, if one is held.
-    pub fn renew(&mut self, index: usize) {
-        if let Some(lease) = self.leases.iter_mut().find(|l| l.index == index) {
-            lease.renew();
-        }
-    }
-
-    /// Drops the lease on `index`, if one is held.
-    pub fn release(&mut self, index: usize) {
-        self.leases.retain(|l| l.index != index);
-    }
-
-    /// The lease on `index`, if one is held.
-    pub fn get(&self, index: usize) -> Option<&AssignmentLease> {
-        self.leases.iter().find(|l| l.index == index)
-    }
-
-    /// Number of live leases.
-    pub fn len(&self) -> usize {
-        self.leases.len()
-    }
-
-    /// True when no leases are held.
-    pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2579,9 +2407,9 @@ mod tests {
         }
     }
 
-    /// The zero-copy entry parse must mirror `EntryArtifact::from_bytes`
-    /// field for field — this test pins the hand-maintained field order
-    /// in `EntryArtifactView::parse` to the `Codec` implementation.
+    /// The entry parse must mirror `write_entry_to` field for field — this
+    /// test pins the decode order in `EntryArtifactView::parse` to the
+    /// encode order.
     #[test]
     fn entry_view_decodes_equal_to_owned_artifact() {
         let artifact = EntryArtifact {
@@ -2609,14 +2437,10 @@ mod tests {
             artifact.report.run_profile.store
         );
         assert_eq!(view.to_artifact(), artifact);
-        assert_eq!(
-            view.to_artifact(),
-            EntryArtifact::from_bytes(&bytes).unwrap()
-        );
     }
 
-    /// Damage surfaces through the view with the same typed error the
-    /// owned decoder reports — truncations, bit flips, trailing bytes.
+    /// Damage surfaces as a typed error — truncations, trailing bytes,
+    /// a foreign magic.
     #[test]
     fn entry_view_rejects_damage_like_owned_decode() {
         let artifact = EntryArtifact {
@@ -2627,14 +2451,12 @@ mod tests {
         let good = artifact.to_bytes();
 
         for cut in 0..good.len() {
-            let owned = EntryArtifact::from_bytes(&good[..cut]);
-            let viewed = EntryArtifactView::parse(&good[..cut]);
-            let owned = owned.expect_err("owned decode rejects truncation");
-            let viewed = viewed.expect_err("view parse rejects truncation");
-            assert_eq!(
-                std::mem::discriminant(&owned),
-                std::mem::discriminant(&viewed),
-                "cut at {cut}: owned {owned:?} vs view {viewed:?}"
+            assert!(
+                matches!(
+                    EntryArtifactView::parse(&good[..cut]),
+                    Err(CheckpointError::Truncated(_))
+                ),
+                "cut at {cut}"
             );
         }
 
@@ -2718,46 +2540,5 @@ mod tests {
         for e in cases {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn lease_table_grants_renews_and_releases() {
-        let deadline = std::time::Duration::from_secs(60);
-        let mut table = LeaseTable::new();
-        assert!(table.is_empty());
-
-        table.grant(3, 1, deadline);
-        table.grant(5, 2, deadline);
-        assert_eq!(table.len(), 2);
-        let lease = table.get(3).expect("lease on 3");
-        assert_eq!(lease.shard, 1);
-        assert!(!lease.lapsed(), "fresh lease must not have lapsed");
-        assert!(lease.silence() < deadline);
-
-        // Re-granting the same index (re-planned entry picked up by a new
-        // worker) replaces, not duplicates.
-        table.grant(3, 7, deadline);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get(3).expect("re-granted lease").shard, 7);
-
-        // Renewing moves the proof-of-life forward.
-        let before = table.get(5).expect("lease on 5").renewed_at;
-        table.renew(5);
-        assert!(table.get(5).expect("lease on 5").renewed_at >= before);
-        table.renew(99); // unknown index is a no-op
-
-        table.release(3);
-        assert!(table.get(3).is_none());
-        table.release(3); // double-release is a no-op
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn lease_lapses_after_deadline_silence() {
-        let lease = AssignmentLease::grant(0, 0, std::time::Duration::ZERO);
-        // A zero deadline lapses immediately: silence() >= ZERO always.
-        assert!(lease.lapsed());
-        let patient = AssignmentLease::grant(0, 0, std::time::Duration::from_secs(3600));
-        assert!(!patient.lapsed());
     }
 }

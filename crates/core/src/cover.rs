@@ -42,7 +42,7 @@ macro_rules! cover_sites {
 }
 
 cover_sites! {
-    // FGRVPROF: shared view/owned validation (store/view.rs).
+    // FGRVPROF: the view decoder (store/view.rs).
     STORE_VIEW_BAD_MAGIC,
     STORE_VIEW_BAD_VERSION,
     STORE_VIEW_TRUNC_HEADER,
@@ -53,11 +53,6 @@ cover_sites! {
     // FGRVPROF: canonical-form scan (store/columns.rs).
     STORE_CANON_STRAY_BITS,
     STORE_CANON_DIRTY_SLOT,
-    // FGRVPROF: streaming decoder (store/mod.rs).
-    STORE_READ_BAD_MAGIC,
-    STORE_READ_BAD_VERSION,
-    STORE_READ_IMPLAUSIBLE_LEN,
-    STORE_READ_OK,
     // FGRVCKPT: shared codec plumbing (checkpoint.rs).
     CKPT_BAD_MAGIC,
     CKPT_BAD_VERSION,
@@ -81,7 +76,6 @@ cover_sites! {
     CKPT_MANIFEST_OK,
     CKPT_ENTRY_OK,
     CKPT_STAGE_OK,
-    CKPT_ENTRY_VIEW_OK,
     // FGRVWIRE: preamble and frame reader (transport.rs).
     WIRE_PREAMBLE_BAD_MAGIC,
     WIRE_PREAMBLE_BAD_VERSION,

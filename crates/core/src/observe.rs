@@ -148,7 +148,7 @@ impl TelemetrySink for ForwardDeviceEvents<'_> {
 // ---------------------------------------------------------------------
 
 use crate::checkpoint::{CheckpointError, Codec};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 impl Codec for StageKind {
     const BLOCK: &'static str = "stage kind";
@@ -161,7 +161,7 @@ impl Codec for StageKind {
         };
         tag.encode(w)
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(StageKind::Calibrate),
             1 => Ok(StageKind::TimingProbe),
@@ -192,7 +192,7 @@ impl Codec for ProfilingEvent {
             }
         }
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(ProfilingEvent::StageStarted {
                 stage: StageKind::decode(r)?,

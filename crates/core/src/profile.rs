@@ -71,18 +71,6 @@ pub struct ProfilePoint {
     pub power: ComponentPower,
 }
 
-impl ProfilePoint {
-    /// The historical sentinel encoding of `exec_pos`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the u32::MAX sentinel is no longer part of the data model; \
-                match on the `exec_pos: Option<u32>` field instead"
-    )]
-    pub fn raw_exec_pos(&self) -> u32 {
-        self.exec_pos.unwrap_or(u32::MAX)
-    }
-}
-
 /// A stitched power profile: a labelled, kinded [`ProfileStore`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerProfile {
@@ -466,20 +454,6 @@ mod tests {
         prof.retain(|p| p.run() == 1);
         assert_eq!(prof.len(), 1);
         assert_eq!(prof.point(0).run, 1);
-    }
-
-    #[test]
-    fn deprecated_sentinel_accessor_still_encodes_max() {
-        let pt = ProfilePoint {
-            run: 0,
-            exec_pos: None,
-            toi_ns: None,
-            run_time_ns: 0.0,
-            power: ComponentPower::ZERO,
-        };
-        #[allow(deprecated)] // the deprecated accessor is the test subject
-        let raw = pt.raw_exec_pos();
-        assert_eq!(raw, u32::MAX);
     }
 
     /// Builds a tiny trace with one execution [1000, 2000] ns CPU time and

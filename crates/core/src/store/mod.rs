@@ -15,10 +15,10 @@
 //!   56-byte structs ([`ProfileStore::argsort_by_axis`],
 //!   [`ProfileStore::indices_where`], [`ProfileStore::select`]);
 //! * the whole store maps 1:1 onto a raw little-endian on-disk layout
-//!   ([`ProfileStore::write_to`] / [`ProfileStore::read_from`]) that a
-//!   future mmap-backed or cross-process campaign shard can adopt
-//!   unchanged, and two persisted stores diff column-wise without
-//!   materializing points ([`ProfileStore::diff`]).
+//!   ([`ProfileStore::write_to`]) that the zero-copy [`ProfileStoreView`]
+//!   reads in place — from an mmapped shard, a wire payload, or a buffer
+//!   — and two persisted stores diff column-wise without materializing
+//!   points ([`ProfileStore::diff`]).
 //!
 //! Invalid slots (points that fell outside any execution) are stored
 //! *canonically zeroed* — `exec_pos = 0`, `toi_ns = 0.0` wherever the
@@ -63,7 +63,7 @@
 //! ```
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use fingrav_sim::power::{Component, ComponentPower};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -544,84 +544,23 @@ impl ProfileStore {
         out
     }
 
-    /// Reads a store previously written by [`ProfileStore::write_to`].
+    /// Decodes a store previously written by [`ProfileStore::write_to`],
+    /// rejecting trailing bytes.
+    ///
+    /// This is [`ProfileStoreView::new`] followed by
+    /// [`ProfileStoreView::to_store`]: the buffer is validated once (exact
+    /// block-size check up front) and each column is then decoded into an
+    /// exactly-sized `Vec`.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreCodecError::BadMagic`] /
-    /// [`StoreCodecError::UnsupportedVersion`] on a foreign or newer file,
-    /// [`StoreCodecError::Truncated`] when the reader ends inside a column
-    /// block, and [`StoreCodecError::Corrupt`] when the decoded content
-    /// violates the format's invariants (implausible length, stray bitmap
-    /// tail bits, non-canonical invalid slots).
-    pub fn read_from<R: Read>(r: &mut R) -> Result<ProfileStore, StoreCodecError> {
-        let mut magic = [0u8; 8];
-        read_exact(r, &mut magic, "magic")?;
-        if magic != STORE_MAGIC {
-            crate::cover::hit(crate::cover::STORE_READ_BAD_MAGIC);
-            return Err(StoreCodecError::BadMagic(magic));
-        }
-        let version = read_u32(r, "version")?;
-        if version != STORE_VERSION {
-            crate::cover::hit(crate::cover::STORE_READ_BAD_VERSION);
-            return Err(StoreCodecError::UnsupportedVersion(version));
-        }
-        let _flags = read_u32(r, "flags")?;
-        let len = read_u64(r, "length")?;
-        // 2^32 points would be a ≥256 GiB store; anything larger is a
-        // corrupt header, not data, and must not drive allocation. The
-        // range check runs on the decoded u64 *before* any narrowing, so
-        // a huge length cannot wrap on 32-bit targets.
-        if len > u64::from(u32::MAX) {
-            crate::cover::hit(crate::cover::STORE_READ_IMPLAUSIBLE_LEN);
-            return Err(StoreCodecError::Corrupt(format!(
-                "implausible point count {len}"
-            )));
-        }
-        let len = usize::try_from(len)
-            .map_err(|_| StoreCodecError::Corrupt(format!("implausible point count {len}")))?;
-        let run = read_u32_column(r, len, "run")?;
-        let exec_pos = read_u32_column(r, len, "exec_pos")?;
-        let toi_ns = read_f64_column(r, len, "toi_ns")?;
-        let run_time_ns = read_f64_column(r, len, "run_time_ns")?;
-        let xcd = read_f64_column(r, len, "xcd")?;
-        let iod = read_f64_column(r, len, "iod")?;
-        let hbm = read_f64_column(r, len, "hbm")?;
-        let rest = read_f64_column(r, len, "rest")?;
-        let in_exec = read_u64_column(r, len.div_ceil(64), "validity bitmap")?;
-        let store = ProfileStore {
-            run,
-            exec_pos,
-            toi_ns,
-            run_time_ns,
-            xcd,
-            iod,
-            hbm,
-            rest,
-            in_exec,
-        };
-        store.validate()?;
-        crate::cover::hit(crate::cover::STORE_READ_OK);
-        Ok(store)
-    }
-
-    /// Decodes a store from an owned byte buffer, rejecting trailing bytes.
-    ///
-    /// Internally this validates the buffer once through the zero-copy
-    /// [`ProfileStoreView`] (exact block-size check up front) and then
-    /// decodes each column into an exactly-sized `Vec` — no incremental
-    /// growth, no second validation pass.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProfileStore::read_from`], plus [`StoreCodecError::Corrupt`]
-    /// when bytes remain after the bitmap block.
+    /// As [`ProfileStoreView::new`].
     pub fn from_bytes(bytes: &[u8]) -> Result<ProfileStore, StoreCodecError> {
         Ok(ProfileStoreView::new(bytes)?.to_store())
     }
 
     /// Checks the canonical-form invariants a decoded store must satisfy
-    /// (shared kernel with the zero-copy view decoder).
+    /// (the same kernel the view decoder runs).
     fn validate(&self) -> Result<(), StoreCodecError> {
         columns::validate_canonical(self)
     }
@@ -838,103 +777,6 @@ impl std::error::Error for StoreCodecError {
             _ => None,
         }
     }
-}
-
-fn read_exact<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    block: &'static str,
-) -> Result<(), StoreCodecError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreCodecError::Truncated(block)
-        } else {
-            StoreCodecError::Io(e)
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, block: &'static str) -> Result<u32, StoreCodecError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, block)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R, block: &'static str) -> Result<u64, StoreCodecError> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b, block)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Elements read per `read_exact` when decoding a column. Bounds the
-/// syscall count on unbuffered readers (one read per chunk, not per
-/// element) and — past [`PRESIZE_MAX_ELEMS`] — the memory committed
-/// before truncation is detected.
-const READ_CHUNK_ELEMS: usize = 64 * 1024;
-
-/// Row-count ceiling up to which a streamed column pre-sizes its `Vec`
-/// to the advertised length (one exact allocation, no growth
-/// reallocation). A (possibly corrupt) header advertising more rows
-/// than this falls back to chunked growth, so an adversarial length
-/// cannot commit gigabytes before the first short read surfaces as
-/// `Truncated`. 2 M points is ~112 MiB encoded — far beyond any real
-/// campaign store, tiny as a worst-case transient reservation.
-const PRESIZE_MAX_ELEMS: usize = 2 * 1024 * 1024;
-
-fn read_column<R: Read, T>(
-    r: &mut R,
-    len: usize,
-    elem_size: usize,
-    block: &'static str,
-    decode: impl Fn(&[u8]) -> T,
-) -> Result<Vec<T>, StoreCodecError> {
-    let chunk_elems = READ_CHUNK_ELEMS.min(len.max(1));
-    let mut buf = vec![0u8; chunk_elems * elem_size];
-    let presize = if len <= PRESIZE_MAX_ELEMS {
-        len
-    } else {
-        chunk_elems
-    };
-    let mut out = Vec::with_capacity(presize);
-    let mut remaining = len;
-    while remaining > 0 {
-        let n = remaining.min(chunk_elems);
-        let bytes = &mut buf[..n * elem_size];
-        read_exact(r, bytes, block)?;
-        out.extend(bytes.chunks_exact(elem_size).map(&decode));
-        remaining -= n;
-    }
-    Ok(out)
-}
-
-fn read_u32_column<R: Read>(
-    r: &mut R,
-    len: usize,
-    block: &'static str,
-) -> Result<Vec<u32>, StoreCodecError> {
-    read_column(r, len, 4, block, |b| {
-        u32::from_le_bytes(b.try_into().expect("4-byte chunk"))
-    })
-}
-
-fn read_u64_column<R: Read>(
-    r: &mut R,
-    len: usize,
-    block: &'static str,
-) -> Result<Vec<u64>, StoreCodecError> {
-    read_column(r, len, 8, block, |b| {
-        u64::from_le_bytes(b.try_into().expect("8-byte chunk"))
-    })
-}
-
-fn read_f64_column<R: Read>(
-    r: &mut R,
-    len: usize,
-    block: &'static str,
-) -> Result<Vec<f64>, StoreCodecError> {
-    read_column(r, len, 8, block, |b| {
-        f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-    })
 }
 
 // ---------------------------------------------------------------------

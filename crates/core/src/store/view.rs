@@ -1,4 +1,5 @@
-//! Borrowed, zero-copy decoding of the `FGRVPROF` binary format.
+//! Borrowed, zero-copy decoding of the `FGRVPROF` binary format — the
+//! format's one decoder.
 //!
 //! [`ProfileStoreView`] validates an encoded store once — header,
 //! exact block sizes, stray-bitmap-bit and canonical-zero invariants —
@@ -8,7 +9,10 @@
 //! frame, an owned `Vec<u8>`), which is why the view never assumes
 //! alignment: every element is read with an unaligned little-endian
 //! load (`u32::from_le_bytes` / `u64::from_le_bytes` on a 4- or 8-byte
-//! chunk), per the in-place-read rules in `docs/FORMATS.md` §2.
+//! chunk), per the in-place-read rules in `docs/FORMATS.md` §2. Owned
+//! decoding ([`ProfileStore::from_bytes`], the profiles embedded in
+//! checkpoint sections) is this view followed by
+//! [`ProfileStoreView::to_store`].
 //!
 //! All analysis kernels (`mean_power`, `argsort_by_axis`,
 //! `indices_where`, `select`, `diff`, CSV emission) are shared with the
@@ -76,8 +80,7 @@ fn chunks8(block: &[u8]) -> &[[u8; 8]] {
 /// Byte offsets of every column block of an `n`-point encoded store,
 /// relative to the start of the encoding (header included). This is the
 /// normative §2 layout of `docs/FORMATS.md` in executable form; the
-/// view, the owned decoder, and the spec test all derive offsets from
-/// here.
+/// view and the spec test both derive offsets from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnLayout {
     /// Point count the layout was computed for.
@@ -138,8 +141,7 @@ impl ColumnLayout {
     }
 
     /// The name of the block a buffer of `avail` bytes ends inside
-    /// (`avail < total`); used to label `Truncated` errors exactly like
-    /// the streaming decoder does.
+    /// (`avail < total`); used to label `Truncated` errors.
     fn truncated_block(&self, avail: usize) -> &'static str {
         let bounds = [
             (self.exec_pos, "run"),
@@ -166,11 +168,9 @@ impl ColumnLayout {
 /// Constructed by [`ProfileStoreView::new`] (exact buffer) or
 /// [`ProfileStoreView::split_prefix`] (store embedded in a larger
 /// stream, e.g. a checkpoint entry or a wire frame). Construction runs
-/// the *same* checks as [`ProfileStore::from_bytes`] — magic, version,
-/// plausible length, exact block sizes, stray bitmap bits, canonical
-/// zeroing of invalid slots — so every later accessor is infallible and
-/// panic-free, and `ProfileStoreView::new(bytes)` succeeds exactly when
-/// `ProfileStore::from_bytes(bytes)` does.
+/// every format check — magic, version, plausible length, exact block
+/// sizes, stray bitmap bits, canonical zeroing of invalid slots — so
+/// every later accessor is infallible and panic-free.
 ///
 /// ```
 /// use fingrav_core::profile::ProfilePoint;
@@ -223,7 +223,6 @@ impl<'a> ProfileStoreView<'a> {
     ///
     /// # Errors
     ///
-    /// The same taxonomy as [`ProfileStore::from_bytes`]:
     /// [`StoreCodecError::BadMagic`] /
     /// [`StoreCodecError::UnsupportedVersion`] on a foreign or newer
     /// encoding, [`StoreCodecError::Truncated`] naming the block the
@@ -254,7 +253,6 @@ impl<'a> ProfileStoreView<'a> {
     pub fn split_prefix(
         bytes: &'a [u8],
     ) -> Result<(ProfileStoreView<'a>, &'a [u8]), StoreCodecError> {
-        // Header: mirror the streaming decoder's block labels exactly.
         let magic: [u8; 8] = take_block(bytes, 0, "magic").inspect_err(|_| {
             cover::hit(cover::STORE_VIEW_TRUNC_HEADER);
         })?;

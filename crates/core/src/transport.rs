@@ -44,7 +44,7 @@
 //! assignment is evicted — re-queued to the *front* of the queue,
 //! exactly like the dropped-connection path, so byte-identity is
 //! preserved. Each in-flight assignment is tracked as an
-//! [`AssignmentLease`](crate::checkpoint::AssignmentLease), renewed by
+//! [`AssignmentLease`], renewed by
 //! every frame (heartbeats included) its worker delivers.
 //!
 //! ## Campaign service
@@ -134,7 +134,7 @@ use std::time::{Duration, Instant};
 use crate::campaign::Campaign;
 use crate::checkpoint::{
     campaign_digest, restore_done_entries, CampaignManifest, CheckpointDir, CheckpointError, Codec,
-    EntryArtifactView, EntryStatus, LeaseTable,
+    EntryArtifactView, EntryStatus,
 };
 use crate::cover;
 use crate::error::{MethodologyError, MethodologyResult};
@@ -181,7 +181,7 @@ pub const DENY_SEQUENCE_EARLY: u8 = 3;
 
 /// Elements of capacity committed ahead of reading a frame payload, so a
 /// corrupt length field fails on the first short read instead of
-/// committing memory (mirrors the checkpoint codec's chunked reads).
+/// committing memory (mirrors the checkpoint codec's bounded pre-allocation).
 const READ_CHUNK: usize = 64 * 1024;
 
 /// How long assignment waiters sleep between cancellation checks, and how
@@ -368,7 +368,7 @@ impl Codec for MethodologyError {
             }
         }
     }
-    fn decode<R: Read>(r: &mut R) -> Result<Self, CheckpointError> {
+    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
         match u8::decode(r)? {
             0 => Ok(MethodologyError::Backend(String::decode(r)?)),
             1 => Ok(MethodologyError::InsufficientSyncData),
@@ -518,16 +518,12 @@ fn write_bytes<W: Write>(w: &mut W, bytes: &[u8]) -> io::Result<()> {
     w.write_all(bytes)
 }
 
-/// Reads `len` bytes with bounded, chunked allocation: the length is
-/// validated against [`MAX_FRAME_LEN`] *before* any narrowing cast (so a
-/// huge value cannot wrap on 32-bit targets), and capacity is committed
-/// at most one chunk ahead of the bytes actually arriving, so a corrupt
-/// length fails with `Truncated` instead of driving memory commitment.
-fn read_bounded<R: Read>(
-    r: &mut R,
-    len: u64,
-    block: &'static str,
-) -> Result<Vec<u8>, CheckpointError> {
+/// Reads a `u64`-length-prefixed byte block off a frame payload. The
+/// length is checked against [`MAX_FRAME_LEN`] before any narrowing cast
+/// (so a huge value cannot wrap on 32-bit targets), and nothing is
+/// allocated until the payload is known to hold that many bytes.
+fn read_bytes(r: &mut &[u8], block: &'static str) -> Result<Vec<u8>, CheckpointError> {
+    let len = u64::decode(r)?;
     if len > MAX_FRAME_LEN {
         cover::hit(cover::WIRE_BLOCK_IMPLAUSIBLE_LEN);
         return Err(CheckpointError::Corrupt(format!(
@@ -536,21 +532,7 @@ fn read_bounded<R: Read>(
     }
     let len = usize::try_from(len)
         .map_err(|_| CheckpointError::Corrupt(format!("implausible byte-block length {len}")))?;
-    let mut out = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut remaining = len;
-    let mut chunk = [0u8; 4096];
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        crate::checkpoint::read_exact_ck(r, &mut chunk[..take], block)?;
-        out.extend_from_slice(&chunk[..take]);
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_bytes<R: Read>(r: &mut R, block: &'static str) -> Result<Vec<u8>, CheckpointError> {
-    let len = u64::decode(r)?;
-    read_bounded(r, len, block)
+    Ok(crate::checkpoint::take(r, len, block)?.to_vec())
 }
 
 impl Frame {
@@ -709,7 +691,8 @@ impl Frame {
         w.write_all(&payload)
     }
 
-    /// Reads one frame previously written by [`Frame::write_to`].
+    /// Reads one frame previously written by [`Frame::write_to`]: the
+    /// budgeted frame reader with no deadline.
     ///
     /// # Errors
     ///
@@ -717,20 +700,7 @@ impl Frame {
     /// implausible lengths, unknown tags, and payloads that decode short,
     /// long, or corrupt.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, TransportError> {
-        let mut tag = [0u8; 4];
-        crate::checkpoint::read_exact_ck(r, &mut tag, "frame tag")?;
-        let tag = u32::from_le_bytes(tag);
-        let mut len = [0u8; 8];
-        crate::checkpoint::read_exact_ck(r, &mut len, "frame length")?;
-        let len = u64::from_le_bytes(len);
-        if len > MAX_FRAME_LEN {
-            cover::hit(cover::WIRE_FRAME_IMPLAUSIBLE_LEN);
-            return Err(TransportError::Corrupt(format!(
-                "implausible frame length {len}"
-            )));
-        }
-        let payload = read_bounded(r, len, "frame payload")?;
-        Ok(Frame::decode_payload(tag, &payload)?)
+        read_frame_budgeted(r, Duration::MAX, &mut || Ok(()))
     }
 }
 
@@ -745,32 +715,17 @@ pub fn write_preamble<W: Write>(w: &mut W) -> io::Result<()> {
     w.write_all(&0u32.to_le_bytes())
 }
 
-/// Reads and validates a peer's preamble.
+/// Reads and validates a peer's preamble: the budgeted preamble reader
+/// with no deadline.
 ///
 /// # Errors
 ///
-/// Returns [`TransportError::BadMagic`] /
-/// [`TransportError::UnsupportedVersion`] on a foreign or
-/// differently-versioned peer, [`TransportError::Truncated`] when the
-/// stream ends inside the preamble.
+/// Returns [`TransportError::BadMagic`] as soon as the magic arrives on a
+/// foreign peer, [`TransportError::Truncated`] when the stream ends inside
+/// the preamble, and otherwise [`TransportError::UnsupportedVersion`] on a
+/// differently-versioned peer.
 pub fn read_preamble<R: Read>(r: &mut R) -> Result<(), TransportError> {
-    let mut magic = [0u8; 8];
-    crate::checkpoint::read_exact_ck(r, &mut magic, "preamble magic")?;
-    if magic != WIRE_MAGIC {
-        cover::hit(cover::WIRE_PREAMBLE_BAD_MAGIC);
-        return Err(TransportError::BadMagic(magic));
-    }
-    let mut version = [0u8; 4];
-    crate::checkpoint::read_exact_ck(r, &mut version, "preamble version")?;
-    let version = u32::from_le_bytes(version);
-    if version != WIRE_VERSION {
-        cover::hit(cover::WIRE_PREAMBLE_BAD_VERSION);
-        return Err(TransportError::UnsupportedVersion(version));
-    }
-    let mut reserved = [0u8; 4];
-    crate::checkpoint::read_exact_ck(r, &mut reserved, "preamble reserved")?;
-    cover::hit(cover::WIRE_PREAMBLE_OK);
-    Ok(())
+    read_preamble_budgeted(r, Duration::MAX, &mut || Ok(()))
 }
 
 // ---------------------------------------------------------------------
@@ -817,9 +772,10 @@ fn fill_budgeted<R: Read>(
     Ok(())
 }
 
-/// [`read_preamble`] over a deadline-carrying stream. Validates the magic
-/// as soon as its 8 bytes arrive (a foreign peer is rejected without
-/// waiting for a full preamble it will never send).
+/// Reads and validates a peer's preamble over a deadline-carrying stream.
+/// Validates the magic as soon as its 8 bytes arrive (a foreign peer is
+/// rejected without waiting for a full preamble it will never send); the
+/// version is checked once all 16 bytes are in.
 fn read_preamble_budgeted<R: Read>(
     r: &mut R,
     idle: Duration,
@@ -844,8 +800,8 @@ fn read_preamble_budgeted<R: Read>(
     Ok(())
 }
 
-/// [`Frame::read_from`] over a deadline-carrying stream: same validation
-/// (length ceiling before allocation, chunked payload reads), but timeout
+/// Reads one frame over a deadline-carrying stream: the length ceiling is
+/// checked before allocation and the payload is read in chunks; timeout
 /// ticks run `tick` and only sustained silence fails.
 fn read_frame_budgeted<R: Read>(
     r: &mut R,
@@ -905,6 +861,115 @@ fn next_frame<R: Read>(r: &mut R, idle: Duration) -> Result<Frame, TransportErro
 /// the stream stays byte-silent past `idle`.
 pub fn read_next_frame<R: Read>(r: &mut R, idle: Duration) -> Result<Frame, TransportError> {
     next_frame(r, idle)
+}
+
+// ---------------------------------------------------------------------
+// Assignment leases
+// ---------------------------------------------------------------------
+
+/// In-memory lease on one in-flight distributed assignment.
+///
+/// The transport coordinator grants a lease when it assigns an entry to a
+/// worker shard and renews it on every frame (including heartbeats) that
+/// arrives from that worker. A lease whose renewal silence exceeds its
+/// deadline marks the assignment evictable: the coordinator abandons the
+/// connection and re-queues the entry to the front of the plan.
+///
+/// Leases are *not* part of any on-disk format — `FGRVCKPT` manifests are
+/// unchanged — because a coordinator restart already recovers in-flight
+/// entries through the ordinary pending-status re-plan. The lease only has
+/// to outlive the connection it guards.
+#[derive(Debug, Clone)]
+pub struct AssignmentLease {
+    /// Campaign index of the leased entry.
+    pub index: usize,
+    /// Worker shard holding the lease.
+    pub shard: u32,
+    /// When the lease was granted.
+    pub granted_at: Instant,
+    /// Last proof of life from the owning worker.
+    pub renewed_at: Instant,
+    /// Maximum renewal silence before the assignment is evictable.
+    pub deadline: Duration,
+}
+
+impl AssignmentLease {
+    /// Grants a fresh lease on `index` to worker `shard`.
+    pub fn grant(index: usize, shard: u32, deadline: Duration) -> Self {
+        let now = Instant::now();
+        AssignmentLease {
+            index,
+            shard,
+            granted_at: now,
+            renewed_at: now,
+            deadline,
+        }
+    }
+
+    /// Records proof of life from the owning worker.
+    pub fn renew(&mut self) {
+        self.renewed_at = Instant::now();
+    }
+
+    /// Time since the last renewal.
+    pub fn silence(&self) -> Duration {
+        self.renewed_at.elapsed()
+    }
+
+    /// True once renewal silence has met or exceeded the deadline.
+    pub fn lapsed(&self) -> bool {
+        self.silence() >= self.deadline
+    }
+}
+
+/// The coordinator's live set of [`AssignmentLease`]s, keyed by campaign
+/// index. Small (bounded by connected workers), so a flat `Vec` beats a
+/// map; entries are removed eagerly on release.
+#[derive(Debug, Default)]
+pub struct LeaseTable {
+    leases: Vec<AssignmentLease>,
+}
+
+impl LeaseTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        LeaseTable::default()
+    }
+
+    /// Grants (or re-grants, replacing any stale lease on the same index)
+    /// a lease on `index` to worker `shard`.
+    pub fn grant(&mut self, index: usize, shard: u32, deadline: Duration) {
+        self.release(index);
+        self.leases
+            .push(AssignmentLease::grant(index, shard, deadline));
+    }
+
+    /// Renews the lease on `index`, if one is held.
+    pub fn renew(&mut self, index: usize) {
+        if let Some(lease) = self.leases.iter_mut().find(|l| l.index == index) {
+            lease.renew();
+        }
+    }
+
+    /// Drops the lease on `index`, if one is held.
+    pub fn release(&mut self, index: usize) {
+        self.leases.retain(|l| l.index != index);
+    }
+
+    /// The lease on `index`, if one is held.
+    pub fn get(&self, index: usize) -> Option<&AssignmentLease> {
+        self.leases.iter().find(|l| l.index == index)
+    }
+
+    /// Number of live leases.
+    pub fn len(&self) -> usize {
+        self.leases.len()
+    }
+
+    /// True when no leases are held.
+    pub fn is_empty(&self) -> bool {
+        self.leases.is_empty()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2547,6 +2612,12 @@ mod tests {
             read_preamble(&mut &bad_version[..]),
             Err(TransportError::UnsupportedVersion(9))
         ));
+        // The version is checked only once all 16 bytes are in, so a bad
+        // version with a short reserved word is a truncation.
+        assert!(matches!(
+            read_preamble(&mut &bad_version[..14]),
+            Err(TransportError::Truncated("preamble reserved"))
+        ));
 
         for cut in 0..good.len() {
             assert!(matches!(
@@ -2685,5 +2756,46 @@ mod tests {
             assert!(!e.to_string().is_empty());
             let _ = MethodologyError::from(e);
         }
+    }
+
+    #[test]
+    fn lease_table_grants_renews_and_releases() {
+        let deadline = Duration::from_secs(60);
+        let mut table = LeaseTable::new();
+        assert!(table.is_empty());
+
+        table.grant(3, 1, deadline);
+        table.grant(5, 2, deadline);
+        assert_eq!(table.len(), 2);
+        let lease = table.get(3).expect("lease on 3");
+        assert_eq!(lease.shard, 1);
+        assert!(!lease.lapsed(), "fresh lease must not have lapsed");
+        assert!(lease.silence() < deadline);
+
+        // Re-granting the same index (re-planned entry picked up by a new
+        // worker) replaces, not duplicates.
+        table.grant(3, 7, deadline);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.get(3).expect("re-granted lease").shard, 7);
+
+        // Renewing moves the proof-of-life forward.
+        let before = table.get(5).expect("lease on 5").renewed_at;
+        table.renew(5);
+        assert!(table.get(5).expect("lease on 5").renewed_at >= before);
+        table.renew(99); // unknown index is a no-op
+
+        table.release(3);
+        assert!(table.get(3).is_none());
+        table.release(3); // double-release is a no-op
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn lease_lapses_after_deadline_silence() {
+        let lease = AssignmentLease::grant(0, 0, Duration::ZERO);
+        // A zero deadline lapses immediately: silence() >= ZERO always.
+        assert!(lease.lapsed());
+        let patient = AssignmentLease::grant(0, 0, Duration::from_secs(3600));
+        assert!(!patient.lapsed());
     }
 }

@@ -25,7 +25,7 @@ pub const ALLOC_CAP_PER_BYTE: usize = 64;
 pub enum Finding {
     /// The decoder panicked. Payload: the panic message.
     Panic(String),
-    /// An oracle violation (owned/view divergence, broken round trip).
+    /// An oracle violation (broken round trip, mishandled trailing bytes).
     Divergence(String),
     /// Peak live allocation exceeded the documented-cap allowance.
     AllocCap {

@@ -1,5 +1,5 @@
-//! Coverage-guided fuzzing and differential conformance harness for the
-//! FGRV* decoders (`FGRVPROF`, `FGRVCKPT`, `FGRVWIRE`).
+//! Coverage-guided fuzzing and conformance harness for the FGRV*
+//! decoders (`FGRVPROF`, `FGRVCKPT`, `FGRVWIRE`).
 //!
 //! The harness is dependency-free by design (the `fgrv-lint` precedent:
 //! first-party crates only): SplitMix64 randomness, hand-rolled

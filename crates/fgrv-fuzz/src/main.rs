@@ -1,5 +1,5 @@
-//! `fgrv-fuzz` — coverage-guided fuzzing and differential conformance
-//! harness for the FGRV* decoders.
+//! `fgrv-fuzz` — coverage-guided fuzzing and conformance harness for the
+//! FGRV* decoders.
 //!
 //! ```text
 //! fgrv-fuzz list

@@ -1,17 +1,15 @@
-//! The fuzz targets: one per untrusted-input decode path, each pairing a
-//! decoder with its differential conformance oracle.
+//! The fuzz targets: one per untrusted-input decode path, each pairing
+//! the format's one decoder with its conformance oracle.
 //!
 //! Every target's `execute` upholds the same contract on EVERY input:
 //!
 //! * it never panics (panics are caught one level up, in the executor);
 //! * rejected inputs yield a typed error, hashed into the run's
 //!   error-taxonomy coverage;
-//! * where an owned and a zero-copy decoder exist for the same bytes
-//!   (`FGRVPROF` store vs [`ProfileStoreView`], [`EntryArtifact`] vs
-//!   [`EntryArtifactView`], plain vs budgeted wire reads), both must
-//!   agree — same accepted value, or typed errors with identical `Debug`
-//!   renderings (the `tests/store_view.rs` comparison idiom);
-//! * accepted inputs re-encode and re-decode to an equal value.
+//! * accepted inputs re-encode and re-decode to an equal value;
+//! * accepted inputs followed by junk bytes are handled as the format
+//!   says: [`ProfileStoreView::split_prefix`] hands the junk back, and an
+//!   [`EntryArtifact`] rejects it as trailing bytes.
 //!
 //! Any violation comes back as `Err(description)` — a divergence the
 //! harness records, minimizes, and writes out as a crash artifact.
@@ -19,9 +17,7 @@
 use std::io::{self, Read};
 use std::time::Duration;
 
-use fingrav_core::checkpoint::{
-    CampaignManifest, EntryArtifact, EntryArtifactView, StageCheckpoint,
-};
+use fingrav_core::checkpoint::{CampaignManifest, CheckpointError, EntryArtifact, StageCheckpoint};
 use fingrav_core::store::{ProfileStore, ProfileStoreView};
 use fingrav_core::transport::{read_next_frame, read_preamble, write_preamble, Frame};
 use fingrav_core::{ProfilePoint, ProfilingEvent, StageKind};
@@ -32,18 +28,17 @@ use crate::corpus::taxonomy_hash;
 /// One decode path under fuzz.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
-    /// `FGRVPROF`: [`ProfileStore::from_bytes`] vs
-    /// [`ProfileStoreView::new`] / [`ProfileStoreView::split_prefix`].
+    /// `FGRVPROF`: [`ProfileStore::from_bytes`] and
+    /// [`ProfileStoreView::split_prefix`].
     Prof,
     /// `FGRVCKPT` manifest section: [`CampaignManifest::from_bytes`].
     CkptManifest,
-    /// `FGRVCKPT` entry section: [`EntryArtifact::from_bytes`] vs
-    /// [`EntryArtifactView::parse`].
+    /// `FGRVCKPT` entry section: [`EntryArtifact::from_bytes`].
     CkptEntry,
     /// `FGRVCKPT` stage section: [`StageCheckpoint::from_bytes`].
     CkptStage,
-    /// `FGRVWIRE` v2 stream: [`Frame::read_from`] loop vs the budgeted
-    /// [`read_next_frame`] path over a stalling reader.
+    /// `FGRVWIRE` v2 stream: the budgeted [`read_next_frame`] path over a
+    /// stalling reader.
     Wire,
 }
 
@@ -64,7 +59,7 @@ pub const TARGETS: [TargetInfo; 5] = [
     TargetInfo {
         name: "prof",
         target: Target::Prof,
-        description: "FGRVPROF store: owned decode vs zero-copy view, round trip, split_prefix",
+        description: "FGRVPROF store: decode, round trip, split_prefix",
     },
     TargetInfo {
         name: "ckpt-manifest",
@@ -74,7 +69,7 @@ pub const TARGETS: [TargetInfo; 5] = [
     TargetInfo {
         name: "ckpt-entry",
         target: Target::CkptEntry,
-        description: "FGRVCKPT entry section: owned decode vs zero-copy view, round trip",
+        description: "FGRVCKPT entry section: decode, round trip, trailing-bytes rejection",
     },
     TargetInfo {
         name: "ckpt-stage",
@@ -84,7 +79,7 @@ pub const TARGETS: [TargetInfo; 5] = [
     TargetInfo {
         name: "wire",
         target: Target::Wire,
-        description: "FGRVWIRE v2 stream: plain frame loop vs budgeted heartbeat-skipping reader",
+        description: "FGRVWIRE v2 stream: budgeted heartbeat-skipping reader over a stalling stream, frame round trip",
     },
 ];
 
@@ -211,14 +206,14 @@ pub fn seeds(target: Target) -> Vec<Vec<u8>> {
 /// the input produced (empty when it decoded cleanly).
 pub type Taxonomy = Vec<u64>;
 
-/// Runs `input` through `target`'s decoder(s) and differential oracle.
+/// Runs `input` through `target`'s decoder and oracle.
 ///
 /// # Errors
 ///
-/// An `Err` is an oracle violation — an owned/view divergence or a
-/// broken re-encode round trip — described well enough to triage from
-/// the crash artifact alone. Panics are NOT caught here; the executor
-/// wraps this call in `catch_unwind`.
+/// An `Err` is an oracle violation — a broken re-encode round trip or a
+/// mishandled trailing-bytes case — described well enough to triage
+/// from the crash artifact alone. Panics are NOT caught here; the
+/// executor wraps this call in `catch_unwind`.
 pub fn execute(target: Target, input: &[u8]) -> Result<Taxonomy, String> {
     match target {
         Target::Prof => run_prof(input),
@@ -233,63 +228,48 @@ fn hash_err<E: std::fmt::Debug>(e: &E) -> u64 {
     taxonomy_hash(&format!("{e:?}"))
 }
 
+/// Junk appended to accepted inputs by the trailing-bytes checks.
+const JUNK: [u8; 4] = [0xA5; 4];
+
 fn run_prof(input: &[u8]) -> Result<Taxonomy, String> {
-    let owned = ProfileStore::from_bytes(input);
-    let view = ProfileStoreView::new(input);
-    match (owned, view) {
-        (Ok(store), Ok(view)) => {
-            // `diff_view` bit-compares float columns, so a decoded NaN
-            // equals itself — `PartialEq` would false-alarm here.
-            let diff = store.diff_view(&view);
-            if !diff.is_identical() {
-                return Err(format!(
-                    "owned decode != view on accepted input: {}",
-                    diff.mismatch_brief()
-                ));
-            }
-            // Accepted inputs re-encode and re-decode to the same value.
-            // Value, not bytes: the header flags word is ignored on
-            // decode and re-encoded as zero.
-            let bytes = store.to_bytes();
-            match ProfileStore::from_bytes(&bytes) {
-                Ok(again) if store.diff(&again).is_identical() => {}
-                Ok(again) => {
-                    return Err(format!(
-                        "FGRVPROF re-decode drifted: {}",
-                        store.diff(&again).mismatch_brief()
-                    ))
-                }
-                Err(e) => return Err(format!("FGRVPROF re-encode failed to decode: {e:?}")),
-            }
-            // split_prefix must hand back exactly the trailing junk.
-            let mut framed = bytes;
-            framed.extend_from_slice(&[0xA5; 4]);
-            match ProfileStoreView::split_prefix(&framed) {
-                Ok((prefix, rest)) if rest == [0xA5; 4] => {
-                    if !store.diff_view(&prefix).is_identical() {
-                        return Err("split_prefix prefix decoded differently".to_string());
-                    }
-                }
-                Ok((_, rest)) => {
-                    return Err(format!(
-                        "split_prefix returned {} trailing bytes, wanted 4",
-                        rest.len()
-                    ))
-                }
-                Err(e) => return Err(format!("split_prefix rejected a valid prefix: {e:?}")),
-            }
-            Ok(Vec::new())
+    let store = match ProfileStore::from_bytes(input) {
+        Ok(store) => store,
+        Err(e) => return Ok(vec![hash_err(&e)]),
+    };
+    // Accepted inputs re-encode and re-decode to the same value. Value,
+    // not bytes: the header flags word is ignored on decode and
+    // re-encoded as zero. `diff` bit-compares float columns, so a
+    // decoded NaN equals itself where `PartialEq` would false-alarm.
+    let bytes = store.to_bytes();
+    match ProfileStore::from_bytes(&bytes) {
+        Ok(again) if store.diff(&again).is_identical() => {}
+        Ok(again) => {
+            return Err(format!(
+                "FGRVPROF re-decode drifted: {}",
+                store.diff(&again).mismatch_brief()
+            ))
         }
-        (Err(a), Err(b)) => {
-            let (da, db) = (format!("{a:?}"), format!("{b:?}"));
-            if da != db {
-                return Err(format!("owned/view error divergence: owned={da} view={db}"));
-            }
-            Ok(vec![taxonomy_hash(&da)])
-        }
-        (Ok(_), Err(e)) => Err(format!("owned accepted what the view rejected: {e:?}")),
-        (Err(e), Ok(_)) => Err(format!("view accepted what owned rejected: {e:?}")),
+        Err(e) => return Err(format!("FGRVPROF re-encode failed to decode: {e:?}")),
     }
+    // split_prefix must hand back exactly the trailing junk.
+    let mut framed = bytes;
+    framed.extend_from_slice(&JUNK);
+    match ProfileStoreView::split_prefix(&framed) {
+        Ok((prefix, rest)) if rest == JUNK => {
+            if !store.diff_view(&prefix).is_identical() {
+                return Err("split_prefix prefix decoded differently".to_string());
+            }
+        }
+        Ok((_, rest)) => {
+            return Err(format!(
+                "split_prefix returned {} trailing bytes, wanted {}",
+                rest.len(),
+                JUNK.len()
+            ))
+        }
+        Err(e) => return Err(format!("split_prefix rejected a valid prefix: {e:?}")),
+    }
+    Ok(Vec::new())
 }
 
 /// Decode + round-trip oracle shared by the manifest and stage sections
@@ -337,43 +317,35 @@ fn run_stage(input: &[u8]) -> Result<Taxonomy, String> {
 }
 
 fn run_entry(input: &[u8]) -> Result<Taxonomy, String> {
-    let owned = EntryArtifact::from_bytes(input);
-    let view = EntryArtifactView::parse(input);
-    match (owned, view) {
-        (Ok(artifact), Ok(view)) => {
-            // Compare through the canonical encoding (bit-exact, NaN-safe
-            // — derived `PartialEq` would false-alarm on accepted NaN
-            // float fields).
-            let bytes = artifact.to_bytes();
-            if view.to_artifact().to_bytes() != bytes {
-                return Err("owned decode != view.to_artifact() on accepted input".to_string());
-            }
-            match EntryArtifact::from_bytes(&bytes) {
-                Ok(again) if again.to_bytes() == bytes => Ok(Vec::new()),
-                Ok(_) => Err("FGRVCKPT entry re-decode drifted from the original".to_string()),
-                Err(e) => Err(format!("FGRVCKPT entry re-encode failed to decode: {e:?}")),
+    let taxonomy = run_roundtrip(
+        input,
+        "FGRVCKPT entry",
+        EntryArtifact::from_bytes,
+        EntryArtifact::to_bytes,
+    )?;
+    if taxonomy.is_empty() {
+        // An accepted entry followed by junk is rejected as trailing bytes.
+        let mut framed = input.to_vec();
+        framed.extend_from_slice(&JUNK);
+        match EntryArtifact::from_bytes(&framed) {
+            Err(CheckpointError::Corrupt(why)) if why.contains("trailing") => {}
+            other => {
+                return Err(format!(
+                    "FGRVCKPT entry with trailing junk was not rejected as trailing: {other:?}"
+                ))
             }
         }
-        (Err(a), Err(b)) => {
-            let (da, db) = (format!("{a:?}"), format!("{b:?}"));
-            if da != db {
-                return Err(format!("owned/view error divergence: owned={da} view={db}"));
-            }
-            Ok(vec![taxonomy_hash(&da)])
-        }
-        (Ok(_), Err(e)) => Err(format!("owned accepted what the view rejected: {e:?}")),
-        (Err(e), Ok(_)) => Err(format!("view accepted what owned rejected: {e:?}")),
     }
+    Ok(taxonomy)
 }
 
 // ---------------------------------------------------------------------
-// Wire: plain vs budgeted differential
+// Wire: budgeted reads over a stalling stream
 // ---------------------------------------------------------------------
 
 /// A reader that drips `data` a few bytes at a time and injects a
 /// `WouldBlock` every third call — the shape of a live socket with a
-/// read timeout. Deterministic, so both fuzz passes over the same input
-/// see the same byte schedule.
+/// read timeout. Deterministic, so replays see the same byte schedule.
 struct Chop<'a> {
     data: &'a [u8],
     at: usize,
@@ -393,100 +365,53 @@ impl Read for Chop<'_> {
     }
 }
 
-/// The budgeted pass's idle allowance. Huge, so a deterministic
+/// The budgeted reader's idle allowance. Huge, so a deterministic
 /// in-memory run can never race the wall clock into a spurious
 /// `DeadlineLapsed` — the `WouldBlock` ticks still drive the deadline
 /// accounting code, they just never accumulate enough silence.
 const FUZZ_IDLE: Duration = Duration::from_secs(3600);
 
 fn run_wire(input: &[u8]) -> Result<Taxonomy, String> {
-    // Pass A: preamble + plain frame loop, straight off the slice.
     let mut cursor = input;
     if let Err(e) = read_preamble(&mut cursor) {
-        // Both passes share `read_preamble`'s validation byte for byte;
-        // a bad preamble is one taxonomy bucket, no differential to run.
         return Ok(vec![hash_err(&e)]);
     }
-    let body = cursor;
-    let mut plain_frames = Vec::new();
-    let mut r = body;
-    let plain_terminal;
-    loop {
-        match Frame::read_from(&mut r) {
-            Ok(Frame::Heartbeat) => {}
-            Ok(frame) => plain_frames.push(frame),
-            Err(e) => {
-                plain_terminal = format!("{e:?}");
-                break;
-            }
-        }
-    }
-
-    // Pass B: budgeted reads over a stalling, dripping reader. The
-    // heartbeat skip lives inside `read_next_frame`, so filtering
-    // happened for us.
+    // The heartbeat skip lives inside `read_next_frame`, so filtering
+    // happens for us.
     let mut chop = Chop {
-        data: body,
+        data: cursor,
         at: 0,
         calls: 0,
     };
-    let mut budgeted_frames = Vec::new();
-    let budgeted_terminal;
-    loop {
+    let terminal = loop {
         match read_next_frame(&mut chop, FUZZ_IDLE) {
-            Ok(frame) => budgeted_frames.push(frame),
-            Err(e) => {
-                budgeted_terminal = format!("{e:?}");
-                break;
-            }
-        }
-    }
-
-    // Compare the two passes through the canonical encoding: bit-exact,
-    // so frames carrying decoded NaN telemetry equal themselves (derived
-    // `PartialEq` on f64 fields would false-alarm).
-    let encode = |frame: &Frame| -> Result<Vec<u8>, String> {
-        let mut bytes = Vec::new();
-        frame
-            .write_to(&mut bytes)
-            .map_err(|e| format!("accepted frame refused to re-encode: {e}"))?;
-        Ok(bytes)
-    };
-    let plain_encoded: Vec<Vec<u8>> = plain_frames.iter().map(encode).collect::<Result<_, _>>()?;
-    let budgeted_encoded: Vec<Vec<u8>> = budgeted_frames
-        .iter()
-        .map(encode)
-        .collect::<Result<_, _>>()?;
-    if plain_encoded != budgeted_encoded {
-        return Err(format!(
-            "wire divergence: plain path decoded {} frames, budgeted {}",
-            plain_frames.len(),
-            budgeted_frames.len()
-        ));
-    }
-    if plain_terminal != budgeted_terminal {
-        return Err(format!(
-            "wire terminal-error divergence: plain={plain_terminal} budgeted={budgeted_terminal}"
-        ));
-    }
-
-    // Accepted frames re-read from their re-encoding to the same bytes.
-    for bytes in &plain_encoded {
-        let mut r = bytes.as_slice();
-        match Frame::read_from(&mut r) {
-            Ok(again) => {
-                if encode(&again)? != *bytes {
-                    return Err("frame re-decode drifted from the original".to_string());
+            // Accepted frames re-encode, and re-read from their encoding
+            // to the same bytes: bit-exact, so frames carrying decoded NaN
+            // telemetry equal themselves (derived `PartialEq` on f64
+            // fields would false-alarm).
+            Ok(frame) => {
+                let bytes = encode_frame(&frame)?;
+                match Frame::read_from(&mut bytes.as_slice()) {
+                    Ok(again) if encode_frame(&again)? == bytes => {}
+                    Ok(_) => return Err("frame re-decode drifted from the original".to_string()),
+                    Err(e) => return Err(format!("frame re-encode failed to decode: {e:?}")),
                 }
             }
-            Err(e) => return Err(format!("frame re-encode failed to decode: {e:?}")),
+            Err(e) => break format!("{e:?}"),
         }
-    }
-
+    };
     // The terminal error is the input's taxonomy. A stream that ends
     // cleanly terminates with `Truncated("frame tag")`, so every clean
     // stream collapses into that one shared bucket.
-    Ok(vec![taxonomy_hash(&plain_terminal)])
+    Ok(vec![taxonomy_hash(&terminal)])
+}
+
+fn encode_frame(frame: &Frame) -> Result<Vec<u8>, String> {
+    let mut bytes = Vec::new();
+    frame
+        .write_to(&mut bytes)
+        .map_err(|e| format!("accepted frame refused to re-encode: {e}"))?;
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -514,12 +439,14 @@ mod tests {
 
     #[test]
     fn wire_oracle_flags_nothing_on_mutated_golden() {
-        // A flipped byte inside the stream must not diverge the two read
-        // paths — it must produce the same typed error in both.
+        // A flipped byte inside the stream must end in a typed error,
+        // never an oracle violation.
         let mut stream = seeds(Target::Wire).remove(1);
         for at in 0..stream.len().min(64) {
             stream[at] ^= 0x40;
-            let _ = execute(Target::Wire, &stream);
+            if let Err(why) = execute(Target::Wire, &stream) {
+                panic!("byte {at} flipped: {why}");
+            }
             stream[at] ^= 0x40;
         }
     }

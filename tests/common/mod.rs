@@ -17,7 +17,7 @@ use fingrav::core::guidance::GuidanceEntry;
 use fingrav::core::profile::{PowerProfile, ProfileKind, ProfilePoint};
 use fingrav::core::runner::{CollectedRun, KernelPowerReport};
 use fingrav::core::stages::{RunCollection, SspArtifact, StitchedProfiles, TimingArtifact};
-use fingrav::core::store::ProfileStore;
+use fingrav::core::store::{ColumnLayout, ProfileStore};
 use fingrav::core::sync::{ReadDelayCalibration, TimeSync};
 use fingrav::sim::kernel::KernelHandle;
 use fingrav::sim::telemetry::PowerLog;
@@ -240,4 +240,29 @@ pub fn assert_all_truncations_rejected<T, E: std::fmt::Debug>(
             Ok(_) => panic!("cut at {cut}/{}: decoded successfully", bytes.len()),
         }
     }
+}
+
+/// The block an `n`-point `FGRVPROF` encoding cut to `cut` bytes ends
+/// inside — the `Truncated` label `docs/FORMATS.md` §2 prescribes.
+pub fn fgrvprof_truncated_block(n: usize, cut: usize) -> &'static str {
+    let l = ColumnLayout::for_len(n).expect("layout fits usize");
+    [
+        (8, "magic"),
+        (12, "version"),
+        (16, "flags"),
+        (24, "length"),
+        (l.exec_pos, "run"),
+        (l.toi_ns, "exec_pos"),
+        (l.run_time_ns, "toi_ns"),
+        (l.xcd, "run_time_ns"),
+        (l.iod, "xcd"),
+        (l.hbm, "iod"),
+        (l.rest, "hbm"),
+        (l.bitmap, "rest"),
+        (l.total, "validity bitmap"),
+    ]
+    .into_iter()
+    .find(|&(end, _)| cut < end)
+    .map(|(_, block)| block)
+    .expect("cut lies inside the encoding")
 }

@@ -359,7 +359,7 @@ fn fuzzing_doc_matches_the_shipped_targets() {
     for phrase in [
         "No panics",
         "Bounded allocation",
-        "Owned ≡ view",
+        "One decoder per format",
         "Round trips",
         "NaN-safe",
         "tests/data/fuzz/",
