@@ -9,12 +9,11 @@
 use fingrav_core::backend::PowerBackend;
 use fingrav_core::error::MethodologyResult;
 use fingrav_sim::kernel::{KernelDesc, KernelHandle};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{collect_run, BaselineConfig};
 
 /// What the coarse sampler managed to observe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoarseOutcome {
     /// Total runs executed.
     pub runs: u32,

@@ -6,10 +6,8 @@
 //! and keeps only the *golden* runs: those in the bin holding the most
 //! executions within the guidance margin of each other (paper step 6).
 
-use serde::{Deserialize, Serialize};
-
 /// One execution-time bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bin {
     /// Smallest member duration, nanoseconds.
     pub low_ns: u64,
@@ -37,7 +35,7 @@ impl Bin {
 }
 
 /// The result of binning a set of execution times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Binning {
     /// All bins, sorted by ascending duration.
     pub bins: Vec<Bin>,

@@ -13,7 +13,6 @@
 //! across worker threads with bit-identical results.
 
 use fingrav_sim::kernel::KernelDesc;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::PowerBackend;
 use crate::error::MethodologyResult;
@@ -134,7 +133,7 @@ impl Campaign {
 }
 
 /// The combined result of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// One report per kernel, in campaign order.
     pub reports: Vec<KernelPowerReport>,

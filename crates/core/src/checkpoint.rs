@@ -96,8 +96,8 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use fingrav_sim::kernel::KernelHandle;
-use fingrav_sim::power::ComponentPower;
+use fingrav_sim::kernel::{KernelDesc, KernelHandle};
+use fingrav_sim::power::{Activity, ComponentPower};
 use fingrav_sim::script::HostOp;
 use fingrav_sim::session::TelemetryEvent;
 use fingrav_sim::telemetry::PowerLog;
@@ -111,7 +111,7 @@ use crate::error::MethodologyError;
 use crate::guidance::GuidanceEntry;
 use crate::mmap::MappedProfile;
 use crate::profile::{PowerProfile, ProfileKind};
-use crate::runner::{CollectedRun, KernelPowerReport};
+use crate::runner::{CollectedRun, KernelPowerReport, LoggerChoice, RunnerConfig};
 use crate::stages::{RunCollection, SspArtifact, StitchedProfiles, TimingArtifact};
 use crate::store::{ProfileStore, ProfileStoreView, StoreCodecError};
 use crate::sync::{ReadDelayCalibration, TimeSync};
@@ -1066,30 +1066,100 @@ pub(crate) fn from_bytes_with<'a, T>(
 // ---------------------------------------------------------------------
 
 /// Digest of a campaign's methodology-relevant identity: the default
-/// [`crate::runner::RunnerConfig`], every entry's kernel descriptor, and
-/// every per-entry config override, in campaign order (FNV-1a over their
-/// canonical JSON). Two campaigns digest equal iff a checkpoint taken
-/// under one can be resumed under the other.
+/// [`RunnerConfig`], every entry's kernel descriptor, and every per-entry
+/// config override, in campaign order (FNV-1a over their canonical
+/// `FGRVCKPT` field encodings, FORMATS.md §3.4). Two campaigns digest
+/// equal iff a checkpoint taken under one can be resumed under the other.
 pub fn campaign_digest(campaign: &Campaign) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |s: &str| {
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        // Field separator so adjacent strings cannot alias.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    mix(&serde_json::to_string(campaign.config()).expect("runner config serializes to JSON"));
+    let mut bytes = Vec::new();
+    encode_identity(campaign, &mut bytes).expect("Vec writes are infallible");
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The digest's input: the default config, the entry count, then each
+/// entry's descriptor and its optional override (`Option` tag, then the
+/// config). Encode-only — nothing decodes these bytes.
+fn encode_identity<W: Write>(campaign: &Campaign, w: &mut W) -> io::Result<()> {
+    encode_runner_config(campaign.config(), w)?;
+    (campaign.entries().len() as u64).encode(w)?;
     for entry in campaign.entries() {
-        mix(&serde_json::to_string(&entry.desc).expect("kernel desc serializes"));
+        encode_kernel_desc(&entry.desc, w)?;
         match &entry.config {
-            Some(cfg) => mix(&serde_json::to_string(cfg).expect("entry config serializes")),
-            None => mix("<campaign-default>"),
+            None => 0u8.encode(w)?,
+            Some(cfg) => {
+                1u8.encode(w)?;
+                encode_runner_config(cfg, w)?;
+            }
         }
     }
-    h
+    Ok(())
+}
+
+// The destructuring below lists every field with no `..`: a field added
+// to one of these structs fails to compile here until the digest covers it.
+
+fn encode_runner_config<W: Write>(cfg: &RunnerConfig, w: &mut W) -> io::Result<()> {
+    let RunnerConfig {
+        runs_override,
+        margin_override,
+        guidance,
+        calibration_reads,
+        timing_probe_executions,
+        time_stability_tol,
+        power_stability_tol,
+        throttle_detection_tol,
+        random_delay_max,
+        inter_run_idle,
+        tail_executions_cap,
+        extra_run_batches,
+        drift_correction,
+        logger,
+    } = cfg;
+    runs_override.encode(w)?;
+    margin_override.encode(w)?;
+    guidance.entries().to_vec().encode(w)?;
+    calibration_reads.encode(w)?;
+    timing_probe_executions.encode(w)?;
+    time_stability_tol.encode(w)?;
+    power_stability_tol.encode(w)?;
+    throttle_detection_tol.encode(w)?;
+    random_delay_max.encode(w)?;
+    inter_run_idle.encode(w)?;
+    tail_executions_cap.encode(w)?;
+    extra_run_batches.encode(w)?;
+    drift_correction.encode(w)?;
+    let logger_tag: u8 = match logger {
+        LoggerChoice::Fine => 0,
+        LoggerChoice::Coarse => 1,
+    };
+    logger_tag.encode(w)
+}
+
+fn encode_kernel_desc<W: Write>(desc: &KernelDesc, w: &mut W) -> io::Result<()> {
+    let KernelDesc {
+        name,
+        base_exec,
+        freq_insensitive_frac,
+        activity: Activity { xcd, iod, hbm },
+        compute_utilization,
+        flops,
+        hbm_bytes,
+        llc_bytes,
+        workgroups,
+    } = desc;
+    name.encode(w)?;
+    base_exec.encode(w)?;
+    freq_insensitive_frac.encode(w)?;
+    xcd.encode(w)?;
+    iod.encode(w)?;
+    hbm.encode(w)?;
+    compute_utilization.encode(w)?;
+    flops.encode(w)?;
+    hbm_bytes.encode(w)?;
+    llc_bytes.encode(w)?;
+    workgroups.encode(w)
 }
 
 // ---------------------------------------------------------------------
@@ -2220,11 +2290,10 @@ pub(crate) fn restore_done_entries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunnerConfig;
-    use fingrav_sim::power::Activity;
+    use crate::guidance::GuidanceTable;
 
-    fn desc(name: &str) -> fingrav_sim::kernel::KernelDesc {
-        fingrav_sim::kernel::KernelDesc {
+    fn desc(name: &str) -> KernelDesc {
+        KernelDesc {
             name: name.into(),
             base_exec: SimDuration::from_micros(100),
             freq_insensitive_frac: 0.5,
@@ -2261,6 +2330,93 @@ mod tests {
             .add(desc("a"))
             .add_with_config(desc("b"), RunnerConfig::quick(6));
         assert_ne!(campaign_digest(&a), campaign_digest(&with_override));
+
+        // Every field reaches the digest: editing any single one — in the
+        // campaign default, in an entry override, or in an entry's kernel
+        // descriptor — changes it.
+        fn edit_row(c: &mut RunnerConfig, edit: fn(&mut GuidanceEntry)) {
+            let mut rows = c.guidance.entries().to_vec();
+            edit(&mut rows[0]);
+            c.guidance = GuidanceTable::new(rows);
+        }
+        type Edit<T> = (&'static str, fn(&mut T));
+        let config_edits: [Edit<RunnerConfig>; 19] = [
+            ("runs_override", |c| c.runs_override = None),
+            ("margin_override", |c| c.margin_override = Some(0.07)),
+            ("guidance rows", |c| {
+                c.guidance = GuidanceTable::new(c.guidance.entries()[1..].to_vec());
+            }),
+            ("guidance min_exec", |c| {
+                edit_row(c, |r| r.min_exec = SimDuration::from_nanos(1));
+            }),
+            ("guidance max_exec", |c| edit_row(c, |r| r.max_exec = None)),
+            ("guidance runs", |c| edit_row(c, |r| r.runs += 1)),
+            ("guidance loi_interval", |c| {
+                edit_row(c, |r| r.loi_interval = SimDuration::from_nanos(1));
+            }),
+            ("guidance margin_frac", |c| {
+                edit_row(c, |r| r.margin_frac *= 2.0)
+            }),
+            ("calibration_reads", |c| c.calibration_reads += 1),
+            ("timing_probe_executions", |c| {
+                c.timing_probe_executions += 1
+            }),
+            ("time_stability_tol", |c| c.time_stability_tol *= 2.0),
+            ("power_stability_tol", |c| c.power_stability_tol *= 2.0),
+            ("throttle_detection_tol", |c| {
+                c.throttle_detection_tol *= 2.0
+            }),
+            ("random_delay_max", |c| {
+                c.random_delay_max = SimDuration::from_millis(2)
+            }),
+            ("inter_run_idle", |c| {
+                c.inter_run_idle = SimDuration::from_millis(2)
+            }),
+            ("tail_executions_cap", |c| c.tail_executions_cap += 1),
+            ("extra_run_batches", |c| c.extra_run_batches += 1),
+            ("drift_correction", |c| {
+                c.drift_correction = !c.drift_correction
+            }),
+            ("logger", |c| c.logger = LoggerChoice::Coarse),
+        ];
+        let overridden = |cfg: RunnerConfig| {
+            let mut c = Campaign::new(RunnerConfig::quick(6));
+            c.add(desc("a")).add_with_config(desc("b"), cfg);
+            campaign_digest(&c)
+        };
+        for (field, edit) in config_edits {
+            let mut cfg = RunnerConfig::quick(6);
+            edit(&mut cfg);
+            let mut c = Campaign::new(cfg.clone());
+            c.add(desc("a")).add(desc("b"));
+            assert_ne!(campaign_digest(&c), campaign_digest(&a), "default {field}");
+            assert_ne!(
+                overridden(cfg),
+                overridden(RunnerConfig::quick(6)),
+                "override {field}"
+            );
+        }
+
+        let desc_edits: [Edit<KernelDesc>; 11] = [
+            ("name", |d| d.name.push('x')),
+            ("base_exec", |d| d.base_exec = SimDuration::from_micros(101)),
+            ("freq_insensitive_frac", |d| d.freq_insensitive_frac = 0.25),
+            ("activity.xcd", |d| d.activity.xcd = 0.25),
+            ("activity.iod", |d| d.activity.iod = 0.25),
+            ("activity.hbm", |d| d.activity.hbm = 0.25),
+            ("compute_utilization", |d| d.compute_utilization = 0.25),
+            ("flops", |d| d.flops *= 2.0),
+            ("hbm_bytes", |d| d.hbm_bytes *= 2.0),
+            ("llc_bytes", |d| d.llc_bytes *= 2.0),
+            ("workgroups", |d| d.workgroups += 1),
+        ];
+        for (field, edit) in desc_edits {
+            let mut d = desc("b");
+            edit(&mut d);
+            let mut c = Campaign::new(RunnerConfig::quick(6));
+            c.add(desc("a")).add(d);
+            assert_ne!(campaign_digest(&c), campaign_digest(&a), "kernel {field}");
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! estimates trustworthy, and that conflating the SSE and SSP profiles
 //! produces energy errors as high as 80%.
 
-use serde::{Deserialize, Serialize};
-
 use crate::runner::KernelPowerReport;
 
 /// Energy of one kernel execution from a mean power and duration.
@@ -25,7 +23,7 @@ pub fn energy_joules(mean_power_w: f64, exec_time_ns: u64) -> f64 {
 }
 
 /// SSE-vs-SSP energy comparison for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyComparison {
     /// Energy per execution using the (naive) SSE power, joules.
     pub sse_energy_j: f64,
@@ -86,7 +84,7 @@ pub fn cluster_energy_kwh(gpus: u64, mean_power_w: f64, hours: f64) -> f64 {
 }
 
 /// One step of an application-level kernel sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceStep {
     /// Mean power while the kernel runs, watts.
     pub power_w: f64,

@@ -15,10 +15,9 @@
 //! enough LOIs.
 
 use fingrav_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One row of the guidance table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuidanceEntry {
     /// Inclusive lower bound of the execution-time range.
     pub min_exec: SimDuration,
@@ -46,7 +45,7 @@ impl GuidanceEntry {
 }
 
 /// The full guidance table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GuidanceTable {
     entries: Vec<GuidanceEntry>,
 }

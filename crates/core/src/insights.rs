@@ -6,12 +6,11 @@
 //! measured power is contaminated by whatever ran before it.
 
 use fingrav_sim::power::{Component, ComponentPower};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::PowerProfile;
 
 /// Per-component share of a profile's mean power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentBreakdown {
     /// Mean component powers, watts.
     pub mean: ComponentPower,
@@ -51,7 +50,7 @@ impl ComponentBreakdown {
 
 /// A point in the power-proportionality analysis (takeaway #4): how much
 /// useful work a kernel delivers per unit of component power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProportionalityPoint {
     /// Kernel label.
     pub label: String,
@@ -94,7 +93,7 @@ pub fn proportionality_spread(points: &[ProportionalityPoint]) -> Option<f64> {
 /// (takeaway #5): relative difference between the kernel's power when
 /// interleaved after other kernels and its isolated SSP power.
 /// Positive = the predecessor inflated the measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterleaveEffect {
     /// Isolated SSP mean total power, watts.
     pub isolated_w: f64,

@@ -8,10 +8,8 @@
 //! select runs whose steady time falls within a margin of a *chosen*
 //! target instead of the modal bin.
 
-use serde::{Deserialize, Serialize};
-
 /// Selection of a non-modal execution-time band.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutlierTarget {
     /// Centre of the band, ns.
     pub center_ns: u64,

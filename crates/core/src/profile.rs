@@ -16,14 +16,13 @@ use std::fmt;
 
 use fingrav_sim::power::{Component, ComponentPower};
 use fingrav_sim::trace::RunTrace;
-use serde::{Deserialize, Serialize};
 
 use crate::regression::{FitError, PolyFit};
 pub use crate::store::{ProfilePointRef, ProfileStore};
 use crate::sync::TimeSync;
 
 /// What a profile represents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ProfileKind {
     /// All logs of a run, placed on run-relative time (Fig. 6/8 style).
     Run,
@@ -55,7 +54,7 @@ impl fmt::Display for ProfileKind {
 /// outside any execution"; the sentinel is gone from the public API — both
 /// `exec_pos` and `toi_ns` are `Option`s backed by the store's validity
 /// bitmap, and they are `Some`/`None` together.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilePoint {
     /// Which run contributed the point.
     pub run: u32,
@@ -72,7 +71,7 @@ pub struct ProfilePoint {
 }
 
 /// A stitched power profile: a labelled, kinded [`ProfileStore`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerProfile {
     /// Kernel label, e.g. `CB-4K-GEMM`.
     pub label: String,

@@ -8,11 +8,9 @@
 //! pivoting on the normal equations. Inputs are centred and scaled
 //! internally for conditioning.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted polynomial `y = c0 + c1·x̂ + … + ck·x̂^k` where `x̂` is the
 /// internally normalized abscissa.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolyFit {
     coeffs: Vec<f64>,
     x_center: f64,

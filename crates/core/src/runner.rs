@@ -21,7 +21,6 @@ use fingrav_sim::kernel::{KernelDesc, KernelHandle};
 use fingrav_sim::session::AbortHandle;
 use fingrav_sim::time::SimDuration;
 use fingrav_sim::trace::RunTrace;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::PowerBackend;
 use crate::error::{MethodologyError, MethodologyResult};
@@ -34,7 +33,7 @@ use crate::sync::TimeSync;
 /// Which platform power logger the methodology drives (paper Section VI:
 /// the key tenets apply equally to external loggers such as `amd-smi`, but
 /// the resulting profiles inherit the logger's averaging window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoggerChoice {
     /// The internal fine logger (1 ms on MI300X).
     Fine,
@@ -43,7 +42,7 @@ pub enum LoggerChoice {
 }
 
 /// Tunables of the runner. Defaults follow the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunnerConfig {
     /// Override the guidance #runs (tests and the Fig. 5 resiliency study).
     pub runs_override: Option<u32>,
@@ -159,7 +158,7 @@ pub struct CollectedRun {
 }
 
 /// The full output of profiling one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelPowerReport {
     /// Kernel label.
     pub label: String,

@@ -66,7 +66,6 @@ use std::fmt;
 use std::io::{self, Write};
 
 use fingrav_sim::power::{Component, ComponentPower};
-use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::profile::{ProfileAxis, ProfilePoint};
 
@@ -559,12 +558,6 @@ impl ProfileStore {
         Ok(ProfileStoreView::new(bytes)?.to_store())
     }
 
-    /// Checks the canonical-form invariants a decoded store must satisfy
-    /// (the same kernel the view decoder runs).
-    fn validate(&self) -> Result<(), StoreCodecError> {
-        columns::validate_canonical(self)
-    }
-
     // -- column-wise diffing --------------------------------------------
 
     /// Compares two stores column-wise without materializing points: for
@@ -885,74 +878,6 @@ impl StoreDiff {
     }
 }
 
-// ---------------------------------------------------------------------
-// Serde (columnar JSON fallback)
-// ---------------------------------------------------------------------
-
-impl Serialize for ProfileStore {
-    fn to_value(&self) -> Value {
-        let f64_col = |col: &[f64]| Value::Seq(col.iter().map(|v| v.to_value()).collect());
-        let u32_col = |col: &[u32]| Value::Seq(col.iter().map(|v| v.to_value()).collect());
-        Value::Map(vec![
-            ("len".to_string(), (self.len() as u64).to_value()),
-            ("run".to_string(), u32_col(&self.run)),
-            ("exec_pos".to_string(), u32_col(&self.exec_pos)),
-            ("toi_ns".to_string(), f64_col(&self.toi_ns)),
-            ("run_time_ns".to_string(), f64_col(&self.run_time_ns)),
-            ("xcd".to_string(), f64_col(&self.xcd)),
-            ("iod".to_string(), f64_col(&self.iod)),
-            ("hbm".to_string(), f64_col(&self.hbm)),
-            ("rest".to_string(), f64_col(&self.rest)),
-            (
-                "in_exec".to_string(),
-                Value::Seq(self.in_exec.iter().map(|v| v.to_value()).collect()),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for ProfileStore {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("map", "ProfileStore", v))?;
-        let field = |name: &str| serde::map_field(entries, name, "ProfileStore");
-        let len = u64::from_value(field("len")?)?;
-        let len = usize::try_from(len)
-            .map_err(|_| DeError(format!("ProfileStore len = {len} does not fit usize")))?;
-        let store = ProfileStore {
-            run: Vec::<u32>::from_value(field("run")?)?,
-            exec_pos: Vec::<u32>::from_value(field("exec_pos")?)?,
-            toi_ns: Vec::<f64>::from_value(field("toi_ns")?)?,
-            run_time_ns: Vec::<f64>::from_value(field("run_time_ns")?)?,
-            xcd: Vec::<f64>::from_value(field("xcd")?)?,
-            iod: Vec::<f64>::from_value(field("iod")?)?,
-            hbm: Vec::<f64>::from_value(field("hbm")?)?,
-            rest: Vec::<f64>::from_value(field("rest")?)?,
-            in_exec: Vec::<u64>::from_value(field("in_exec")?)?,
-        };
-        let cols = [
-            store.run.len(),
-            store.exec_pos.len(),
-            store.toi_ns.len(),
-            store.run_time_ns.len(),
-            store.xcd.len(),
-            store.iod.len(),
-            store.hbm.len(),
-            store.rest.len(),
-        ];
-        if cols.iter().any(|&c| c != len) || store.in_exec.len() != len.div_ceil(64) {
-            return Err(DeError(format!(
-                "ProfileStore column lengths disagree with len = {len}"
-            )));
-        }
-        store
-            .validate()
-            .map_err(|e| DeError(format!("ProfileStore: {e}")))?;
-        Ok(store)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1155,24 +1080,6 @@ mod tests {
         let shorter = a.select(&[0, 1]);
         assert!(!a.diff(&shorter).is_identical());
         assert!(a.diff(&shorter).summary().contains("length"));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let s = sample();
-        let json = serde_json::to_string(&s).unwrap();
-        let restored: ProfileStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored, s);
-        // Columnar layout: each column appears once as an array.
-        assert!(json.contains("\"run_time_ns\":["));
-    }
-
-    #[test]
-    fn json_rejects_inconsistent_columns() {
-        let s = sample();
-        let json = serde_json::to_string(&s).unwrap();
-        let broken = json.replacen("\"len\":3", "\"len\":2", 1);
-        assert!(serde_json::from_str::<ProfileStore>(&broken).is_err());
     }
 
     #[test]

@@ -15,13 +15,12 @@
 
 use fingrav_sim::time::CpuTime;
 use fingrav_sim::trace::TimestampRead;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{MethodologyError, MethodologyResult};
 use crate::stats::median_u64;
 
 /// Calibration of the GPU-timestamp read path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadDelayCalibration {
     /// Median observed round-trip time of a read, nanoseconds.
     pub median_rtt_ns: u64,
@@ -54,7 +53,7 @@ impl ReadDelayCalibration {
 }
 
 /// A calibrated mapping from GPU ticks to CPU time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeSync {
     anchor_cpu_ns: f64,
     anchor_ticks: f64,

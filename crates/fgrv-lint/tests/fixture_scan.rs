@@ -88,36 +88,144 @@ fn workspace_head_scans_clean() {
 }
 
 /// `--format json` output must be real JSON: parsed back with the
-/// vendored serde_json, field by field, against the typed report.
+/// test-local [`Json`] reader, field by field, against the typed report.
 #[test]
 fn json_output_round_trips() {
     let report = run(&Config::for_root(fixture_root("bad")));
-    let value: serde_json::Value =
-        serde_json::from_str(&report.render_json()).expect("render_json emits valid JSON");
-    let map = value.as_map().expect("top level is an object");
-    let top = |name: &str| {
-        map.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| panic!("missing field {name}"))
-    };
+    let value = Json::parse(&report.render_json());
     assert_eq!(
-        top("count"),
-        serde_json::Value::UInt(report.diagnostics.len() as u64)
+        value.field("count"),
+        &Json::Num(report.diagnostics.len().to_string())
     );
-    let diags_value = top("diagnostics");
-    let diags = diags_value.as_seq().expect("diagnostics array");
+    let Json::Arr(diags) = value.field("diagnostics") else {
+        panic!("diagnostics is not an array");
+    };
     assert_eq!(diags.len(), report.diagnostics.len());
     for (json, diag) in diags.iter().zip(&report.diagnostics) {
-        let obj = json.as_map().expect("diagnostic object");
-        let field = |name: &str| {
-            obj.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing field {name}"))
-        };
-        assert_eq!(field("file").as_str(), Some(diag.file.as_str()));
-        assert_eq!(field("rule").as_str(), Some(diag.rule));
-        assert_eq!(field("line"), serde_json::Value::UInt(diag.line as u64));
+        assert_eq!(json.field("file"), &Json::Str(diag.file.clone()));
+        assert_eq!(json.field("rule"), &Json::Str(diag.rule.to_string()));
+        assert_eq!(json.field("line"), &Json::Num(diag.line.to_string()));
+        assert_eq!(json.field("snippet"), &Json::Str(diag.snippet.clone()));
+        assert_eq!(json.field("message"), &Json::Str(diag.message.clone()));
     }
+}
+
+/// A strict reader for the JSON subset `render_json` emits: objects,
+/// arrays, strings and unsigned integers. Anything else panics with the
+/// byte offset, which fails the test.
+#[derive(Debug, PartialEq)]
+enum Json {
+    Num(String),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn parse(text: &str) -> Json {
+        let mut pos = 0;
+        let value = Json::value(text.as_bytes(), &mut pos);
+        skip_ws(text.as_bytes(), &mut pos);
+        assert_eq!(pos, text.len(), "trailing bytes after the document");
+        value
+    }
+
+    fn field(&self, name: &str) -> &Json {
+        let Json::Obj(fields) = self else {
+            panic!("{self:?} is not an object");
+        };
+        fields
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("missing field {name}"))
+    }
+
+    fn value(b: &[u8], pos: &mut usize) -> Json {
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b'"') => Json::Str(string(b, pos)),
+            Some(b'0'..=b'9') => {
+                let start = *pos;
+                while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+                    *pos += 1;
+                }
+                Json::Num(String::from_utf8(b[start..*pos].to_vec()).unwrap())
+            }
+            Some(b'[') => {
+                *pos += 1;
+                let mut items = Vec::new();
+                while !eat(b, pos, b']') {
+                    if !items.is_empty() {
+                        assert!(eat(b, pos, b','), "expected `,` at byte {pos}");
+                    }
+                    items.push(Json::value(b, pos));
+                }
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                *pos += 1;
+                let mut fields = Vec::new();
+                while !eat(b, pos, b'}') {
+                    if !fields.is_empty() {
+                        assert!(eat(b, pos, b','), "expected `,` at byte {pos}");
+                    }
+                    skip_ws(b, pos);
+                    let name = string(b, pos);
+                    assert!(eat(b, pos, b':'), "expected `:` at byte {pos}");
+                    fields.push((name, Json::value(b, pos)));
+                }
+                Json::Obj(fields)
+            }
+            other => panic!("unexpected {other:?} at byte {pos}"),
+        }
+    }
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while b.get(*pos).is_some_and(u8::is_ascii_whitespace) {
+        *pos += 1;
+    }
+}
+
+fn eat(b: &[u8], pos: &mut usize, want: u8) -> bool {
+    skip_ws(b, pos);
+    let hit = b.get(*pos) == Some(&want);
+    *pos += usize::from(hit);
+    hit
+}
+
+fn string(b: &[u8], pos: &mut usize) -> String {
+    assert_eq!(b.get(*pos), Some(&b'"'), "expected a string at byte {pos}");
+    *pos += 1;
+    let mut out = Vec::new();
+    loop {
+        let byte = b[*pos];
+        *pos += 1;
+        let c = match byte {
+            b'"' => break,
+            b'\\' => {
+                *pos += 1;
+                match b[*pos - 1] {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'u' => {
+                        let hex = std::str::from_utf8(&b[*pos..*pos + 4]).unwrap();
+                        *pos += 4;
+                        char::from_u32(u32::from_str_radix(hex, 16).unwrap()).unwrap()
+                    }
+                    other => panic!("bad escape {:?} at byte {pos}", other as char),
+                }
+            }
+            raw => {
+                out.push(raw);
+                continue;
+            }
+        };
+        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+    }
+    String::from_utf8(out).expect("strings are UTF-8")
 }

@@ -11,8 +11,6 @@
 //! timeline so that the sync machinery in `fingrav-core` has a genuine
 //! disagreement to calibrate away.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{CpuTime, GpuTicks, SimTime};
 
 /// The host CPU wall clock.
@@ -31,7 +29,7 @@ use crate::time::{CpuTime, GpuTicks, SimTime};
 /// let t = clock.now(SimTime::from_nanos(500));
 /// assert_eq!(t.as_nanos(), 1_000_500);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuClock {
     boot_offset_ns: u64,
 }
@@ -75,7 +73,7 @@ impl CpuClock {
 /// let ticks = clock.ticks_at(SimTime::from_nanos(1_000));
 /// assert_eq!(ticks.as_raw(), 100);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuClock {
     nominal_hz: f64,
     drift_ppm: f64,

@@ -6,8 +6,6 @@
 //! 4 IOD, 256 MB Infinity Cache, 8 HBM stacks / 192 GB at 5.3 TB/s, 8-GPU
 //! fully connected node with 64 GB/s links).
 
-use serde::{Deserialize, Serialize};
-
 use crate::dvfs::PmConfig;
 use crate::kernel::VariationConfig;
 use crate::power::PowerModelConfig;
@@ -17,7 +15,7 @@ use crate::time::SimDuration;
 
 /// Architectural shape of the simulated GPU (informational; consumed by the
 /// workload models when deriving kernel descriptors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Marketing name of the modelled device.
     pub name: String,
@@ -82,7 +80,7 @@ impl Default for MachineConfig {
 
 /// Clock-domain parameters (offsets are arbitrary; the methodology must not
 /// depend on them).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
     /// CPU wall-clock offset at the simulation epoch, nanoseconds.
     pub cpu_boot_offset_ns: u64,
@@ -106,7 +104,7 @@ impl Default for ClockConfig {
 }
 
 /// Host-side latencies for kernel launches and timestamp reads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
     /// Submit-to-GPU-start dispatch latency.
     pub dispatch_latency: SimDuration,
@@ -142,7 +140,7 @@ impl Default for HostConfig {
 }
 
 /// Complete simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
     /// Architectural shape.
     pub machine: MachineConfig,

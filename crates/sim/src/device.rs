@@ -5,15 +5,13 @@
 //! stretches the remaining work), and owns the warm-up bookkeeping that
 //! produces the paper's execution-time stabilization behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::{ExecutionNoise, KernelDesc, KernelHandle, VariationConfig};
 use crate::power::Activity;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Record of one completed execution, in simulator ground-truth time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionRecord {
     /// Which registered kernel ran.
     pub kernel: KernelHandle,

@@ -9,12 +9,10 @@
 //! there is headroom, and parks it at the idle frequency when the device
 //! has been quiet for a while.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Power-management firmware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmConfig {
     /// Control-loop period (MI300X-class firmware runs sub-millisecond).
     pub control_period: SimDuration,
@@ -101,7 +99,7 @@ pub struct PmInput {
 /// pm.tick(PmInput { avg_power_w: 300.0, busy_in_window: true, idle_for: SimDuration::ZERO });
 /// assert!(pm.f_mhz() > f0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PmFirmware {
     cfg: PmConfig,
     f_mhz: f64,

@@ -8,12 +8,10 @@
 //! resulting time and per-phase traffic into a power-relevant kernel
 //! descriptor for the *local* GPU (the one whose power is being profiled).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Interconnect topology and timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// GPUs in the node.
     pub n_gpus: u32,
@@ -42,7 +40,7 @@ impl Default for FabricConfig {
 }
 
 /// Collective communication algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveAlgorithm {
     /// Fully-connected one-phase exchange: every GPU talks to every peer
     /// concurrently over dedicated links. Optimal on the MI300X Infinity
@@ -55,7 +53,7 @@ pub enum CollectiveAlgorithm {
 }
 
 /// Supported collective operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// Every GPU gathers every other GPU's shard.
     AllGather,
@@ -84,7 +82,7 @@ impl CollectiveKind {
 }
 
 /// Breakdown of one collective's predicted execution on the local GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveCost {
     /// Total predicted completion time.
     pub time: SimDuration,
@@ -100,7 +98,7 @@ pub struct CollectiveCost {
 }
 
 /// The fully connected ("direct") collective algorithm cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fabric {
     cfg: FabricConfig,
 }

@@ -19,14 +19,12 @@
 //! * **per-execution jitter and outliers** — small Gaussian noise plus rare
 //!   large excursions which the binning step (S3) must reject.
 
-use serde::{Deserialize, Serialize};
-
 use crate::power::Activity;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 
 /// A handle to a kernel registered with a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelHandle(pub(crate) usize);
 
 impl KernelHandle {
@@ -53,7 +51,7 @@ impl Default for KernelHandle {
 }
 
 /// Static description of a GPU kernel as the simulator executes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Human-readable name, e.g. `"CB-4K-GEMM"`.
     pub name: String,
@@ -152,7 +150,7 @@ impl KernelDesc {
 }
 
 /// Sources of execution-time variation (paper challenge C3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationConfig {
     /// Slow-down multipliers for the first executions after a cold (long
     /// idle) period; executions beyond the list run at 1.0.

@@ -22,10 +22,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// GPU sub-components distinguished by the power telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Accelerator complex dies (compute cores).
     Xcd,
@@ -69,7 +67,7 @@ impl fmt::Display for Component {
 /// let p = ComponentPower::new(500.0, 90.0, 80.0, 40.0);
 /// assert_eq!(p.total(), 710.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ComponentPower {
     /// Accelerator complex dies, watts.
     pub xcd: f64,
@@ -214,7 +212,7 @@ impl fmt::Display for ComponentPower {
 /// utilization: the paper's takeaway #4 is precisely that a compute-light
 /// GEMM can toggle the XCDs almost as hard as a compute-heavy one while
 /// achieving half the useful throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Activity {
     /// XCD switching activity.
     pub xcd: f64,
@@ -258,7 +256,7 @@ impl Activity {
 /// assert!((vf.voltage(2100.0) - 1.10).abs() < 1e-12);
 /// assert!((vf.voltage(500.0) - 0.65).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfCurve {
     f_min_mhz: f64,
     f_max_mhz: f64,
@@ -302,7 +300,7 @@ impl VfCurve {
 }
 
 /// Static parameters of the power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModelConfig {
     /// Idle floor per component (watts) at reference temperature.
     pub idle: ComponentPower,
@@ -350,7 +348,7 @@ pub struct FreqFactors {
 }
 
 /// Evaluates instantaneous component power for a machine state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     cfg: PowerModelConfig,
 }

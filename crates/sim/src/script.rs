@@ -6,13 +6,11 @@
 //! crate can describe a profiling run without reaching into simulator
 //! internals — the same description could drive real hardware.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::KernelHandle;
 use crate::time::SimDuration;
 
 /// One host-side operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HostOp {
     /// Sleep for a fixed duration.
     Sleep(SimDuration),
@@ -68,7 +66,7 @@ pub enum HostOp {
 ///     .build();
 /// assert_eq!(script.ops().len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Script {
     ops: Vec<HostOp>,
 }

@@ -15,13 +15,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::power::ComponentPower;
 use crate::time::{GpuTicks, SimDuration, SimTime};
 
 /// One emitted power log: a GPU-timestamped windowed average.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLog {
     /// GPU timestamp-counter value at emission time.
     pub ticks: GpuTicks,
@@ -30,7 +28,7 @@ pub struct PowerLog {
 }
 
 /// Telemetry cadence parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Instantaneous sensor sampling period.
     pub sensor_period: SimDuration,

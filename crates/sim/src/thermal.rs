@@ -7,10 +7,8 @@
 //! kernels: the die keeps warming across executions after timing has
 //! already stabilized.
 
-use serde::{Deserialize, Serialize};
-
 /// Thermal model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalConfig {
     /// Thermal resistance junction-to-ambient, °C per watt.
     pub r_th_c_per_w: f64,
@@ -48,7 +46,7 @@ impl Default for ThermalConfig {
 /// }
 /// assert!(t.temp_c() > before);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalState {
     cfg: ThermalConfig,
     temp_c: f64,

@@ -12,8 +12,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Absolute simulation time in nanoseconds since the simulation epoch.
 ///
 /// This is the simulator's private ground-truth timeline. It is totally
@@ -27,9 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_micros(250);
 /// assert_eq!(t.as_nanos(), 250_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulation time in nanoseconds.
@@ -42,9 +38,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(1);
 /// assert_eq!(d.as_micros_f64(), 1000.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -309,9 +303,7 @@ impl fmt::Display for SimDuration {
 /// let b = CpuTime::from_nanos(4_000);
 /// assert_eq!(b.nanos_since(a), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CpuTime(u64);
 
 impl CpuTime {
@@ -358,9 +350,7 @@ impl fmt::Display for CpuTime {
 /// Tick values are opaque to the methodology until converted to CPU time by
 /// a calibrated [`fingrav-core` time sync](https://docs.rs). The conversion
 /// parameters live in [`crate::clock::GpuClock`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GpuTicks(u64);
 
 impl GpuTicks {

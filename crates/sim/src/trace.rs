@@ -8,15 +8,13 @@
 //! in tests — real hardware has no such oracle, which is the entire reason
 //! the FinGraV methodology exists.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::KernelHandle;
 use crate::power::ComponentPower;
 use crate::telemetry::PowerLog;
 use crate::time::{CpuTime, GpuTicks, SimDuration, SimTime};
 
 /// One CPU-side timed kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedExecution {
     /// The kernel that was launched.
     pub kernel: KernelHandle,
@@ -37,7 +35,7 @@ impl TimedExecution {
 }
 
 /// One CPU-initiated read of the GPU timestamp counter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimestampRead {
     /// CPU time immediately before issuing the read.
     pub cpu_before: CpuTime,
@@ -55,7 +53,7 @@ impl TimestampRead {
 }
 
 /// Ground-truth record of one kernel execution on the simulation timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrueExecution {
     /// The kernel that ran.
     pub kernel: KernelHandle,
@@ -79,7 +77,7 @@ impl TrueExecution {
 }
 
 /// Simulator-omniscient information for validating the methodology.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroundTruth {
     /// True kernel execution intervals.
     pub executions: Vec<TrueExecution>,
@@ -93,7 +91,7 @@ pub struct GroundTruth {
 }
 
 /// Everything produced by executing one [`crate::script::Script`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunTrace {
     /// CPU-side timed executions, in order.
     pub executions: Vec<TimedExecution>,

@@ -8,10 +8,8 @@
 //! keep stressing HBM — which is why CB-8K-GEMM (402 MB footprint) is the
 //! one kernel with standout HBM power in Fig. 7.
 
-use serde::{Deserialize, Serialize};
-
 /// LLC residency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheModel {
     /// Memory-side LLC (Infinity Cache) capacity in bytes.
     pub llc_bytes: f64,

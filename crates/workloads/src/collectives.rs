@@ -10,12 +10,11 @@
 use std::fmt;
 
 use fingrav_sim::fabric::{CollectiveKind, Fabric};
-use serde::{Deserialize, Serialize};
 
 use crate::dtype::DType;
 
 /// Latency- vs bandwidth-bound classification for collectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommBoundedness {
     /// Completion time dominated by fixed latency.
     LatencyBound,
@@ -40,7 +39,7 @@ impl fmt::Display for CommBoundedness {
 }
 
 /// A collective operation instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CollectiveSpec {
     /// Which collective.
     pub kind: CollectiveKind,

@@ -11,10 +11,9 @@
 
 use fingrav_sim::kernel::KernelDesc;
 use fingrav_sim::power::Activity;
-use serde::{Deserialize, Serialize};
 
 /// Analysis of one co-schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoScheduleAnalysis {
     /// The fused descriptor to simulate/profile.
     pub combined: KernelDesc,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Element datatypes used by the AI kernels under study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// IEEE half precision.
     F16,
@@ -39,7 +37,7 @@ impl DType {
 }
 
 /// Relative matrix-core throughput class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatrixRate {
     /// Full (FP16/BF16) rate.
     Full,

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dtype::DType;
 
 /// A GEMM problem shape: `M×K * K×N = M×N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Rows of the output.
     pub m: u64,

@@ -10,13 +10,12 @@
 use std::fmt;
 
 use fingrav_sim::config::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::dtype::DType;
 use crate::gemm::GemmShape;
 
 /// The two sides of the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Boundedness {
     /// Op-to-byte above machine balance.
     ComputeBound,
@@ -41,7 +40,7 @@ impl fmt::Display for Boundedness {
 }
 
 /// Roofline model of a machine for a given datatype.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak compute throughput for the datatype, flop/s.
     pub peak_flops: f64,

@@ -10,7 +10,6 @@
 use fingrav_sim::config::MachineConfig;
 use fingrav_sim::fabric::Fabric;
 use fingrav_sim::kernel::KernelDesc;
-use serde::{Deserialize, Serialize};
 
 use crate::collectives::{CollectiveSpec, CommBoundedness};
 use crate::dtype::DType;
@@ -24,7 +23,7 @@ const MIB: u64 = 1024 * 1024;
 const GIB: u64 = 1024 * 1024 * 1024;
 
 /// Workload category of a suite kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuiteClass {
     /// Matrix-matrix multiplication.
     Gemm(Boundedness),
@@ -52,7 +51,7 @@ impl SuiteClass {
 }
 
 /// One kernel of the paper's suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteKernel {
     /// Stable label, e.g. `CB-4K-GEMM`, `AG-64KB`.
     pub label: String,

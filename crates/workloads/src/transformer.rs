@@ -10,14 +10,13 @@
 //! matrices.
 
 use fingrav_sim::kernel::KernelDesc;
-use serde::{Deserialize, Serialize};
 
 use crate::dtype::DType;
 use crate::gemm::GemmShape;
 use crate::rocblas::RocBlas;
 
 /// Minimal decoder-layer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransformerConfig {
     /// Model (hidden) dimension.
     pub hidden: u64,

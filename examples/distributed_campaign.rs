@@ -44,6 +44,10 @@ use fingrav::core::transport::{connect_with_retry, work, Coordinator, WorkerOpti
 use fingrav::sim::SimConfig;
 use fingrav::workloads::suite;
 
+#[path = "../tests/common/mod.rs"]
+mod common;
+use common::entry_bytes;
+
 /// Fires the worker's cancellation token when it starts its second
 /// entry, so the abort lands mid-measurement — the transport analogue of
 /// killing the worker process.
@@ -183,10 +187,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // 5. Byte-identity: reports, gathered stores, and CSVs all match.
     // ------------------------------------------------------------------
-    let ref_json = serde_json::to_string(&reference)?;
-    let net_json = serde_json::to_string(&distributed)?;
+    let ref_bytes = entry_bytes(&reference.reports);
     assert_eq!(
-        ref_json, net_json,
+        ref_bytes,
+        entry_bytes(&distributed.reports),
         "distributed report must match bit for bit"
     );
 
@@ -226,7 +230,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nbyte-identical: {} report bytes, {} merged profile points, {csv_bytes} CSV bytes",
-        ref_json.len(),
+        ref_bytes.iter().map(Vec::len).sum::<usize>(),
         a.run.len() + a.sse.len() + a.ssp.len(),
     );
 

@@ -16,7 +16,8 @@
 //!    checkpoint records every status;
 //! 3. `resume` re-plans only the unfinished entries and completes them;
 //! 4. `gather` merges both checkpoints and the final profile stores (and
-//!    the serialized campaign reports) are compared byte for byte.
+//!    the campaign reports, as their `FGRVCKPT` entry bytes) are compared
+//!    byte for byte.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,6 +29,10 @@ use fingrav::core::executor::{CampaignExecutor, CampaignObserver, CancellationTo
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav::sim::SimConfig;
 use fingrav::workloads::suite;
+
+#[path = "../tests/common/mod.rs"]
+mod common;
+use common::entry_bytes;
 
 /// Cancels the campaign once `limit` entries have finished.
 struct CancelAfter {
@@ -141,9 +146,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // 4. Bit-identity: reports and gathered profile stores match.
     // ------------------------------------------------------------------
-    let ref_json = serde_json::to_string(&reference)?;
-    let res_json = serde_json::to_string(&resumed)?;
-    assert_eq!(ref_json, res_json, "resumed report must match bit for bit");
+    let ref_bytes = entry_bytes(&reference.reports);
+    assert_eq!(
+        ref_bytes,
+        entry_bytes(&resumed.reports),
+        "resumed report must match bit for bit"
+    );
 
     let a = gather(&CheckpointDir::open(&ref_dir)?, &campaign)?;
     let b = gather(&CheckpointDir::open(&cut_dir)?, &campaign)?;
@@ -161,7 +169,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "byte-identical: {} report bytes, {} merged profile points across run/sse/ssp",
-        ref_json.len(),
+        ref_bytes.iter().map(Vec::len).sum::<usize>(),
         a.run.len() + a.sse.len() + a.ssp.len(),
     );
 

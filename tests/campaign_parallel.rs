@@ -1,6 +1,7 @@
 //! Campaign determinism under sharding: a parallel `CampaignExecutor` run
-//! must serialize to a byte-identical `CampaignReport` as the serial path
-//! with the same seeds, and the report must survive a serde round-trip.
+//! must encode to `FGRVCKPT` entry bytes identical to the serial path's
+//! with the same seeds, and the report must survive that codec's round
+//! trip.
 //!
 //! Streaming-session coverage rides along: bounded-channel backpressure
 //! must never deadlock the engine, a mid-script abort must yield a valid
@@ -13,7 +14,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 use fingrav::core::backend::{PowerBackend, SimulationFactory};
-use fingrav::core::campaign::{Campaign, CampaignReport};
+use fingrav::core::campaign::Campaign;
+use fingrav::core::checkpoint::EntryArtifact;
 use fingrav::core::error::MethodologyError;
 use fingrav::core::executor::{CampaignExecutor, CampaignObserver, CancellationToken, ErrorPolicy};
 use fingrav::core::observe::ProfilingEvent;
@@ -21,6 +23,9 @@ use fingrav::core::runner::RunnerConfig;
 use fingrav::sim::session::{ChannelSink, TelemetryEvent};
 use fingrav::sim::{Script, SimConfig, SimDuration, Simulation};
 use fingrav::workloads::suite;
+
+mod common;
+use common::entry_bytes;
 
 /// Eight suite kernels (the six GEMM/GEMVs plus two collectives): enough
 /// shape diversity that warm-up counts, SSP indices, and LOI yields all
@@ -52,18 +57,19 @@ fn parallel_campaign_serializes_byte_identical_to_serial() {
     // ...then the headline claim: the serialized artefacts are
     // byte-identical, so downstream pipelines (report archival, diffing,
     // caching) cannot tell how the campaign was executed.
-    let serial_json = serde_json::to_string(&serial).expect("serializes");
-    let parallel_json = serde_json::to_string(&parallel).expect("serializes");
-    assert_eq!(serial_json, parallel_json);
+    let serial_bytes = entry_bytes(&serial.reports);
+    assert_eq!(serial_bytes, entry_bytes(&parallel.reports));
+    let total: usize = serial_bytes.iter().map(Vec::len).sum();
     assert!(
-        serial_json.len() > 1_000,
-        "sanity: {} bytes is too small for 8 kernel reports",
-        serial_json.len()
+        total > 1_000,
+        "sanity: {total} bytes is too small for 8 kernel reports"
     );
 
     // And the artefact round-trips losslessly.
-    let restored: CampaignReport = serde_json::from_str(&serial_json).expect("deserializes");
-    assert_eq!(restored, serial);
+    for (bytes, report) in serial_bytes.iter().zip(&serial.reports) {
+        let restored = EntryArtifact::from_bytes(bytes).expect("decodes");
+        assert_eq!(&restored.report, report);
+    }
 }
 
 #[test]
@@ -96,8 +102,8 @@ fn worker_count_never_changes_results() {
             .run(&campaign, &factory)
             .expect("profiles");
         assert_eq!(
-            serde_json::to_string(&reference).unwrap(),
-            serde_json::to_string(&sharded).unwrap(),
+            entry_bytes(&reference.reports),
+            entry_bytes(&sharded.reports),
             "{workers} workers diverged"
         );
     }
@@ -293,8 +299,8 @@ fn per_slot_event_streams_are_identical_across_worker_counts() {
         );
         let report = outcome.into_report().expect("profiles");
         assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&plain).unwrap(),
+            entry_bytes(&report.reports),
+            entry_bytes(&plain.reports),
             "a sink-driven run must match run_script bit for bit ({workers} workers)"
         );
         let digests = recorder.digests();
@@ -442,8 +448,10 @@ fn collect_all_reports_partial_results_deterministically() {
         .expect("profiles");
     for (slot, report) in healthy_report.reports.iter().enumerate() {
         assert_eq!(
-            serde_json::to_string(outcome.reports[slot].as_ref().unwrap()).unwrap(),
-            serde_json::to_string(report).unwrap(),
+            entry_bytes(std::slice::from_ref(
+                outcome.reports[slot].as_ref().unwrap()
+            )),
+            entry_bytes(std::slice::from_ref(report)),
         );
     }
 }

@@ -28,6 +28,9 @@ use fingrav::sim::time::SimDuration;
 use fingrav::sim::trace::RunTrace;
 use fingrav::sim::{SimConfig, Simulation};
 
+mod common;
+use common::entry_bytes;
+
 // ---------------------------------------------------------------------
 // Fault injection plumbing
 // ---------------------------------------------------------------------
@@ -186,7 +189,7 @@ fn every_cut_point_resumes_byte_identical() {
     let reference = CampaignExecutor::serial()
         .run(&campaign, &clean)
         .expect("uninterrupted campaign profiles");
-    let ref_json = serde_json::to_string(&reference).expect("serializes");
+    let ref_bytes = entry_bytes(&reference.reports);
     let ref_csvs = csvs_of(&reference);
 
     let root = scratch_root("cuts");
@@ -237,8 +240,8 @@ fn every_cut_point_resumes_byte_identical() {
                 assert!(resumed.is_complete(), "cut {cut} {mode:?} {policy:?}");
                 let report = resumed.into_report().expect("all entries report");
                 assert_eq!(
-                    serde_json::to_string(&report).expect("serializes"),
-                    ref_json,
+                    entry_bytes(&report.reports),
+                    ref_bytes,
                     "cut {cut} {mode:?} {policy:?} ({workers} workers): resumed report drifted"
                 );
                 assert_eq!(
@@ -292,8 +295,8 @@ fn resume_with_a_different_worker_count_is_identical() {
         .into_report()
         .expect("complete");
     assert_eq!(
-        serde_json::to_string(&resumed).unwrap(),
-        serde_json::to_string(&reference).unwrap(),
+        entry_bytes(&resumed.reports),
+        entry_bytes(&reference.reports),
         "worker-count asymmetry between run and resume changed artefacts"
     );
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
@@ -326,10 +329,7 @@ fn resume_of_a_complete_checkpoint_never_remeasures() {
         .expect("pure restore")
         .into_report()
         .expect("complete");
-    assert_eq!(
-        serde_json::to_string(&restored).unwrap(),
-        serde_json::to_string(&full).unwrap()
-    );
+    assert_eq!(entry_bytes(&restored.reports), entry_bytes(&full.reports));
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
 }
 

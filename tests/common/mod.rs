@@ -3,10 +3,13 @@
 //! `checkpoint_resume.rs`, `fuzz_regression.rs`): random columnar
 //! stores, random traces, the deterministic golden `FGRVCKPT` fixtures,
 //! and the systematic truncation/corruption drivers both the `FGRVPROF`
-//! and `FGRVCKPT` adversarial suites run over.
+//! and `FGRVCKPT` adversarial suites run over. [`entry_bytes`] is the
+//! bit-exact report comparison the determinism tests and the resume and
+//! distributed examples share.
 //!
-//! Each integration test is its own crate, so this module is compiled
-//! per test binary; not every binary uses every helper.
+//! Each integration test (and each example including this module) is its
+//! own crate, so this module is compiled per binary; not every binary
+//! uses every helper.
 #![allow(dead_code)] // per-binary compilation: see note above
 
 use fingrav::core::binning::bin_durations;
@@ -137,6 +140,25 @@ pub fn golden_profile(label: &str, kind: ProfileKind, salt: u32) -> PowerProfile
         kind,
         store: build_store(&runs, &vals, &execs),
     }
+}
+
+/// The canonical `FGRVCKPT` entry bytes of each report, in order
+/// (`EntryArtifact { index, config_digest: 0, report }.to_bytes()`).
+/// The codec is bit-exact, so two report lists encode equal iff every
+/// field matches to the bit, NaN payloads included.
+pub fn entry_bytes(reports: &[KernelPowerReport]) -> Vec<Vec<u8>> {
+    reports
+        .iter()
+        .zip(0u32..)
+        .map(|(report, index)| {
+            EntryArtifact {
+                index,
+                config_digest: 0,
+                report: report.clone(),
+            }
+            .to_bytes()
+        })
+        .collect()
 }
 
 /// The golden v1 entry artifact (`tests/data/golden_entry.fgrvckpt`).

@@ -1,5 +1,5 @@
 //! Columnar `ProfileStore` guarantees: lossless round trips through the
-//! binary on-disk format and the JSON fallback, equivalence of columnar
+//! binary on-disk format, equivalence of columnar
 //! and legacy AoS stitching, robust rejection of damaged files, byte-for-
 //! byte CSV stability against pre-refactor golden fixtures, and binary
 //! artefact bit-identity across campaign worker counts.
@@ -11,7 +11,7 @@ use fingrav::core::campaign::Campaign;
 use fingrav::core::executor::CampaignExecutor;
 use fingrav::core::profile::{
     loi_points, place_logs, push_loi_points, push_run_profile_points, run_profile_points,
-    PowerProfile, ProfileAxis, ProfileKind,
+    ProfileAxis,
 };
 use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::{FingravRunner, RunnerConfig};
@@ -24,14 +24,13 @@ mod common;
 use common::{build_store, build_trace, identity_sync};
 
 // ---------------------------------------------------------------------
-// Property: store ⇄ binary ⇄ JSON round trips
+// Property: store ⇄ binary round trips
 // ---------------------------------------------------------------------
 
 proptest! {
-    /// Binary encode → decode is lossless and re-encodes bit-identically;
-    /// the JSON fallback round-trips to an equal store.
+    /// Binary encode → decode is lossless and re-encodes bit-identically.
     #[test]
-    fn store_round_trips_through_binary_and_json(
+    fn store_round_trips_through_binary(
         runs in prop::collection::vec(0u32..500, 0..120),
         vals in prop::collection::vec(-1.0e7f64..1.0e7, 0..120),
         execs in prop::collection::vec(0u32..64, 0..120),
@@ -47,13 +46,6 @@ proptest! {
         prop_assert_eq!(&restored, &store);
         prop_assert_eq!(restored.to_bytes(), bytes);
         prop_assert!(store.diff(&restored).is_identical());
-
-        let json = serde_json::to_string(&store).expect("serializes");
-        let from_json: ProfileStore = match serde_json::from_str(&json) {
-            Ok(s) => s,
-            Err(e) => return Err(format!("json decode failed: {e}")),
-        };
-        prop_assert_eq!(&from_json, &store);
     }
 
     /// Any truncation of a valid encoding is rejected as `Truncated`,
@@ -231,22 +223,4 @@ fn store_binary_artifact_identical_across_worker_counts() {
         let restored = ProfileStore::from_bytes(bytes).expect("decodes");
         assert_eq!(restored.to_bytes(), *bytes);
     }
-}
-
-// ---------------------------------------------------------------------
-// The labelled profile wrapper round-trips with its store intact
-// ---------------------------------------------------------------------
-
-#[test]
-fn power_profile_json_round_trip_keeps_columns() {
-    let store = build_store(&[0, 1, 2, 3], &[5.0, -2.5, 7.25, 0.0], &[0, 1, 2, 3]);
-    let profile = PowerProfile {
-        label: "CB-4K-GEMM".to_string(),
-        kind: ProfileKind::Custom("roundtrip".to_string()),
-        store,
-    };
-    let json = serde_json::to_string(&profile).expect("serializes");
-    let restored: PowerProfile = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(restored, profile);
-    assert!(profile.store.diff(&restored.store).is_identical());
 }
