@@ -9,7 +9,7 @@
 //! machine both paths time alike.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fingrav_bench::harness::{campaign_factory, default_workers};
+use fingrav_bench::harness::campaign_factory;
 use fingrav_bench::Scale;
 use fingrav_core::campaign::Campaign;
 use fingrav_core::executor::CampaignExecutor;
@@ -36,7 +36,9 @@ fn bench_campaign(c: &mut Criterion) {
     // At least two workers so the threaded path is always exercised; on a
     // single-core machine that measures pure sharding overhead (expect
     // ~1x), on an N-core machine near-linear speedup up to min(N, 14).
-    let workers = default_workers().max(2);
+    let workers = CampaignExecutor::with_available_parallelism()
+        .workers()
+        .max(2);
     assert_eq!(campaign.len(), 14, "the paper's full suite");
 
     // Correctness first: sharding must not change a single byte.

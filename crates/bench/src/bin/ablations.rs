@@ -14,9 +14,8 @@
 //!    contamination of Fig. 9 disappears.
 
 use fingrav_bench::experiments::bucketed_scatter;
-use fingrav_bench::harness::{named_campaign_report, seed_for};
-use fingrav_bench::render::out_dir;
-use fingrav_bench::Scale;
+use fingrav_bench::harness::seed_for;
+use fingrav_bench::{RunContext, Scale};
 use fingrav_core::backend::PowerBackend;
 use fingrav_core::campaign::Campaign;
 use fingrav_core::profile::place_logs;
@@ -30,18 +29,17 @@ use fingrav_sim::time::SimDuration;
 use fingrav_workloads::suite;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
-    let runs = match scale {
+    let mut ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
+    let runs = match ctx.scale {
         Scale::Full => 120,
         Scale::Quick => 40,
         Scale::Bench => 8,
     };
 
     sync_ablation(&dir);
-    margin_sweep(&dir, runs);
-    runs_sweep(&dir);
+    margin_sweep(&mut ctx, &dir, runs);
+    runs_sweep(&mut ctx, &dir);
     instantaneous_sampler(&dir, runs);
     println!("\nwrote ablation CSVs in {}", dir.display());
 }
@@ -128,7 +126,7 @@ fn sync_ablation(dir: &std::path::Path) {
 /// Ablation 2: binning-margin sweep on CB-4K-GEMM — one campaign whose
 /// entries share a kernel but carry per-entry margin overrides, sharded by
 /// the executor (every arm keeps the historical `abl-margin` seed).
-fn margin_sweep(dir: &std::path::Path, runs: u32) {
+fn margin_sweep(ctx: &mut RunContext, dir: &std::path::Path, runs: u32) {
     println!("== Ablation 2: binning margin sweep (CB-4K-GEMM) ==\n");
     println!("| margin | golden runs | SSP LOIs | plateau scatter |");
     println!("|---|---|---|---|");
@@ -147,7 +145,7 @@ fn margin_sweep(dir: &std::path::Path, runs: u32) {
             },
         );
     }
-    let reports = named_campaign_report(&campaign, vec!["abl-margin".to_string(); margins.len()]);
+    let reports = ctx.campaign_report(&campaign, vec!["abl-margin".to_string(); margins.len()]);
     for (margin, r) in margins.iter().zip(&reports) {
         let busy = fingrav_bench::experiments::busy_end_ns(r);
         let scatter = bucketed_scatter(&r.run_profile, busy * 0.5, busy, 250e3);
@@ -172,7 +170,7 @@ fn margin_sweep(dir: &std::path::Path, runs: u32) {
 
 /// Ablation 3: run-count sweep on CB-2K-GEMM (the LOI-starved case), as a
 /// per-entry-config campaign on the executor.
-fn runs_sweep(dir: &std::path::Path) {
+fn runs_sweep(ctx: &mut RunContext, dir: &std::path::Path) {
     println!("== Ablation 3: run-count sweep (CB-2K-GEMM) ==\n");
     println!("| runs | SSE LOIs | SSP LOIs | SSP mean W |");
     println!("|---|---|---|---|");
@@ -190,7 +188,7 @@ fn runs_sweep(dir: &std::path::Path) {
             },
         );
     }
-    let reports = named_campaign_report(&campaign, vec!["abl-runs".to_string(); counts.len()]);
+    let reports = ctx.campaign_report(&campaign, vec!["abl-runs".to_string(); counts.len()]);
     for (runs, r) in counts.iter().zip(&reports) {
         println!(
             "| {} | {} | {} | {:.0} |",

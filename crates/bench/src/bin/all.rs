@@ -5,33 +5,21 @@
 
 use std::time::Instant;
 
-use fingrav_bench::render::out_dir;
-use fingrav_bench::Scale;
+use fingrav_bench::harness::Transport;
+use fingrav_bench::RunContext;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
     let t0 = Instant::now();
 
-    let dir_str = dir.display().to_string();
-    let scale_flag = match scale {
-        Scale::Full => None,
-        Scale::Quick => Some("--quick"),
-        Scale::Bench => Some("--bench"),
-    };
-    // Forward an explicit --workers N to every child so the whole artefact
-    // tree shards consistently (results are worker-count-invariant), and
-    // the checkpointing flags so every child campaign is durable under the
-    // same root.
-    let workers = fingrav_bench::harness::worker_override();
-    let checkpoint_dir = fingrav_bench::harness::checkpoint_override();
-    let resume = fingrav_bench::harness::resume_override();
-    let serve = fingrav_bench::harness::serve_override();
-    let connect = fingrav_bench::harness::connect_override();
+    // Every child gets every setting, so the whole artefact tree shards,
+    // checkpoints and distributes consistently (results are
+    // worker-count-invariant).
+    let child_args = ctx.child_args();
     // Transport runs share one listen address, so the children must bind
     // (and connect) one at a time, in the same order on both nodes.
-    let sequential = serve.is_some() || connect.is_some();
+    let sequential = ctx.transport != Transport::Local;
 
     // Each artefact is its own binary; running them in-process sequentially
     // would serialize, so spawn the sibling binaries in parallel instead.
@@ -56,27 +44,8 @@ fn main() {
 
     let run_bin = |bin: &'static str| {
         let exe = exe_dir.join(bin);
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--out").arg(&dir_str);
-        if let Some(flag) = scale_flag {
-            cmd.arg(flag);
-        }
-        if let Some(n) = workers {
-            cmd.arg("--workers").arg(n.to_string());
-        }
-        if let Some(ck) = &checkpoint_dir {
-            cmd.arg("--checkpoint-dir").arg(ck);
-            if resume {
-                cmd.arg("--resume");
-            }
-        }
-        if let Some(addr) = &serve {
-            cmd.arg("--serve").arg(addr);
-        }
-        if let Some(addr) = &connect {
-            cmd.arg("--connect").arg(addr);
-        }
-        let out = cmd
+        let out = std::process::Command::new(&exe)
+            .args(&child_args)
             .output()
             .unwrap_or_else(|e| panic!("failed to launch {}: {e}", exe.display()));
         println!(

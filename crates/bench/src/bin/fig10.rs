@@ -3,17 +3,16 @@
 //! sizes) against CB-8K-GEMM.
 
 use fingrav_bench::experiments::{fig10, max_total};
-use fingrav_bench::render::{component_table, out_dir, write_profile};
-use fingrav_bench::Scale;
+use fingrav_bench::render::{component_table, write_profile};
+use fingrav_bench::RunContext;
 use fingrav_core::profile::ProfileAxis;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Fig. 10: communication kernels vs CB-8K-GEMM ==\n");
-    let d = fig10(scale);
+    let d = fig10(ctx.scale);
     let reference = max_total(&d.rows);
     println!("{}", component_table(&d.rows, reference));
 

@@ -2,16 +2,14 @@
 //! challenges of fine-grain GPU power analysis (C1-C4).
 
 use fingrav_bench::experiments::fig3;
-use fingrav_bench::render::out_dir;
-use fingrav_bench::Scale;
+use fingrav_bench::RunContext;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Fig. 3: challenges in fine-grain GPU power analysis ==\n");
-    let d = fig3(scale);
+    let d = fig3(ctx.scale);
     println!(
         "C1 (low sampling frequency): coarse 50 ms sampler missed {:.0}% of runs entirely;\n\
          \u{20}   the fine 1 ms logger captured {:.1} logs per identical run",

@@ -3,17 +3,16 @@
 //! binning, SSE/SSP differentiation, and resiliency to lowering #runs.
 
 use fingrav_bench::experiments::{fig5, run_profile_rows};
-use fingrav_bench::render::{out_dir, write_profile, write_run_rows};
-use fingrav_bench::Scale;
+use fingrav_bench::render::{write_profile, write_run_rows};
+use fingrav_bench::RunContext;
 use fingrav_core::profile::ProfileAxis;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Fig. 5: methodology evaluation (CB-4K-GEMM) ==\n");
-    let d = fig5(scale);
+    let d = fig5(ctx.scale);
 
     println!(
         "(a) CPU-GPU time sync: quartic-fit R^2 synchronized {:.3} vs unsynchronized {:.3}",

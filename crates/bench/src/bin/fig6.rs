@@ -2,16 +2,15 @@
 //! run — the power excursion / throttle / SSE / SSP trajectory.
 
 use fingrav_bench::experiments::{fig6, run_profile_rows};
-use fingrav_bench::render::{out_dir, shape_summary, write_run_rows};
-use fingrav_bench::Scale;
+use fingrav_bench::render::{shape_summary, write_run_rows};
+use fingrav_bench::RunContext;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Fig. 6: CB-8K-GEMM total and XCD power ==\n");
-    let s = fig6(scale);
+    let s = fig6(ctx.scale);
     println!("{}", shape_summary("CB-8K-GEMM", &s));
     println!(
         "throttle detected: {}; SSE index {}, SSP index {}, {} executions/run, {} golden runs\n",

@@ -3,18 +3,17 @@
 //! power, linear-regression lines).
 
 use fingrav_bench::experiments::{fig7, max_total};
-use fingrav_bench::render::{component_table, out_dir, write_profile};
-use fingrav_bench::Scale;
+use fingrav_bench::render::{component_table, write_profile};
+use fingrav_bench::RunContext;
 use fingrav_core::profile::{PowerAxis, ProfileAxis};
 use fingrav_sim::power::Component;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Fig. 7: component analysis of CB GEMMs vs MB GEMVs ==\n");
-    let d = fig7(scale);
+    let d = fig7(ctx.scale);
     let reference = max_total(&d.rows);
     println!("{}", component_table(&d.rows, reference));
     println!(

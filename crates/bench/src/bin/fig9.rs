@@ -2,16 +2,14 @@
 //! GEMM/GEMV executions against their isolated SSP profiles.
 
 use fingrav_bench::experiments::fig9;
-use fingrav_bench::render::out_dir;
-use fingrav_bench::Scale;
+use fingrav_bench::RunContext;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Fig. 9: interleaved-kernel power vs isolated SSP ==\n");
-    let d = fig9(scale);
+    let d = fig9(ctx.scale);
     println!("| scenario | target | isolated SSP W | interleaved W | effect | LOIs |");
     println!("|---|---|---|---|---|---|");
     let mut csv = String::from("scenario,target,isolated_w,interleaved_w,effect,lois\n");

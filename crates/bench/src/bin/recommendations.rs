@@ -15,8 +15,8 @@
 //! [`fingrav_core::executor::CampaignExecutor`]; per-kernel seeds match
 //! the historical serial binaries, so regenerated CSVs are unchanged.
 
-use fingrav_bench::harness::{default_workers, named_campaign_report, runner_config, Scale};
-use fingrav_bench::render::out_dir;
+use fingrav_bench::harness::runner_config;
+use fingrav_bench::RunContext;
 use fingrav_core::campaign::Campaign;
 use fingrav_sim::config::SimConfig;
 use fingrav_sim::fabric::Fabric;
@@ -26,24 +26,24 @@ use fingrav_workloads::suite;
 use fingrav_workloads::Rccl;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
-    let runs = scale.runs(120);
+    let mut ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
+    let runs = ctx.scale.runs(120);
     println!(
         "(campaigns sharded across {} workers via CampaignExecutor)\n",
-        default_workers()
+        ctx.workers()
     );
 
-    recommendation_1(&dir, runs);
-    recommendation_2(&dir, runs);
-    recommendation_3(&dir, runs);
+    recommendation_1(&mut ctx, &dir, runs);
+    recommendation_2(&mut ctx, &dir, runs);
+    recommendation_3(&mut ctx, &dir, runs);
     println!("\nwrote recommendation CSVs in {}", dir.display());
 }
 
 /// Profiles `(seed-name, kernel)` pairs as one parallel campaign; reports
 /// come back in entry order.
 fn profile_all(
+    ctx: &mut RunContext,
     entries: Vec<(String, KernelDesc)>,
     runs: Option<u32>,
 ) -> Vec<fingrav_core::runner::KernelPowerReport> {
@@ -52,10 +52,10 @@ fn profile_all(
     for (_, desc) in entries {
         campaign.add(desc);
     }
-    named_campaign_report(&campaign, names)
+    ctx.campaign_report(&campaign, names)
 }
 
-fn recommendation_1(dir: &std::path::Path, runs: Option<u32>) {
+fn recommendation_1(ctx: &mut RunContext, dir: &std::path::Path, runs: Option<u32>) {
     println!("== Recommendation 1: co-schedule complementary power profiles ==\n");
     println!(
         "(the paper's example: latency-bound communication in parallel with any other\n\
@@ -81,6 +81,7 @@ fn recommendation_1(dir: &std::path::Path, runs: Option<u32>) {
         .map(|(name, a, b)| (name, co_schedule(a, b).expect("valid kernels")))
         .collect();
     let reports = profile_all(
+        ctx,
         analyses
             .iter()
             .map(|(name, analysis)| (format!("rec1-{name}"), analysis.combined.clone()))
@@ -112,7 +113,7 @@ fn recommendation_1(dir: &std::path::Path, runs: Option<u32>) {
     println!();
 }
 
-fn recommendation_2(dir: &std::path::Path, runs: Option<u32>) {
+fn recommendation_2(ctx: &mut RunContext, dir: &std::path::Path, runs: Option<u32>) {
     println!("== Recommendation 2: XCD power dominates compute-heavy kernels ==\n");
     println!(
         "(sensitivity measured on CB-2K-GEMM, which has cap headroom; for cap-limited\n\
@@ -137,7 +138,7 @@ fn recommendation_2(dir: &std::path::Path, runs: Option<u32>) {
         k.name = format!("CB-2K-GEMM(-10% {name})");
         entries.push((format!("rec2-{name}"), k));
     }
-    let reports = profile_all(entries, runs);
+    let reports = profile_all(ctx, entries, runs);
     let base_ssp = reports[0].ssp_mean_total_w.expect("SSP measured");
 
     println!("| 10% activity reduction on | SSP total W | saving |");
@@ -152,11 +153,12 @@ fn recommendation_2(dir: &std::path::Path, runs: Option<u32>) {
     println!("\nbaseline CB-2K-GEMM SSP: {base_ssp:.0} W\n");
 }
 
-fn recommendation_3(dir: &std::path::Path, runs: Option<u32>) {
+fn recommendation_3(ctx: &mut RunContext, dir: &std::path::Path, runs: Option<u32>) {
     println!("== Recommendation 3: power proportionality gap ==\n");
     let m = SimConfig::default().machine.clone();
     let sizes = [8192u64, 4096, 2048];
     let reports = profile_all(
+        ctx,
         sizes
             .iter()
             .map(|n| (format!("rec3-{n}"), suite::cb_gemm(&m, *n)))

@@ -16,8 +16,8 @@
 use std::fs;
 use std::time::{Duration, Instant};
 
-use fingrav_bench::harness::{profile_kernel, Scale};
-use fingrav_bench::render::out_dir;
+use fingrav_bench::harness::profile_kernel;
+use fingrav_bench::RunContext;
 use fingrav_core::mmap::MappedProfile;
 use fingrav_core::profile::ProfileAxis;
 use fingrav_core::report::{profile_to_csv, view_to_csv};
@@ -46,12 +46,12 @@ fn mb_per_s(bytes: usize, per_rep: Duration) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_args(std::env::args().skip(1));
-    let dir = out_dir(std::env::args().skip(1)).expect("output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("output directory");
 
     let machine = SimConfig::default().machine.clone();
     let kernel = suite::cb_gemm(&machine, 4096);
-    let report = profile_kernel("store-roundtrip", &kernel, scale.runs(200));
+    let report = profile_kernel("store-roundtrip", &kernel, ctx.scale.runs(200));
 
     let mut failures = 0;
     for (name, profile) in [

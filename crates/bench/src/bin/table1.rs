@@ -2,16 +2,14 @@
 //! empirical validation of each range's LOI yield.
 
 use fingrav_bench::experiments::table1;
-use fingrav_bench::render::out_dir;
-use fingrav_bench::Scale;
+use fingrav_bench::RunContext;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Table I: FinGraV profiling guidance ==\n");
-    let data = table1(scale);
+    let data = table1(ctx.scale);
     println!("{}", data.table_markdown);
 
     println!("Empirical validation (LOI yield at the guidance run counts):\n");

@@ -2,16 +2,14 @@
 //! measurement-guidance / recommendation against freshly measured profiles.
 
 use fingrav_bench::experiments::table2;
-use fingrav_bench::render::out_dir;
-use fingrav_bench::Scale;
+use fingrav_bench::RunContext;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(args.clone());
-    let dir = out_dir(args).expect("create output directory");
+    let ctx = RunContext::from_args(std::env::args().skip(1));
+    let dir = ctx.out_dir().expect("create output directory");
 
     println!("== Table II: takeaway verification ==\n");
-    let d = table2(scale);
+    let d = table2(ctx.scale);
     println!("| # | takeaway | measured evidence | holds |");
     println!("|---|---|---|---|");
     let mut csv = String::from("takeaway,holds,evidence\n");

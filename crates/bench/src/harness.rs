@@ -1,10 +1,10 @@
-//! Experiment-harness plumbing: scales, seeds, simulation construction,
-//! and campaign execution over the parallel executor (with live progress
-//! on stderr).
+//! Experiment-harness plumbing: the [`RunContext`] every bench binary
+//! builds from its argv, scales, seeds, simulation construction, and
+//! campaign execution over the parallel executor (with live progress on
+//! stderr).
 
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use fingrav_core::backend::{FnBackendFactory, SimulationFactory};
@@ -12,6 +12,7 @@ use fingrav_core::campaign::Campaign;
 use fingrav_core::checkpoint::campaign_digest;
 use fingrav_core::executor::{CampaignExecutor, CampaignObserver, CampaignTally};
 use fingrav_core::runner::{KernelPowerReport, RunnerConfig};
+use fingrav_core::transport::CampaignService;
 use fingrav_sim::config::SimConfig;
 use fingrav_sim::engine::Simulation;
 use fingrav_sim::kernel::KernelDesc;
@@ -27,56 +28,107 @@ pub enum Scale {
     Bench,
 }
 
-/// Everything the shared experiment argv grammar understands:
-/// `--quick|--full|--bench`, `--out DIR`, `--workers N`,
-/// `--checkpoint-dir DIR`, `--resume`, `--serve ADDR`, `--connect ADDR`.
+/// Where harness campaigns are measured.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedArgs {
-    /// The compute scale (last scale flag wins).
+pub enum Transport {
+    /// On local worker threads.
+    Local,
+    /// By remote workers, coordinated on this address (`--serve ADDR`).
+    Serve(String),
+    /// As a transport worker of the `--serve` process at this address
+    /// (`--connect ADDR`), then downloading the finished reports so the
+    /// rendered artefacts are byte-identical on both nodes.
+    Connect(String),
+}
+
+/// One bench process's run: the settings parsed from the shared argv
+/// grammar (`--quick|--full|--bench`, `--out DIR`, `--workers N`,
+/// `--checkpoint-dir DIR`, `--resume`, `--serve ADDR`, `--connect ADDR`)
+/// plus the state its campaigns share. Every bench binary builds exactly
+/// one with [`RunContext::from_args`] and runs its campaigns through
+/// [`RunContext::campaign_report`]. Campaigns run one after another on the
+/// thread that owns the context, so that state is plain fields.
+#[derive(Debug)]
+pub struct RunContext {
+    /// The compute scale (last scale flag wins; default `Full`).
     pub scale: Scale,
+    /// The artefact directory (`--out DIR`, default `results/`).
+    pub out: PathBuf,
     /// Explicit campaign worker count (`--workers N`), if given.
     pub workers: Option<usize>,
     /// Root directory campaigns checkpoint into (`--checkpoint-dir DIR`),
     /// if given.
     pub checkpoint_dir: Option<PathBuf>,
     /// Whether to resume existing checkpoints instead of re-running
-    /// (`--resume`; only meaningful with `--checkpoint-dir`).
+    /// (`--resume`).
     pub resume: bool,
-    /// Coordinator address campaigns are served on (`--serve ADDR`):
-    /// every harness campaign is measured by remote workers instead of
-    /// local threads.
-    pub serve: Option<String>,
-    /// Coordinator address this process works for (`--connect ADDR`):
-    /// every harness campaign runs as a transport worker of the sibling
-    /// `--serve` process, then downloads the finished reports so the
-    /// rendered artefacts are byte-identical on both nodes.
-    pub connect: Option<String>,
-    /// Flags the grammar did not recognize.
+    /// Where campaigns are measured (`--serve ADDR` / `--connect ADDR`).
+    pub transport: Transport,
+    /// Flags the grammar did not recognize or could not apply: unknown
+    /// flags, value flags without their value, and `--serve` with
+    /// `--connect` (both are then ignored).
     pub unknown: Vec<String>,
+    /// Per-process campaign ordinal: every [`RunContext::campaign_report`]
+    /// call gets the next position, and because the `--serve` and
+    /// `--connect` processes run the same binary with the same flags, both
+    /// sides count campaigns identically — which is what lets the
+    /// transport handshake distinguish "coordinator still draining the
+    /// previous campaign" from "coordinator already restored this campaign
+    /// from a checkpoint".
+    sequence: u64,
+    /// Whether this `--connect` process has completed at least one
+    /// campaign over the wire. Once it has, a refused connection means the
+    /// serving process exited (its listener lives as long as its context),
+    /// so later campaigns fall back to local measurement after a short
+    /// grace instead of burning the full first-contact window.
+    wire_contacted: bool,
+    /// The one persistent campaign service a `--serve` process hosts every
+    /// campaign on, started at the first serve. One listener for the whole
+    /// process (rebinding the fixed address per campaign could
+    /// intermittently fail with `EADDRINUSE` while the previous campaign's
+    /// closed connections sit in TIME_WAIT), one service thread draining
+    /// submissions in campaign-ordinal order.
+    service: Option<CampaignService>,
 }
 
-impl ParsedArgs {
+impl RunContext {
+    /// Parses a binary's argv (without the program name), warning on
+    /// stderr about every flag in [`RunContext::unknown`].
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> RunContext {
+        let ctx = RunContext::parse(args);
+        for flag in &ctx.unknown {
+            eprintln!(
+                "warning: ignoring flag `{flag}` \
+                 (expected --quick, --full, --bench, --workers N, --out DIR, \
+                  --checkpoint-dir DIR, --resume, and at most one of \
+                  --serve ADDR or --connect ADDR)"
+            );
+        }
+        ctx
+    }
+
     /// Parses the shared experiment argv grammar without side effects.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> ParsedArgs {
-        let mut parsed = ParsedArgs {
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> RunContext {
+        let mut ctx = RunContext {
             scale: Scale::Full,
+            out: PathBuf::from("results"),
             workers: None,
             checkpoint_dir: None,
             resume: false,
-            serve: None,
-            connect: None,
+            transport: Transport::Local,
             unknown: Vec::new(),
+            sequence: 0,
+            wire_contacted: false,
+            service: None,
         };
+        let (mut serve, mut connect) = (None, None);
         let mut args = args.into_iter().peekable();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--quick" => parsed.scale = Scale::Quick,
-                "--full" => parsed.scale = Scale::Full,
-                "--bench" => parsed.scale = Scale::Bench,
-                "--resume" => parsed.resume = true,
-                "--out" => {
-                    let _dir = args.next();
-                }
+                "--quick" => ctx.scale = Scale::Quick,
+                "--full" => ctx.scale = Scale::Full,
+                "--bench" => ctx.scale = Scale::Bench,
+                "--resume" => ctx.resume = true,
                 // Peek before consuming the value: `--workers --bench`
                 // must not swallow the sibling flag.
                 "--workers" => match args
@@ -85,161 +137,115 @@ impl ParsedArgs {
                     .filter(|&n| n > 0)
                 {
                     Some(n) => {
-                        parsed.workers = Some(n);
+                        ctx.workers = Some(n);
                         args.next();
                     }
-                    None => parsed.unknown.push("--workers".into()),
+                    None => ctx.unknown.push(a),
                 },
-                // A directory value may legitimately start with a dash, so
-                // (like `--out`) the value is consumed unconditionally —
-                // but a missing value is surfaced.
+                // A directory or address value may legitimately start with
+                // a dash, so the value is consumed unconditionally — but a
+                // missing value is surfaced.
+                "--out" => match args.next() {
+                    Some(dir) => ctx.out = PathBuf::from(dir),
+                    None => ctx.unknown.push(a),
+                },
                 "--checkpoint-dir" => match args.next() {
-                    Some(dir) => parsed.checkpoint_dir = Some(PathBuf::from(dir)),
-                    None => parsed.unknown.push("--checkpoint-dir".into()),
+                    Some(dir) => ctx.checkpoint_dir = Some(PathBuf::from(dir)),
+                    None => ctx.unknown.push(a),
                 },
                 "--serve" => match args.next() {
-                    Some(addr) => parsed.serve = Some(addr),
-                    None => parsed.unknown.push("--serve".into()),
+                    Some(addr) => serve = Some(addr),
+                    None => ctx.unknown.push(a),
                 },
                 "--connect" => match args.next() {
-                    Some(addr) => parsed.connect = Some(addr),
-                    None => parsed.unknown.push("--connect".into()),
+                    Some(addr) => connect = Some(addr),
+                    None => ctx.unknown.push(a),
                 },
-                flag if flag.starts_with('-') => parsed.unknown.push(a),
+                flag if flag.starts_with('-') => ctx.unknown.push(a),
                 // Bare positionals (e.g. a cargo-bench filter) pass through
-                // silently, matching the previous behaviour.
+                // silently.
                 _ => {}
             }
         }
-        parsed
+        ctx.transport = match (serve, connect) {
+            (None, None) => Transport::Local,
+            (Some(addr), None) => Transport::Serve(addr),
+            (None, Some(addr)) => Transport::Connect(addr),
+            (Some(_), Some(_)) => {
+                ctx.unknown.extend(["--serve".into(), "--connect".into()]);
+                Transport::Local
+            }
+        };
+        ctx
+    }
+
+    /// The argv that gives a child bench binary every setting of this
+    /// context: `all` runs each artefact binary with it, so the whole tree
+    /// shards, checkpoints and distributes the same way.
+    pub fn child_args(&self) -> Vec<String> {
+        let scale = match self.scale {
+            Scale::Full => "--full",
+            Scale::Quick => "--quick",
+            Scale::Bench => "--bench",
+        };
+        let mut args = vec![
+            scale.to_string(),
+            "--out".into(),
+            self.out.display().to_string(),
+        ];
+        if let Some(n) = self.workers {
+            args.extend(["--workers".into(), n.to_string()]);
+        }
+        if let Some(dir) = &self.checkpoint_dir {
+            args.extend(["--checkpoint-dir".into(), dir.display().to_string()]);
+        }
+        if self.resume {
+            args.push("--resume".into());
+        }
+        match &self.transport {
+            Transport::Local => {}
+            Transport::Serve(addr) => args.extend(["--serve".into(), addr.clone()]),
+            Transport::Connect(addr) => args.extend(["--connect".into(), addr.clone()]),
+        }
+        args
+    }
+
+    /// Creates the artefact directory and returns its path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-creation failures.
+    pub fn out_dir(&self) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(&self.out)?;
+        Ok(self.out.clone())
+    }
+
+    /// The worker count campaigns shard across: `--workers N` when given,
+    /// otherwise the machine's available parallelism (as sized by the
+    /// executor itself). Results are bit-identical for any worker count;
+    /// only wall-clock changes.
+    pub fn workers(&self) -> usize {
+        self.workers
+            .unwrap_or_else(|| CampaignExecutor::with_available_parallelism().workers())
     }
 }
 
-/// Campaign worker-count override set by `--workers N` (0 = automatic).
-static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// Checkpoint root set by `--checkpoint-dir DIR` (None = not durable).
-static CHECKPOINT_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
-/// `--resume` flag: load existing checkpoints instead of re-measuring.
-static RESUME_OVERRIDE: AtomicBool = AtomicBool::new(false);
-/// Coordinator address set by `--serve ADDR` (None = local execution).
-static SERVE_OVERRIDE: Mutex<Option<String>> = Mutex::new(None);
-/// Coordinator address set by `--connect ADDR` (None = local execution).
-static CONNECT_OVERRIDE: Mutex<Option<String>> = Mutex::new(None);
-/// Per-process campaign ordinal: every `named_campaign_report` call gets
-/// the next position, and because the `--serve` and `--connect` processes
-/// run the same binary with the same flags, both sides count campaigns
-/// identically — which is what lets the transport handshake distinguish
-/// "coordinator still draining the previous campaign" from "coordinator
-/// already restored this campaign from a checkpoint".
-static CAMPAIGN_SEQUENCE: AtomicUsize = AtomicUsize::new(0);
-/// The one persistent campaign service a `--serve` process hosts every
-/// campaign on, started at the first serve. One listener for the whole
-/// process (rebinding the fixed address per campaign could
-/// intermittently fail with `EADDRINUSE` while the previous campaign's
-/// closed connections sit in TIME_WAIT), one service thread draining
-/// submissions in campaign-ordinal order.
-static SERVE_SERVICE: Mutex<Option<fingrav_core::transport::CampaignService>> = Mutex::new(None);
-/// Whether this `--connect` process has completed at least one campaign
-/// over the wire. Once it has, a refused connection means the serving
-/// process exited (its listener lives for the process lifetime), so
-/// later campaigns fall back to local measurement after a short grace
-/// instead of burning the full first-contact window.
-static WIRE_CONTACTED: AtomicBool = AtomicBool::new(false);
-
-/// Overrides the worker count every harness campaign shards across
-/// (`None` restores the automatic available-parallelism sizing). Set by
-/// [`Scale::from_args`] when the binary received `--workers N`.
-pub fn set_workers(workers: Option<usize>) {
-    WORKER_OVERRIDE.store(workers.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The `--workers` override currently in effect, if any.
-pub fn worker_override() -> Option<usize> {
-    match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
+impl Drop for RunContext {
+    /// Stops the `--serve` service gracefully: campaigns run one after
+    /// another on the owning thread and each waits for its ticket, so
+    /// nothing is in flight and the drain cancels nothing. While a panic
+    /// unwinds, the service's own drop cancels whatever the panic left in
+    /// flight instead of waiting on it.
+    fn drop(&mut self) {
+        if let Some(service) = self.service.take() {
+            if !std::thread::panicking() {
+                service.shutdown();
+            }
+        }
     }
-}
-
-/// Makes every harness campaign durable: each campaign checkpoints into a
-/// digest-keyed subdirectory of `root` (`None` turns checkpointing back
-/// off), and `resume` selects whether existing complete checkpoints are
-/// loaded instead of re-measured. Set by [`Scale::from_args`] when the
-/// binary received `--checkpoint-dir DIR` / `--resume`.
-pub fn set_checkpointing(root: Option<PathBuf>, resume: bool) {
-    *CHECKPOINT_OVERRIDE.lock().expect("checkpoint override") = root;
-    RESUME_OVERRIDE.store(resume, Ordering::Relaxed);
-}
-
-/// The `--checkpoint-dir` root currently in effect, if any.
-pub fn checkpoint_override() -> Option<PathBuf> {
-    CHECKPOINT_OVERRIDE
-        .lock()
-        .expect("checkpoint override")
-        .clone()
-}
-
-/// Whether `--resume` is in effect.
-pub fn resume_override() -> bool {
-    RESUME_OVERRIDE.load(Ordering::Relaxed)
-}
-
-/// Switches every harness campaign onto the cross-node transport
-/// (`None`/`None` restores local execution): with `serve` set, campaigns
-/// are coordinated on that address and measured by remote workers; with
-/// `connect` set, this process works for (and then downloads results
-/// from) the coordinator there. Set by [`Scale::from_args`] when the
-/// binary received `--serve ADDR` / `--connect ADDR`.
-pub fn set_transport(serve: Option<String>, connect: Option<String>) {
-    *SERVE_OVERRIDE.lock().expect("serve override") = serve;
-    *CONNECT_OVERRIDE.lock().expect("connect override") = connect;
-}
-
-/// The `--serve` address currently in effect, if any.
-pub fn serve_override() -> Option<String> {
-    SERVE_OVERRIDE.lock().expect("serve override").clone()
-}
-
-/// The `--connect` address currently in effect, if any.
-pub fn connect_override() -> Option<String> {
-    CONNECT_OVERRIDE.lock().expect("connect override").clone()
 }
 
 impl Scale {
-    /// Parses the shared experiment argv (`--quick`/`--full`/`--bench`,
-    /// `--out DIR`, `--workers N`); defaults to `Full`. A `--workers N`
-    /// flag is applied process-wide via [`set_workers`], so every campaign
-    /// the binary runs shards across exactly `N` workers (results are
-    /// bit-identical for any worker count; only wall-clock changes).
-    /// Unrecognized flags are surfaced on stderr.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Scale {
-        let parsed = ParsedArgs::parse(args);
-        for flag in &parsed.unknown {
-            eprintln!(
-                "warning: unrecognized flag `{flag}` \
-                 (expected --quick, --full, --bench, --workers N, --out DIR, \
-                  --checkpoint-dir DIR, --resume, --serve ADDR, or --connect ADDR)"
-            );
-        }
-        if parsed.serve.is_some() && parsed.connect.is_some() {
-            eprintln!("warning: --serve and --connect are mutually exclusive; ignoring both");
-            set_transport(None, None);
-        } else {
-            set_transport(parsed.serve.clone(), parsed.connect.clone());
-        }
-        set_workers(parsed.workers);
-        set_checkpointing(parsed.checkpoint_dir.clone(), parsed.resume);
-        parsed.scale
-    }
-
-    /// Like [`Scale::from_args`], returning the unrecognized flags instead
-    /// of printing them and without applying the worker override. The last
-    /// scale flag wins when several are given.
-    pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> (Scale, Vec<String>) {
-        let parsed = ParsedArgs::parse(args);
-        (parsed.scale, parsed.unknown)
-    }
-
     /// Run count to use when the paper would use `full` runs.
     pub fn runs(&self, full: u32) -> Option<u32> {
         match self {
@@ -278,13 +284,6 @@ pub fn runner_config(runs: Option<u32>) -> RunnerConfig {
         runs_override: runs,
         ..RunnerConfig::default()
     }
-}
-
-/// The worker count experiment campaigns shard across: the `--workers N`
-/// override when one was parsed, otherwise the machine's available
-/// parallelism (as sized by the executor itself).
-pub fn default_workers() -> usize {
-    worker_override().unwrap_or_else(|| CampaignExecutor::with_available_parallelism().workers())
 }
 
 /// Live campaign progress on stderr: one line per finished (or failed)
@@ -378,286 +377,299 @@ fn checkpoint_key(names: &[String], campaign: &Campaign) -> String {
     format!("{head}-{tag:016x}")
 }
 
-/// Runs a campaign where slot `i` is seeded `seed_for(&names[i])` directly
-/// (the historical one-simulation-per-experiment-name convention), sharded
-/// across [`default_workers`]. Regenerated artefacts are bit-identical to
-/// the old serial loops; only wall-clock changes.
-///
-/// When a `--checkpoint-dir` is in effect the campaign is durable: it
-/// checkpoints into a digest-keyed subdirectory as it runs, and with
-/// `--resume` an existing checkpoint is completed (or, if already
-/// complete, simply loaded) instead of re-measured — artefacts stay
-/// byte-identical either way.
-///
-/// When `--serve ADDR` / `--connect ADDR` is in effect the campaign is
-/// *distributed* instead: the serving process coordinates it over the
-/// [`fingrav_core::transport`] protocol while connecting processes
-/// measure the entries and then download the finished reports — both
-/// sides render byte-identical artefacts because every entry derives
-/// solely from its campaign index and seed name.
-pub fn named_campaign_report(campaign: &Campaign, names: Vec<String>) -> Vec<KernelPowerReport> {
-    assert_eq!(names.len(), campaign.len(), "one seed name per entry");
-    let key = checkpoint_key(&names, campaign);
-    let factory = FnBackendFactory(move |i: usize| {
-        Simulation::new(SimConfig::default(), seed_for(&names[i]))
-            .map_err(|e| fingrav_core::error::MethodologyError::Backend(e.to_string()))
-    });
-    let progress = std::sync::Arc::new(CampaignProgress::new(campaign.len()));
-    let cancel = fingrav_core::executor::CancellationToken::new();
-    let sequence = CAMPAIGN_SEQUENCE.fetch_add(1, Ordering::SeqCst) as u64;
-
-    if let Some(addr) = connect_override() {
-        // Worker mode: measure whatever the coordinator assigns, then
-        // fetch the complete report set so rendering proceeds unchanged.
-        let local_fallback = |why: &str| {
-            eprintln!("  campaign #{sequence}: {why}; measuring locally");
-            CampaignExecutor::new(default_workers())
-                .execute_observed(campaign, &factory, &*progress, &cancel)
-                .into_report()
-                .expect("experiment kernels profile cleanly")
-                .reports
-        };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-        // Transport faults get their own retry budget, counted per fault
-        // streak rather than from campaign start: a long-running campaign
-        // must not lose its right to reconnect just because the fault
-        // arrived late.
-        let mut fault_retries = 0u32;
-        loop {
-            // First contact gets a generous window (the serving process
-            // may not have started); once the wire has worked, a refusal
-            // means the serving process exited, so give up quickly.
-            let patience = if WIRE_CONTACTED.load(Ordering::Relaxed) {
-                std::time::Duration::from_secs(5)
-            } else {
-                std::time::Duration::from_secs(120)
-            };
-            let stream = match fingrav_core::transport::connect_with_retry(addr.as_str(), patience)
-            {
-                Ok(stream) => stream,
-                // The serving process can legitimately be gone already:
-                // its final campaigns may all have restored from
-                // checkpoints. Local measurement is byte-identical.
-                Err(e) => return local_fallback(&format!("coordinator unreachable ({e})")),
-            };
-            match fingrav_core::transport::work(
-                stream,
-                campaign,
-                &factory,
-                &*progress,
-                &cancel,
-                &fingrav_core::transport::WorkerOptions {
-                    max_entries: None,
-                    fetch_reports: true,
-                    sequence,
-                    ..Default::default()
-                },
-            ) {
-                Ok(summary) => {
-                    WIRE_CONTACTED.store(true, Ordering::Relaxed);
-                    if summary.aborted {
-                        panic!(
-                            "campaign #{sequence}: the coordinator cancelled the campaign \
-                             (see the --serve process's log)"
-                        );
-                    }
-                    match summary.reports {
-                        Some(reports) => return reports,
-                        // complete=false: a kernel genuinely failed on
-                        // some worker or persistence broke — mirror the
-                        // local path's loud failure rather than hiding
-                        // the cause behind an invariant message.
-                        None => panic!(
-                            "campaign #{sequence} failed on the coordinator \
-                             (campaign_complete = {}; see the --serve process's log)",
-                            summary.campaign_complete
-                        ),
-                    }
-                }
-                // The coordinator restored this campaign from a complete
-                // checkpoint and moved on; measuring locally yields
-                // byte-identical reports (every slot derives solely from
-                // its index and seed name) and keeps the two processes'
-                // campaign sequences aligned.
-                Err(fingrav_core::transport::TransportError::Denied { code, detail })
-                    if code == fingrav_core::transport::DENY_SEQUENCE_PASSED =>
-                {
-                    return local_fallback(&detail);
-                }
-                // The previous campaign's listener is still draining on
-                // this address; reconnect until ours comes up.
-                Err(fingrav_core::transport::TransportError::Denied { code, detail })
-                    if code == fingrav_core::transport::DENY_SEQUENCE_EARLY =>
-                {
-                    if std::time::Instant::now() >= deadline {
-                        panic!("coordinator never reached campaign #{sequence}: {detail}");
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-                // A same-sequence digest mismatch means the two processes
-                // run different campaign definitions (skewed binaries or
-                // flags) — rendering silently diverging artifact trees
-                // would be worse than failing loudly.
-                Err(e @ fingrav_core::transport::TransportError::DigestMismatch { .. }) => {
-                    panic!("serve/connect campaign definitions disagree: {e}")
-                }
-                Err(fingrav_core::transport::TransportError::Denied { code, detail })
-                    if code == fingrav_core::transport::DENY_DIGEST_MISMATCH =>
-                {
-                    panic!("serve/connect campaign definitions disagree: {detail}")
-                }
-                // Anything else — a dropped connection, an unexpected
-                // frame — first tries to reconnect and resume (the
-                // coordinator re-plans the dropped entries, so a fresh
-                // connection picks the campaign back up); a persistent
-                // fault streak falls back to local measurement, which
-                // yields the same bytes and always makes progress.
-                Err(e) => {
-                    fault_retries += 1;
-                    if fault_retries > 20 {
-                        return local_fallback(&format!("transport fault ({e})"));
-                    }
-                    eprintln!("  campaign #{sequence}: transport fault ({e}); reconnecting");
-                    std::thread::sleep(std::time::Duration::from_millis(250));
-                }
-            }
-        }
-    }
-    if let Some(addr) = serve_override() {
-        // Coordinator mode: remote workers measure; persistence lands in
-        // the usual digest-keyed checkpoint layout so `--resume` (or a
-        // plain executor resume) completes an interrupted serve. Without
-        // an explicit `--checkpoint-dir` the checkpoints go to a
-        // pid-keyed temp root: scoping to this invocation keeps the
-        // within-run duplicate-campaign short-circuit while making sure
-        // a later run (possibly of a different build) never restores
-        // this run's artifacts. The root is left behind for post-mortems
-        // (it is what `--resume` would complete) and is small at bench
-        // scale; full-scale serves should pass `--checkpoint-dir`.
-        let root = checkpoint_override().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("fingrav-serve-{}", std::process::id()))
+impl RunContext {
+    /// Runs a campaign where slot `i` is seeded `seed_for(&names[i])`
+    /// directly (the historical one-simulation-per-experiment-name
+    /// convention), sharded across [`RunContext::workers`]. Regenerated
+    /// artefacts are bit-identical to the old serial loops; only
+    /// wall-clock changes.
+    ///
+    /// When a `--checkpoint-dir` is in effect the campaign is durable: it
+    /// checkpoints into a digest-keyed subdirectory as it runs, and with
+    /// `--resume` an existing checkpoint is completed (or, if already
+    /// complete, simply loaded) instead of re-measured — artefacts stay
+    /// byte-identical either way.
+    ///
+    /// When `--serve ADDR` / `--connect ADDR` is in effect the campaign is
+    /// *distributed* instead: the serving process coordinates it over the
+    /// [`fingrav_core::transport`] protocol while connecting processes
+    /// measure the entries and then download the finished reports — both
+    /// sides render byte-identical artefacts because every entry derives
+    /// solely from its campaign index and seed name.
+    pub fn campaign_report(
+        &mut self,
+        campaign: &Campaign,
+        names: Vec<String>,
+    ) -> Vec<KernelPowerReport> {
+        assert_eq!(names.len(), campaign.len(), "one seed name per entry");
+        let key = checkpoint_key(&names, campaign);
+        let factory = FnBackendFactory(move |i: usize| {
+            Simulation::new(SimConfig::default(), seed_for(&names[i]))
+                .map_err(|e| fingrav_core::error::MethodologyError::Backend(e.to_string()))
         });
-        let dir = root.join(&key);
-        // Mirror the local path's `--resume` semantics: without the flag
-        // an existing checkpoint at this key is discarded and the
-        // campaign is measured afresh by the workers, instead of
-        // Coordinator::serve silently restoring a previous (possibly
-        // different-build) run's artifacts.
-        if !resume_override() && dir.exists() {
-            std::fs::remove_dir_all(&dir).expect("stale serve checkpoint removes");
-        }
-        // One persistent campaign service hosts every campaign of this
-        // process (started at the first serve); each campaign is one
-        // submission. The bind itself retries: a previous process on
-        // this address (an earlier child of `all --serve`) leaves
-        // TIME_WAIT connections that can hold the port for up to a
-        // minute.
-        let ticket = {
-            let mut slot = SERVE_SERVICE.lock().expect("serve service");
-            let service = slot.get_or_insert_with(|| {
+        let progress = std::sync::Arc::new(CampaignProgress::new(campaign.len()));
+        let cancel = fingrav_core::executor::CancellationToken::new();
+        let sequence = self.sequence;
+        self.sequence += 1;
+        let workers = self.workers();
+
+        let outcome = match self.transport.clone() {
+            Transport::Connect(addr) => {
+                // Worker mode: measure whatever the coordinator assigns, then
+                // fetch the complete report set so rendering proceeds unchanged.
+                let local_fallback = |why: &str| {
+                    eprintln!("  campaign #{sequence}: {why}; measuring locally");
+                    CampaignExecutor::new(workers)
+                        .execute_observed(campaign, &factory, &*progress, &cancel)
+                        .into_report()
+                        .expect("experiment kernels profile cleanly")
+                        .reports
+                };
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-                let listener = loop {
-                    match std::net::TcpListener::bind(addr.as_str()) {
-                        Ok(listener) => break listener,
-                        Err(e) if std::time::Instant::now() < deadline => {
-                            eprintln!("  waiting to bind {addr}: {e}");
+                // Transport faults get their own retry budget, counted per fault
+                // streak rather than from campaign start: a long-running campaign
+                // must not lose its right to reconnect just because the fault
+                // arrived late.
+                let mut fault_retries = 0u32;
+                loop {
+                    // First contact gets a generous window (the serving process
+                    // may not have started); once the wire has worked, a refusal
+                    // means the serving process exited, so give up quickly.
+                    let patience = if self.wire_contacted {
+                        std::time::Duration::from_secs(5)
+                    } else {
+                        std::time::Duration::from_secs(120)
+                    };
+                    let stream = match fingrav_core::transport::connect_with_retry(
+                        addr.as_str(),
+                        patience,
+                    ) {
+                        Ok(stream) => stream,
+                        // The serving process can legitimately be gone already:
+                        // its final campaigns may all have restored from
+                        // checkpoints. Local measurement is byte-identical.
+                        Err(e) => return local_fallback(&format!("coordinator unreachable ({e})")),
+                    };
+                    match fingrav_core::transport::work(
+                        stream,
+                        campaign,
+                        &factory,
+                        &*progress,
+                        &cancel,
+                        &fingrav_core::transport::WorkerOptions {
+                            max_entries: None,
+                            fetch_reports: true,
+                            sequence,
+                            ..Default::default()
+                        },
+                    ) {
+                        Ok(summary) => {
+                            self.wire_contacted = true;
+                            if summary.aborted {
+                                panic!(
+                                    "campaign #{sequence}: the coordinator cancelled the campaign \
+                                 (see the --serve process's log)"
+                                );
+                            }
+                            match summary.reports {
+                                Some(reports) => return reports,
+                                // complete=false: a kernel genuinely failed on
+                                // some worker or persistence broke — mirror the
+                                // local path's loud failure rather than hiding
+                                // the cause behind an invariant message.
+                                None => panic!(
+                                    "campaign #{sequence} failed on the coordinator \
+                                 (campaign_complete = {}; see the --serve process's log)",
+                                    summary.campaign_complete
+                                ),
+                            }
+                        }
+                        // The coordinator restored this campaign from a complete
+                        // checkpoint and moved on; measuring locally yields
+                        // byte-identical reports (every slot derives solely from
+                        // its index and seed name) and keeps the two processes'
+                        // campaign sequences aligned.
+                        Err(fingrav_core::transport::TransportError::Denied { code, detail })
+                            if code == fingrav_core::transport::DENY_SEQUENCE_PASSED =>
+                        {
+                            return local_fallback(&detail);
+                        }
+                        // The previous campaign's listener is still draining on
+                        // this address; reconnect until ours comes up.
+                        Err(fingrav_core::transport::TransportError::Denied { code, detail })
+                            if code == fingrav_core::transport::DENY_SEQUENCE_EARLY =>
+                        {
+                            if std::time::Instant::now() >= deadline {
+                                panic!("coordinator never reached campaign #{sequence}: {detail}");
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                        }
+                        // A same-sequence digest mismatch means the two processes
+                        // run different campaign definitions (skewed binaries or
+                        // flags) — rendering silently diverging artifact trees
+                        // would be worse than failing loudly.
+                        Err(e @ fingrav_core::transport::TransportError::DigestMismatch { .. }) => {
+                            panic!("serve/connect campaign definitions disagree: {e}")
+                        }
+                        Err(fingrav_core::transport::TransportError::Denied { code, detail })
+                            if code == fingrav_core::transport::DENY_DIGEST_MISMATCH =>
+                        {
+                            panic!("serve/connect campaign definitions disagree: {detail}")
+                        }
+                        // Anything else — a dropped connection, an unexpected
+                        // frame — first tries to reconnect and resume (the
+                        // coordinator re-plans the dropped entries, so a fresh
+                        // connection picks the campaign back up); a persistent
+                        // fault streak falls back to local measurement, which
+                        // yields the same bytes and always makes progress.
+                        Err(e) => {
+                            fault_retries += 1;
+                            if fault_retries > 20 {
+                                return local_fallback(&format!("transport fault ({e})"));
+                            }
+                            eprintln!(
+                                "  campaign #{sequence}: transport fault ({e}); reconnecting"
+                            );
                             std::thread::sleep(std::time::Duration::from_millis(250));
                         }
-                        Err(e) => panic!("coordinator address {addr} never bound: {e}"),
+                    }
+                }
+            }
+            Transport::Serve(addr) => {
+                // Coordinator mode: remote workers measure; persistence lands in
+                // the usual digest-keyed checkpoint layout so `--resume` (or a
+                // plain executor resume) completes an interrupted serve. Without
+                // an explicit `--checkpoint-dir` the checkpoints go to a
+                // pid-keyed temp root: scoping to this invocation keeps the
+                // within-run duplicate-campaign short-circuit while making sure
+                // a later run (possibly of a different build) never restores
+                // this run's artifacts. The root is left behind for post-mortems
+                // (it is what `--resume` would complete) and is small at bench
+                // scale; full-scale serves should pass `--checkpoint-dir`.
+                let root = self.checkpoint_dir.clone().unwrap_or_else(|| {
+                    std::env::temp_dir().join(format!("fingrav-serve-{}", std::process::id()))
+                });
+                let dir = root.join(&key);
+                // Mirror the local path's `--resume` semantics: without the flag
+                // an existing checkpoint at this key is discarded and the
+                // campaign is measured afresh by the workers, instead of
+                // Coordinator::serve silently restoring a previous (possibly
+                // different-build) run's artifacts.
+                if !self.resume && dir.exists() {
+                    std::fs::remove_dir_all(&dir).expect("stale serve checkpoint removes");
+                }
+                // One persistent campaign service hosts every campaign of this
+                // process (started at the first serve); each campaign is one
+                // submission. The bind itself retries: a previous process on
+                // this address (an earlier child of `all --serve`) leaves
+                // TIME_WAIT connections that can hold the port for up to a
+                // minute.
+                let service = self.service.get_or_insert_with(|| {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+                    let listener = loop {
+                        match std::net::TcpListener::bind(addr.as_str()) {
+                            Ok(listener) => break listener,
+                            Err(e) if std::time::Instant::now() < deadline => {
+                                eprintln!("  waiting to bind {addr}: {e}");
+                                std::thread::sleep(std::time::Duration::from_millis(250));
+                            }
+                            Err(e) => panic!("coordinator address {addr} never bound: {e}"),
+                        }
+                    };
+                    fingrav_core::transport::CampaignService::from_listener(
+                        listener,
+                        fingrav_core::transport::ServiceConfig::default(),
+                    )
+                });
+                let ticket = service.submit_with(
+                    campaign.clone(),
+                    dir.clone(),
+                    Default::default(),
+                    Some(progress.clone()),
+                );
+                // Both processes count campaigns identically and this process
+                // submits each exactly once, so the service-assigned wire
+                // sequence must track the campaign ordinal.
+                assert_eq!(
+                    ticket.sequence(),
+                    sequence,
+                    "service submission order diverged from the campaign ordinal"
+                );
+                // Wait with a no-progress watchdog: the ticket resolves only
+                // once workers finish the campaign, so a connect process that
+                // died (or gave up and measured locally) would otherwise hang
+                // this process forever. Five minutes with zero finished entries
+                // is a wedged run, not a slow one — cancel and fail loudly.
+                // Progress is any live signal — finished entries OR the
+                // per-slot log/launch counters the workers stream — so a
+                // single legitimately slow entry on a healthy worker never
+                // trips the watchdog.
+                let observed = || {
+                    let tally = progress.tally();
+                    (0..campaign.len())
+                        .map(|i| tally.logs(i) + tally.launches(i))
+                        .sum::<u64>()
+                        + tally.finished() as u64
+                };
+                let mut last = observed();
+                let mut stalled_for = std::time::Duration::ZERO;
+                let tick = std::time::Duration::from_millis(500);
+                let watchdog_fired = loop {
+                    if ticket.phase() == fingrav_core::transport::CampaignPhase::Done {
+                        break false;
+                    }
+                    std::thread::sleep(tick);
+                    let now = observed();
+                    if now != last {
+                        last = now;
+                        stalled_for = std::time::Duration::ZERO;
+                    } else {
+                        stalled_for += tick;
+                        if stalled_for >= std::time::Duration::from_secs(300) {
+                            eprintln!(
+                                "  campaign #{sequence}: no worker progress for \
+                                 {}s; cancelling the serve",
+                                stalled_for.as_secs()
+                            );
+                            ticket.cancel();
+                            break true;
+                        }
                     }
                 };
-                fingrav_core::transport::CampaignService::from_listener(
-                    listener,
-                    fingrav_core::transport::ServiceConfig::default(),
-                )
-            });
-            service.submit_with(
-                campaign.clone(),
-                dir.clone(),
-                Default::default(),
-                Some(progress.clone()),
-            )
-        };
-        // Both processes count campaigns identically and this process
-        // submits each exactly once, so the service-assigned wire
-        // sequence must track the campaign ordinal.
-        assert_eq!(
-            ticket.sequence(),
-            sequence,
-            "service submission order diverged from the campaign ordinal"
-        );
-        // Wait with a no-progress watchdog: the ticket resolves only
-        // once workers finish the campaign, so a connect process that
-        // died (or gave up and measured locally) would otherwise hang
-        // this process forever. Five minutes with zero finished entries
-        // is a wedged run, not a slow one — cancel and fail loudly.
-        // Progress is any live signal — finished entries OR the
-        // per-slot log/launch counters the workers stream — so a
-        // single legitimately slow entry on a healthy worker never
-        // trips the watchdog.
-        let observed = || {
-            let tally = progress.tally();
-            (0..campaign.len())
-                .map(|i| tally.logs(i) + tally.launches(i))
-                .sum::<u64>()
-                + tally.finished() as u64
-        };
-        let mut last = observed();
-        let mut stalled_for = std::time::Duration::ZERO;
-        let tick = std::time::Duration::from_millis(500);
-        let watchdog_fired = loop {
-            if ticket.phase() == fingrav_core::transport::CampaignPhase::Done {
-                break false;
-            }
-            std::thread::sleep(tick);
-            let now = observed();
-            if now != last {
-                last = now;
-                stalled_for = std::time::Duration::ZERO;
-            } else {
-                stalled_for += tick;
-                if stalled_for >= std::time::Duration::from_secs(300) {
-                    eprintln!(
-                        "  campaign #{sequence}: no worker progress for \
-                         {}s; cancelling the serve",
-                        stalled_for.as_secs()
+                let outcome = ticket.wait().expect("served campaign persists cleanly");
+                if watchdog_fired {
+                    panic!(
+                        "campaign #{sequence}: no worker made progress within the \
+                         watchdog window — is the --connect process running and \
+                         pointed at this address?"
                     );
-                    ticket.cancel();
-                    break true;
+                }
+                outcome
+            }
+            Transport::Local => {
+                let executor = CampaignExecutor::new(workers);
+                match &self.checkpoint_dir {
+                    Some(root) => {
+                        let dir = root.join(key);
+                        let manifest = dir.join(fingrav_core::checkpoint::MANIFEST_FILE);
+                        if self.resume && manifest.is_file() {
+                            executor.resume_observed(campaign, &factory, &dir, &*progress, &cancel)
+                        } else {
+                            executor.execute_sharded_observed(
+                                campaign, &factory, &dir, &*progress, &cancel,
+                            )
+                        }
+                        .expect("campaign checkpoint is writable and consistent")
+                    }
+                    None => executor.execute_observed(campaign, &factory, &*progress, &cancel),
                 }
             }
         };
-        let outcome = ticket.wait().expect("served campaign persists cleanly");
-        if watchdog_fired {
-            panic!(
-                "campaign #{sequence}: no worker made progress within the watchdog \
-                 window — is the --connect process running and pointed at this address?"
-            );
-        }
-        return outcome
+        outcome
             .into_report()
             .expect("experiment kernels profile cleanly")
-            .reports;
+            .reports
     }
-
-    let executor = CampaignExecutor::new(default_workers());
-    let outcome = match checkpoint_override() {
-        Some(root) => {
-            let dir = root.join(key);
-            let manifest = dir.join(fingrav_core::checkpoint::MANIFEST_FILE);
-            if resume_override() && manifest.is_file() {
-                executor.resume_observed(campaign, &factory, &dir, &*progress, &cancel)
-            } else {
-                executor.execute_sharded_observed(campaign, &factory, &dir, &*progress, &cancel)
-            }
-            .expect("campaign checkpoint is writable and consistent")
-        }
-        None => executor.execute_observed(campaign, &factory, &*progress, &cancel),
-    };
-    outcome
-        .into_report()
-        .expect("experiment kernels profile cleanly")
-        .reports
 }
 
 /// Profiles one kernel on a fresh simulation via a single-slot campaign on
@@ -681,107 +693,126 @@ mod tests {
     use super::*;
     use fingrav_core::runner::FingravRunner;
 
-    /// Serializes tests that touch the process-wide worker override.
-    static WORKERS_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    fn parse(args: &[&str]) -> RunContext {
+        RunContext::parse(args.iter().map(|a| a.to_string()))
+    }
 
     #[test]
     fn scale_parsing() {
-        let _guard = WORKERS_GUARD.lock().unwrap();
-        assert_eq!(Scale::from_args(vec![]), Scale::Full);
-        assert_eq!(Scale::from_args(vec!["--quick".into()]), Scale::Quick);
-        assert_eq!(Scale::from_args(vec!["--bench".into()]), Scale::Bench);
-        assert_eq!(Scale::from_args(vec!["--full".into()]), Scale::Full);
-        assert_eq!(
-            Scale::from_args(vec!["--out".into(), "x".into()]),
-            Scale::Full
-        );
+        assert_eq!(parse(&[]).scale, Scale::Full);
+        assert_eq!(parse(&["--quick"]).scale, Scale::Quick);
+        assert_eq!(parse(&["--bench"]).scale, Scale::Bench);
+        assert_eq!(parse(&["--full"]).scale, Scale::Full);
+        assert_eq!(parse(&["--out", "x"]).scale, Scale::Full);
     }
 
     #[test]
     fn workers_flag_parses_without_side_effects() {
-        let parsed = ParsedArgs::parse(vec!["--workers".into(), "3".into(), "--bench".into()]);
-        assert_eq!(parsed.workers, Some(3));
-        assert_eq!(parsed.scale, Scale::Bench);
-        assert!(parsed.unknown.is_empty());
+        let ctx = parse(&["--workers", "3", "--bench"]);
+        assert_eq!(ctx.workers, Some(3));
+        assert_eq!(ctx.scale, Scale::Bench);
+        assert!(ctx.unknown.is_empty());
         // A missing or non-positive value is surfaced, not silently eaten.
-        let parsed = ParsedArgs::parse(vec!["--workers".into(), "zero".into()]);
-        assert_eq!(parsed.workers, None);
-        assert_eq!(parsed.unknown, vec!["--workers".to_string()]);
-        let parsed = ParsedArgs::parse(vec!["--workers".into(), "0".into()]);
-        assert_eq!(parsed.workers, None);
-        assert!(!parsed.unknown.is_empty());
+        let ctx = parse(&["--workers", "zero"]);
+        assert_eq!(ctx.workers, None);
+        assert_eq!(ctx.unknown, vec!["--workers".to_string()]);
+        let ctx = parse(&["--workers", "0"]);
+        assert_eq!(ctx.workers, None);
+        assert!(!ctx.unknown.is_empty());
         // A malformed value never swallows a sibling flag.
-        let parsed = ParsedArgs::parse(vec!["--workers".into(), "--bench".into()]);
-        assert_eq!(parsed.workers, None);
-        assert_eq!(parsed.scale, Scale::Bench);
-        assert_eq!(parsed.unknown, vec!["--workers".to_string()]);
+        let ctx = parse(&["--workers", "--bench"]);
+        assert_eq!(ctx.workers, None);
+        assert_eq!(ctx.scale, Scale::Bench);
+        assert_eq!(ctx.unknown, vec!["--workers".to_string()]);
     }
 
     #[test]
     fn transport_flags_parse_without_side_effects() {
-        let parsed = ParsedArgs::parse(vec![
-            "--serve".into(),
-            "0.0.0.0:7000".into(),
-            "--bench".into(),
-        ]);
-        assert_eq!(parsed.serve.as_deref(), Some("0.0.0.0:7000"));
-        assert_eq!(parsed.connect, None);
-        assert_eq!(parsed.scale, Scale::Bench);
-        assert!(parsed.unknown.is_empty());
+        let ctx = parse(&["--serve", "0.0.0.0:7000", "--bench"]);
+        assert_eq!(ctx.transport, Transport::Serve("0.0.0.0:7000".into()));
+        assert_eq!(ctx.scale, Scale::Bench);
+        assert!(ctx.unknown.is_empty());
 
-        let parsed = ParsedArgs::parse(vec!["--connect".into(), "10.0.0.2:7000".into()]);
-        assert_eq!(parsed.connect.as_deref(), Some("10.0.0.2:7000"));
-        assert_eq!(parsed.serve, None);
+        let ctx = parse(&["--connect", "10.0.0.2:7000"]);
+        assert_eq!(ctx.transport, Transport::Connect("10.0.0.2:7000".into()));
 
-        // A missing address is surfaced, not silently eaten.
-        let parsed = ParsedArgs::parse(vec!["--serve".into()]);
-        assert_eq!(parsed.serve, None);
-        assert_eq!(parsed.unknown, vec!["--serve".to_string()]);
-        let parsed = ParsedArgs::parse(vec!["--connect".into()]);
-        assert_eq!(parsed.connect, None);
-        assert_eq!(parsed.unknown, vec!["--connect".to_string()]);
+        // Serving and connecting at once is refused: both are ignored.
+        let ctx = parse(&["--serve", "a:1", "--connect", "b:2"]);
+        assert_eq!(ctx.transport, Transport::Local);
+        assert_eq!(ctx.unknown, vec!["--serve".to_string(), "--connect".into()]);
+
+        // A missing value is surfaced, not silently eaten.
+        for flag in ["--serve", "--connect", "--checkpoint-dir", "--out"] {
+            let ctx = parse(&["--bench", flag]);
+            assert_eq!(ctx.unknown, vec![flag.to_string()]);
+            assert_eq!(ctx.transport, Transport::Local);
+            assert_eq!(ctx.checkpoint_dir, None);
+            assert_eq!(ctx.out, PathBuf::from("results"));
+        }
     }
 
     #[test]
     fn workers_flag_overrides_campaign_sharding() {
-        let _guard = WORKERS_GUARD.lock().unwrap();
+        assert_eq!(parse(&["--workers", "2"]).workers(), 2);
         assert_eq!(
-            Scale::from_args(vec!["--workers".into(), "2".into()]),
-            Scale::Full
+            parse(&[]).workers(),
+            CampaignExecutor::with_available_parallelism().workers()
         );
-        assert_eq!(worker_override(), Some(2));
-        assert_eq!(default_workers(), 2);
-        set_workers(None);
-        assert_eq!(worker_override(), None);
-        assert!(default_workers() >= 1);
+    }
+
+    #[test]
+    fn child_args_reproduce_every_forwarded_setting() {
+        for args in [
+            &[][..],
+            &["--workers", "3"],
+            &["--quick", "--checkpoint-dir", "D", "--resume"],
+            &["--bench", "--out", "O", "--serve", "A"],
+            &["--connect", "A"],
+        ] {
+            let ctx = parse(args);
+            let child = RunContext::parse(ctx.child_args());
+            assert!(child.unknown.is_empty(), "{args:?}: {:?}", child.unknown);
+            assert_eq!(child.scale, ctx.scale, "{args:?}");
+            assert_eq!(child.out, ctx.out, "{args:?}");
+            assert_eq!(child.workers, ctx.workers, "{args:?}");
+            assert_eq!(child.checkpoint_dir, ctx.checkpoint_dir, "{args:?}");
+            assert_eq!(child.resume, ctx.resume, "{args:?}");
+            assert_eq!(child.transport, ctx.transport, "{args:?}");
+        }
     }
 
     #[test]
     fn explicit_full_overrides_an_earlier_scale_flag() {
-        assert_eq!(
-            Scale::parse_args(vec!["--quick".into(), "--full".into()]).0,
-            Scale::Full
-        );
+        assert_eq!(parse(&["--quick", "--full"]).scale, Scale::Full);
     }
 
     #[test]
     fn unknown_flags_are_surfaced_not_swallowed() {
-        let (scale, unknown) = Scale::parse_args(vec![
-            "--quick".into(),
-            "--frobnicate".into(),
-            "--out".into(),
-            "results".into(),
-            "-x".into(),
-        ]);
-        assert_eq!(scale, Scale::Quick);
-        assert_eq!(unknown, vec!["--frobnicate".to_string(), "-x".to_string()]);
+        let ctx = parse(&["--quick", "--frobnicate", "--out", "results", "-x"]);
+        assert_eq!(ctx.scale, Scale::Quick);
+        assert_eq!(
+            ctx.unknown,
+            vec!["--frobnicate".to_string(), "-x".to_string()]
+        );
     }
 
     #[test]
     fn out_value_is_not_mistaken_for_a_flag() {
         // `--out --weird-dir-name` must consume the value, not report it.
-        let (_, unknown) = Scale::parse_args(vec!["--out".into(), "--weird".into()]);
-        assert!(unknown.is_empty());
+        let ctx = parse(&["--out", "--weird"]);
+        assert!(ctx.unknown.is_empty());
+        assert_eq!(ctx.out, PathBuf::from("--weird"));
+    }
+
+    #[test]
+    fn out_dir_parses_flag() {
+        let dir = std::env::temp_dir().join("fingrav-harness-out-dir");
+        let got = parse(&["--out", &dir.display().to_string()])
+            .out_dir()
+            .unwrap();
+        assert_eq!(got, dir);
+        assert!(dir.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub mod experiments;
 pub mod harness;
 pub mod render;
 
-pub use harness::Scale;
+pub use harness::{RunContext, Scale};

@@ -10,25 +10,6 @@ use fingrav_core::runner::KernelPowerReport;
 
 use crate::experiments::{ComponentRow, RunShape};
 
-/// Resolves the output directory (`--out DIR`, default `results/`) and
-/// creates it.
-///
-/// # Errors
-///
-/// Propagates directory-creation failures.
-pub fn out_dir<I: IntoIterator<Item = String>>(args: I) -> io::Result<PathBuf> {
-    let mut args: Vec<String> = args.into_iter().collect();
-    let mut dir = PathBuf::from("results");
-    for i in 0..args.len() {
-        if args[i] == "--out" && i + 1 < args.len() {
-            dir = PathBuf::from(std::mem::take(&mut args[i + 1]));
-            break;
-        }
-    }
-    fs::create_dir_all(&dir)?;
-    Ok(dir)
-}
-
 /// Writes a profile CSV under `dir/name`.
 ///
 /// # Errors
@@ -122,15 +103,6 @@ mod tests {
     use fingrav_sim::power::ComponentPower;
     use fingrav_workloads::suite::SuiteClass;
     use fingrav_workloads::Boundedness;
-
-    #[test]
-    fn out_dir_parses_flag() {
-        let dir = std::env::temp_dir().join("fingrav-render-test");
-        let got = out_dir(vec!["--out".to_string(), dir.display().to_string()]).unwrap();
-        assert_eq!(got, dir);
-        assert!(dir.exists());
-        fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn component_table_normalizes() {

@@ -311,54 +311,6 @@ pub fn push_loi_points(
     }
 }
 
-/// Builds a [`ProfileKind::Run`] profile from placed logs as owned points —
-/// the legacy AoS path, retained **only** so the columnar fast path can be
-/// proven equivalent in tests. Hidden from the public API surface: the one
-/// supported way to build profiles is [`push_run_profile_points`] (the AoS
-/// and columnar paths were proven byte-equivalent in PR 2, so there is
-/// nothing this buys a caller).
-#[doc(hidden)]
-pub fn run_profile_points(run: u32, placed: &[PlacedLog]) -> Vec<ProfilePoint> {
-    placed
-        .iter()
-        .map(|l| ProfilePoint {
-            run,
-            exec_pos: l.containing_exec.map(|(i, _)| i as u32),
-            toi_ns: l.containing_exec.map(|(_, t)| t),
-            run_time_ns: l.run_time_ns,
-            power: l.power,
-        })
-        .collect()
-}
-
-/// Builds LOI points for executions selected by `select` as owned points —
-/// the legacy AoS path, retained **only** for columnar-equivalence tests
-/// (see [`run_profile_points`]). The supported builder is
-/// [`push_loi_points`].
-#[doc(hidden)]
-pub fn loi_points(
-    run: u32,
-    placed: &[PlacedLog],
-    mut select: impl FnMut(usize) -> bool,
-) -> Vec<ProfilePoint> {
-    placed
-        .iter()
-        .filter_map(|l| {
-            let (pos, toi) = l.containing_exec?;
-            if !select(pos) {
-                return None;
-            }
-            Some(ProfilePoint {
-                run,
-                exec_pos: Some(pos as u32),
-                toi_ns: Some(toi),
-                run_time_ns: l.run_time_ns,
-                power: l.power,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,11 +463,13 @@ mod tests {
     fn loi_points_filters_by_execution() {
         let (t, sync) = trace_with_logs();
         let placed = place_logs(&t, &sync);
-        let all = loi_points(3, &placed, |_| true);
+        let mut all = ProfileStore::new();
+        push_loi_points(&mut all, 3, &placed, |_| true);
         assert_eq!(all.len(), 1, "only the inside log is an LOI");
-        assert_eq!(all[0].run, 3);
-        assert_eq!(all[0].exec_pos, Some(0));
-        let none = loi_points(3, &placed, |pos| pos > 0);
+        assert_eq!(all.point(0).run, 3);
+        assert_eq!(all.point(0).exec_pos, Some(0));
+        let mut none = ProfileStore::new();
+        push_loi_points(&mut none, 3, &placed, |pos| pos > 0);
         assert!(none.is_empty());
     }
 
@@ -523,32 +477,13 @@ mod tests {
     fn run_profile_keeps_every_log() {
         let (t, sync) = trace_with_logs();
         let placed = place_logs(&t, &sync);
-        let pts = run_profile_points(7, &placed);
+        let mut pts = ProfileStore::new();
+        push_run_profile_points(&mut pts, 7, &placed);
         assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0].exec_pos, None);
-        assert!(pts[0].toi_ns.is_none());
-        assert_eq!(pts[1].exec_pos, Some(0));
-        assert!(pts[1].toi_ns.is_some());
-    }
-
-    #[test]
-    fn columnar_appenders_match_legacy_aos_paths() {
-        let (t, sync) = trace_with_logs();
-        let placed = place_logs(&t, &sync);
-
-        let mut run_store = ProfileStore::new();
-        push_run_profile_points(&mut run_store, 7, &placed);
-        assert_eq!(
-            run_store,
-            ProfileStore::from_points(run_profile_points(7, &placed))
-        );
-
-        let mut loi_store = ProfileStore::new();
-        push_loi_points(&mut loi_store, 3, &placed, |_| true);
-        assert_eq!(
-            loi_store,
-            ProfileStore::from_points(loi_points(3, &placed, |_| true))
-        );
+        assert_eq!(pts.point(0).exec_pos, None);
+        assert!(pts.point(0).toi_ns.is_none());
+        assert_eq!(pts.point(1).exec_pos, Some(0));
+        assert!(pts.point(1).toi_ns.is_some());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Generators shared by the codec-hardening integration tests
 //! (`profile_store.rs`, `checkpoint_codec.rs`, `checkpoint_view.rs`,
 //! `checkpoint_resume.rs`, `fuzz_regression.rs`): random columnar
-//! stores, random traces, the deterministic golden `FGRVCKPT` fixtures,
+//! stores, random traces, the AoS stitching reference the columnar
+//! appenders are checked against, the deterministic golden `FGRVCKPT`
+//! fixtures,
 //! and the systematic truncation/corruption drivers both the `FGRVPROF`
 //! and `FGRVCKPT` adversarial suites run over. [`entry_bytes`] is the
 //! bit-exact report comparison the determinism tests and the resume and
@@ -17,7 +19,7 @@ use fingrav::core::checkpoint::{
     CampaignManifest, EntryArtifact, EntryStatus, ManifestEntry, StageCheckpoint,
 };
 use fingrav::core::guidance::GuidanceEntry;
-use fingrav::core::profile::{PowerProfile, ProfileKind, ProfilePoint};
+use fingrav::core::profile::{PlacedLog, PowerProfile, ProfileKind, ProfilePoint};
 use fingrav::core::runner::{CollectedRun, KernelPowerReport};
 use fingrav::core::stages::{RunCollection, SspArtifact, StitchedProfiles, TimingArtifact};
 use fingrav::core::store::{ColumnLayout, ProfileStore};
@@ -93,6 +95,47 @@ pub fn build_trace(starts: &[u64], ticks: &[u64]) -> RunTrace {
         });
     }
     trace
+}
+
+/// Builds a [`ProfileKind::Run`] profile from placed logs as owned points:
+/// the AoS reference the columnar `push_run_profile_points` is checked
+/// against.
+pub fn run_profile_points(run: u32, placed: &[PlacedLog]) -> Vec<ProfilePoint> {
+    placed
+        .iter()
+        .map(|l| ProfilePoint {
+            run,
+            exec_pos: l.containing_exec.map(|(i, _)| i as u32),
+            toi_ns: l.containing_exec.map(|(_, t)| t),
+            run_time_ns: l.run_time_ns,
+            power: l.power,
+        })
+        .collect()
+}
+
+/// Builds LOI points for executions selected by `select` as owned points:
+/// the AoS reference the columnar `push_loi_points` is checked against.
+pub fn loi_points(
+    run: u32,
+    placed: &[PlacedLog],
+    mut select: impl FnMut(usize) -> bool,
+) -> Vec<ProfilePoint> {
+    placed
+        .iter()
+        .filter_map(|l| {
+            let (pos, toi) = l.containing_exec?;
+            if !select(pos) {
+                return None;
+            }
+            Some(ProfilePoint {
+                run,
+                exec_pos: Some(pos as u32),
+                toi_ns: Some(toi),
+                run_time_ns: l.run_time_ns,
+                power: l.power,
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,7 @@ use fingrav::baselines::unsynchronized;
 use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
 use fingrav::core::executor::CampaignExecutor;
-use fingrav::core::profile::{
-    loi_points, place_logs, push_loi_points, push_run_profile_points, run_profile_points,
-    ProfileAxis,
-};
+use fingrav::core::profile::{place_logs, push_loi_points, push_run_profile_points, ProfileAxis};
 use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::{FingravRunner, RunnerConfig};
 use fingrav::core::store::{ProfileStore, StoreCodecError};
@@ -21,7 +18,7 @@ use fingrav::workloads::suite;
 use proptest::prelude::*;
 
 mod common;
-use common::{build_store, build_trace, identity_sync};
+use common::{build_store, build_trace, identity_sync, loi_points, run_profile_points};
 
 // ---------------------------------------------------------------------
 // Property: store ⇄ binary round trips
