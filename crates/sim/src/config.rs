@@ -196,6 +196,9 @@ impl SimConfig {
         if self.telemetry.sensor_period > self.telemetry.logger_window {
             return Err("sensor period must not exceed the logger window".into());
         }
+        if self.telemetry.coarse_period.is_zero() || self.telemetry.coarse_window.is_zero() {
+            return Err("coarse logger period/window must be positive".into());
+        }
         if self.pm.control_period.is_zero() {
             return Err("PM control period must be positive".into());
         }
@@ -243,6 +246,25 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.telemetry.sensor_period = SimDuration::from_millis(10);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_zero_coarse_window() {
+        let mut cfg = SimConfig::default();
+        cfg.telemetry.coarse_window = SimDuration::ZERO;
+        assert!(cfg.validate().unwrap_err().contains("coarse"));
+        // A typed error from the engine, not a panic in the logger.
+        assert!(matches!(
+            crate::engine::Simulation::new(cfg, 0),
+            Err(crate::error::SimError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn validation_catches_zero_coarse_period() {
+        let mut cfg = SimConfig::default();
+        cfg.telemetry.coarse_period = SimDuration::ZERO;
+        assert!(cfg.validate().unwrap_err().contains("coarse"));
     }
 
     #[test]

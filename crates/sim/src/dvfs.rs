@@ -9,6 +9,8 @@
 //! there is headroom, and parks it at the idle frequency when the device
 //! has been quiet for a while.
 
+use std::cmp::Ordering;
+
 use crate::time::SimDuration;
 
 /// Power-management firmware parameters.
@@ -85,6 +87,29 @@ pub struct PmInput {
     pub idle_for: SimDuration,
 }
 
+/// A window-average power reading known to lie within `err_w` watts of the
+/// exact oldest-first fold the firmware's decisions are defined on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerEstimate {
+    /// The estimated average, watts.
+    pub avg_w: f64,
+    /// Bound on the distance from the exact average, watts.
+    pub err_w: f64,
+}
+
+impl PowerEstimate {
+    /// An estimate that is the exact value.
+    pub fn exact(avg_w: f64) -> Self {
+        PowerEstimate { avg_w, err_w: 0.0 }
+    }
+
+    /// False only when every value within the bound lies strictly on the
+    /// estimate's side of `threshold` (NaN-safe: a NaN estimate may cross).
+    fn may_cross(self, threshold: f64) -> bool {
+        (self.avg_w - threshold).abs().partial_cmp(&self.err_w) != Some(Ordering::Greater)
+    }
+}
+
 /// Power-management firmware state.
 ///
 /// # Examples
@@ -153,12 +178,12 @@ impl PmFirmware {
     /// Contract relied on by the engine's hot loop: when
     /// `input.busy_in_window` is false, `avg_power_w` is **never read** —
     /// the idle path only consults `idle_for`. The engine exploits this to
-    /// skip the O(window) power fold on idle control ticks, passing NaN as
-    /// a poison value so any future read of the average on the idle path
+    /// skip the power window on idle control ticks, passing NaN as a
+    /// poison value so any future read of the average on the idle path
     /// would surface immediately (see the idle-path poison test below).
     pub fn tick(&mut self, input: PmInput) -> f64 {
-        let c = self.cfg;
         if !input.busy_in_window {
+            let c = self.cfg;
             if input.idle_for >= c.idle_park_delay {
                 self.f_mhz = c.idle_f_mhz;
                 self.throttled_since_park = false;
@@ -167,19 +192,42 @@ impl PmFirmware {
             }
             return self.f_mhz;
         }
+        self.tick_busy(PowerEstimate::exact(input.avg_power_w), || {
+            input.avg_power_w
+        })
+    }
+
+    /// Runs one busy control tick from an estimate of the window average
+    /// and returns the (possibly unchanged) frequency.
+    ///
+    /// `exact` yields the exact average. It is called at most once, and
+    /// only when the estimate cannot settle a decision on its own: when
+    /// its bound straddles the cap or the restore threshold, or when the
+    /// tick takes a proportional throttle step, whose size depends on the
+    /// value. Every decision is therefore the one the exact average makes.
+    pub fn tick_busy(&mut self, estimate: PowerEstimate, exact: impl FnOnce() -> f64) -> f64 {
+        let c = self.cfg;
+        let restore_below = c.power_cap_w * c.restore_headroom;
+        let mut exact = Some(exact);
+        let mut exact_avg = |avg: f64| exact.take().map_or(avg, |fold| fold());
+        let mut avg = estimate.avg_w;
+        if estimate.may_cross(c.power_cap_w) || estimate.may_cross(restore_below) {
+            avg = exact_avg(avg);
+        }
 
         self.cooldown = self.cooldown.saturating_sub(1);
-        if input.avg_power_w > c.power_cap_w {
+        if avg > c.power_cap_w {
             self.under_cap_ticks = 0;
             if self.cooldown == 0 {
                 // Proportional throttle: deeper overshoot, bigger step.
-                let overshoot = (input.avg_power_w / c.power_cap_w - 1.0) / 0.05;
+                avg = exact_avg(avg);
+                let overshoot = (avg / c.power_cap_w - 1.0) / 0.05;
                 let step = c.throttle_step_mhz * overshoot.clamp(1.0, 4.0);
                 self.f_mhz = (self.f_mhz - step).max(c.f_min_mhz);
                 self.throttled_since_park = true;
                 self.cooldown = c.throttle_cooldown_ticks;
             }
-        } else if input.avg_power_w < c.power_cap_w * c.restore_headroom {
+        } else if avg < restore_below {
             if self.throttled_since_park {
                 // Patient recovery after an excursion: one small step every
                 // `restore_patience` consecutive under-cap ticks.
@@ -375,6 +423,51 @@ mod tests {
             PmConfig::default().idle_f_mhz,
             "long idle still parks"
         );
+    }
+
+    #[test]
+    fn estimate_asks_for_the_exact_average_only_near_a_threshold() {
+        let cfg = PmConfig::default();
+        let estimate = |avg_w: f64| PowerEstimate { avg_w, err_w: 1e-9 };
+        // Ticks a throttled firmware (cooling down, so no throttle step)
+        // with `estimate`, answering `exact` if asked; returns whether it
+        // asked and whether it ended where the exact tick does.
+        let run = |estimate: PowerEstimate, exact: f64| {
+            let mut pm = PmFirmware::default();
+            for _ in 0..20 {
+                pm.tick(busy(300.0));
+            }
+            pm.tick(busy(1000.0));
+            let mut reference = pm.clone();
+            reference.tick(busy(exact));
+            let mut asked = false;
+            pm.tick_busy(estimate, || {
+                asked = true;
+                exact
+            });
+            (asked, pm == reference)
+        };
+        assert_eq!(run(estimate(500.0), 500.0), (false, true));
+        // The bound straddles the cap, or the restore threshold: the exact
+        // value decides.
+        let cap = cfg.power_cap_w;
+        assert_eq!(run(estimate(cap - 5e-10), cap + 1e-10), (true, true));
+        let restore_below = cap * cfg.restore_headroom;
+        assert_eq!(
+            run(estimate(restore_below - 5e-10), restore_below),
+            (true, true)
+        );
+        // A proportional throttle step sizes itself from the exact value.
+        let mut pm = PmFirmware::default();
+        let mut asked = false;
+        pm.tick_busy(estimate(800.0), || {
+            asked = true;
+            800.0 + 1e-10
+        });
+        let mut reference = PmFirmware::default();
+        reference.tick(busy(800.0 + 1e-10));
+        assert!(asked);
+        assert_eq!(pm, reference);
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! [`Simulation::run_script`] interprets one host-side [`Script`] and
 //! returns the observable [`RunTrace`].
 
-use std::collections::VecDeque;
-
 use crate::clock::{CpuClock, GpuClock};
 use crate::config::SimConfig;
 use crate::device::GpuDevice;
-use crate::dvfs::{PmFirmware, PmInput};
+use crate::dvfs::{PmFirmware, PmInput, PowerEstimate};
 use crate::error::{SimError, SimResult};
 use crate::event::{HybridQueue, Popped};
 use crate::kernel::{KernelDesc, KernelHandle};
@@ -20,7 +18,7 @@ use crate::power::{FreqFactors, PowerModel};
 use crate::rng::SimRng;
 use crate::script::{HostOp, Script};
 use crate::session::{AbortHandle, NoopSink, TelemetryEvent, TelemetrySink};
-use crate::telemetry::AveragingPowerLogger;
+use crate::telemetry::{AveragingPowerLogger, SampleRing};
 use crate::thermal::ThermalState;
 use crate::time::{CpuTime, SimDuration, SimTime};
 use crate::trace::{RunTrace, TimedExecution, TimestampRead, TrueExecution};
@@ -89,6 +87,10 @@ pub struct EngineStats {
     pub max_queue_depth: usize,
     /// Scripts run to completion (including aborted ones).
     pub scripts_run: u64,
+    /// Busy PM ticks whose running window average could not settle the
+    /// firmware's decision, so the window was folded exactly (see
+    /// [`PmFirmware::tick_busy`]).
+    pub pm_exact_folds: u64,
 }
 
 /// Loop-invariant values hoisted out of the per-event handlers: periods,
@@ -101,7 +103,6 @@ struct HotLoop {
     pm_period: SimDuration,
     logger_period: SimDuration,
     coarse_period: SimDuration,
-    power_window: SimDuration,
     /// Busy detection reacts fast (a couple of control periods); only
     /// the cap decision uses the long slow-PPT power window.
     busy_window: SimDuration,
@@ -165,8 +166,8 @@ pub struct Simulation {
     pm: PmFirmware,
     logger: AveragingPowerLogger,
     coarse: AveragingPowerLogger,
-    /// Rolling instantaneous total power for the PM window.
-    pm_hist: VecDeque<(SimTime, f64)>,
+    /// Recent sensor samples: both loggers and the PM window read them.
+    samples: SampleRing,
     rng: SimRng,
     script: Option<ScriptState>,
     hot: HotLoop,
@@ -202,12 +203,16 @@ impl Simulation {
         let pm = PmFirmware::new(cfg.pm);
         let logger = AveragingPowerLogger::new(cfg.telemetry.logger_window);
         let coarse = AveragingPowerLogger::new(cfg.telemetry.coarse_window);
+        let samples = SampleRing::new(
+            cfg.telemetry.sensor_period,
+            cfg.telemetry.logger_window.max(cfg.telemetry.coarse_window),
+            cfg.pm.power_window,
+        );
         let hot = HotLoop {
             sensor_period: cfg.telemetry.sensor_period,
             pm_period: cfg.pm.control_period,
             logger_period: cfg.telemetry.logger_period,
             coarse_period: cfg.telemetry.coarse_period,
-            power_window: cfg.pm.power_window,
             busy_window: cfg.pm.control_period * 2,
             idle_fallback: SimDuration::from_millis(1_000_000),
             sensor_decay: thermal.decay_for(cfg.telemetry.sensor_period.as_secs_f64()),
@@ -228,7 +233,7 @@ impl Simulation {
             pm,
             logger,
             coarse,
-            pm_hist: VecDeque::new(),
+            samples,
             rng: SimRng::from_streams(seed, 0),
             script: None,
             hot,
@@ -255,9 +260,11 @@ impl Simulation {
     /// carries over — each shard is a fresh profiling session, which is
     /// precisely the isolation the paper's measurement guidance #2 demands.
     ///
-    /// Construction is cheap (no allocations beyond a handful of empty
-    /// queues), so forking per kernel in a many-kernel campaign costs
-    /// microseconds against seconds of profiling work.
+    /// Construction is cheap: besides a handful of empty queues it sizes
+    /// one sensor-sample ring from the telemetry and PM windows, which
+    /// fills only as the sensor samples. Forking per kernel in a
+    /// many-kernel campaign costs microseconds against seconds of
+    /// profiling work.
     ///
     /// # Errors
     ///
@@ -306,7 +313,7 @@ impl Simulation {
     }
 
     /// Cumulative hot-loop counters for this session: events popped,
-    /// queue-depth high-water mark, scripts completed.
+    /// queue-depth high-water mark, scripts completed, exact PM folds.
     pub fn engine_stats(&self) -> EngineStats {
         EngineStats {
             max_queue_depth: self.queue.high_water(),
@@ -526,18 +533,7 @@ impl Simulation {
         );
         self.thermal
             .step_decayed(self.hot.sensor_decay, power.total());
-        self.logger.push_sample(t, power);
-        self.coarse.push_sample(t, power);
-
-        self.pm_hist.push_back((t, power.total()));
-        let cutoff = t.saturating_sub(self.hot.power_window);
-        while let Some(&(front, _)) = self.pm_hist.front() {
-            if front < cutoff {
-                self.pm_hist.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.samples.push(t, power);
 
         if self.hot.record_instant_trace {
             if let Some(s) = self.script.as_mut() {
@@ -549,26 +545,30 @@ impl Simulation {
 
     fn handle_pm_tick(&mut self) {
         let t = self.now;
-        let busy_in_window = self.device.busy_within(t, self.hot.busy_window);
-        // The firmware's idle path never reads the window average (a
-        // documented contract of `PmFirmware::tick`), so the O(window)
-        // fold is skipped on idle control ticks; NaN poisons any
-        // accidental read.
-        let avg_power_w = if !busy_in_window {
-            f64::NAN
-        } else if self.pm_hist.is_empty() {
-            self.power_model
-                .idle_power(self.device.f_mhz(), self.thermal.temp_c())
-                .total()
+        let new_f = if !self.device.busy_within(t, self.hot.busy_window) {
+            // The firmware's idle path never reads the window average (a
+            // documented contract of `PmFirmware::tick`); NaN poisons any
+            // accidental read.
+            self.pm.tick(PmInput {
+                avg_power_w: f64::NAN,
+                busy_in_window: false,
+                idle_for: self.device.idle_for(t).unwrap_or(self.hot.idle_fallback),
+            })
+        } else if let Some(estimate) = self.samples.pm_estimate() {
+            // The running average settles most busy ticks; the firmware
+            // asks for the exact fold only when it could not.
+            let (samples, folds) = (&mut self.samples, &mut self.stats.pm_exact_folds);
+            self.pm.tick_busy(estimate, || {
+                *folds += 1;
+                samples.pm_exact_average()
+            })
         } else {
-            self.pm_hist.iter().map(|&(_, p)| p).sum::<f64>() / self.pm_hist.len() as f64
+            let idle = self
+                .power_model
+                .idle_power(self.device.f_mhz(), self.thermal.temp_c())
+                .total();
+            self.pm.tick_busy(PowerEstimate::exact(idle), || idle)
         };
-        let idle_for = self.device.idle_for(t).unwrap_or(self.hot.idle_fallback);
-        let new_f = self.pm.tick(PmInput {
-            avg_power_w,
-            busy_in_window,
-            idle_for,
-        });
         if (new_f - self.device.f_mhz()).abs() > f64::EPSILON {
             if let Some(s) = self.script.as_mut() {
                 s.trace.truth.freq_changes.push((t, new_f));
@@ -582,7 +582,7 @@ impl Simulation {
 
     fn handle_logger_emit<S: TelemetrySink + ?Sized>(&mut self, sink: &mut S) {
         let ticks = self.gpu_clock.ticks_at(self.now);
-        if let Some(log) = self.logger.emit(self.now, ticks) {
+        if let Some(log) = self.logger.emit(&self.samples, self.now, ticks) {
             sink.on_event(TelemetryEvent::PowerLogEmitted { coarse: false, log });
         }
         self.rearm_from_handler(self.hot.logger_period, SLOT_LOGGER_EMIT);
@@ -590,7 +590,7 @@ impl Simulation {
 
     fn handle_coarse_emit<S: TelemetrySink + ?Sized>(&mut self, sink: &mut S) {
         let ticks = self.gpu_clock.ticks_at(self.now);
-        if let Some(log) = self.coarse.emit(self.now, ticks) {
+        if let Some(log) = self.coarse.emit(&self.samples, self.now, ticks) {
             sink.on_event(TelemetryEvent::PowerLogEmitted { coarse: true, log });
         }
         self.rearm_from_handler(self.hot.coarse_period, SLOT_COARSE_EMIT);

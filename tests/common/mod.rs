@@ -5,7 +5,8 @@
 //! appenders are checked against, the deterministic golden `FGRVCKPT`
 //! fixtures,
 //! and the systematic truncation/corruption drivers both the `FGRVPROF`
-//! and `FGRVCKPT` adversarial suites run over. [`entry_bytes`] is the
+//! and `FGRVCKPT` adversarial suites run over, and the deque telemetry
+//! the sample ring is checked against (`sensor_ring.rs`). [`entry_bytes`] is the
 //! bit-exact report comparison the determinism tests and the resume and
 //! distributed examples share.
 //!
@@ -13,6 +14,8 @@
 //! own crate, so this module is compiled per binary; not every binary
 //! uses every helper.
 #![allow(dead_code)] // per-binary compilation: see note above
+
+use std::collections::VecDeque;
 
 use fingrav::core::binning::bin_durations;
 use fingrav::core::checkpoint::{
@@ -27,7 +30,7 @@ use fingrav::core::sync::{ReadDelayCalibration, TimeSync};
 use fingrav::sim::kernel::KernelHandle;
 use fingrav::sim::telemetry::PowerLog;
 use fingrav::sim::trace::{RunTrace, TimedExecution, TimestampRead};
-use fingrav::sim::{ComponentPower, CpuTime, GpuTicks, SimDuration};
+use fingrav::sim::{ComponentPower, CpuTime, GpuTicks, SimDuration, SimTime};
 
 /// Builds a store from three independently drawn columns (zipped to the
 /// shortest), with validity derived from the exec column.
@@ -136,6 +139,92 @@ pub fn loi_points(
             })
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------
+// Deque telemetry: the reference the sample ring is checked against
+// ---------------------------------------------------------------------
+
+/// The per-logger sample deque the engine kept before the sample ring: a
+/// push prunes samples older than the window before the new one, and an
+/// average folds the samples in `(t - window, t]` oldest first.
+pub struct DequeLogger {
+    window: SimDuration,
+    samples: VecDeque<(SimTime, ComponentPower)>,
+}
+
+impl DequeLogger {
+    pub fn new(window: SimDuration) -> Self {
+        DequeLogger {
+            window,
+            samples: VecDeque::new(),
+        }
+    }
+
+    pub fn push_sample(&mut self, t: SimTime, power: ComponentPower) {
+        self.samples.push_back((t, power));
+        let cutoff = t.saturating_sub(self.window);
+        while let Some(&(front, _)) = self.samples.front() {
+            if front < cutoff {
+                self.samples.pop_front();
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// The log an enabled logger emits at `t` (`None` for an empty window).
+    pub fn average(&self, t: SimTime) -> Option<ComponentPower> {
+        let cutoff = t.saturating_sub(self.window);
+        let mut sum = ComponentPower::ZERO;
+        let mut n = 0u32;
+        for &(st, p) in &self.samples {
+            if st > cutoff && st <= t {
+                sum += p;
+                n += 1;
+            }
+        }
+        (n > 0).then(|| sum / n as f64)
+    }
+}
+
+/// The PM window deque (`pm_hist`) the engine kept before the sample
+/// ring: totals no older than the window before the newest sample,
+/// averaged by a fresh oldest-first fold.
+pub struct DequePmWindow {
+    window: SimDuration,
+    hist: VecDeque<(SimTime, f64)>,
+}
+
+impl DequePmWindow {
+    pub fn new(window: SimDuration) -> Self {
+        DequePmWindow {
+            window,
+            hist: VecDeque::new(),
+        }
+    }
+
+    pub fn push(&mut self, t: SimTime, total: f64) {
+        self.hist.push_back((t, total));
+        let cutoff = t.saturating_sub(self.window);
+        while let Some(&(front, _)) = self.hist.front() {
+            if front < cutoff {
+                self.hist.pop_front();
+            } else {
+                break;
+            }
+        }
+    }
+
+    pub fn totals(&self) -> Vec<f64> {
+        self.hist.iter().map(|&(_, p)| p).collect()
+    }
+
+    /// The window average (`None` while empty).
+    pub fn average(&self) -> Option<f64> {
+        (!self.hist.is_empty())
+            .then(|| self.hist.iter().map(|&(_, p)| p).sum::<f64>() / self.hist.len() as f64)
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -316,6 +316,8 @@ fn engine_hot_loop_section_matches_the_engine() {
         "TelemetrySink",
         "run_script_with",
         "EngineStats",
+        "SampleRing",
+        "pm_exact_folds",
     ] {
         assert!(
             arch.contains(phrase),

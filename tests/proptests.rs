@@ -6,7 +6,7 @@ use fingrav::core::guidance::GuidanceTable;
 use fingrav::core::regression::PolyFit;
 use fingrav::core::stats::{median, median_u64, quantile};
 use fingrav::core::sync::{ReadDelayCalibration, TimeSync};
-use fingrav::sim::telemetry::AveragingPowerLogger;
+use fingrav::sim::telemetry::{AveragingPowerLogger, SampleRing};
 use fingrav::sim::{ComponentPower, CpuTime, GpuTicks, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -92,17 +92,19 @@ proptest! {
     fn logger_average_is_bounded(
         powers in prop::collection::vec(50.0f64..1000.0, 5..100),
     ) {
-        let mut logger = AveragingPowerLogger::new(SimDuration::from_millis(1));
-        logger.set_enabled(true);
+        let window = SimDuration::from_millis(1);
         let step = 20_000u64; // 20 us
+        let mut ring = SampleRing::new(SimDuration::from_nanos(step), window, window);
+        let mut logger = AveragingPowerLogger::new(window);
+        logger.set_enabled(true);
         for (i, &p) in powers.iter().enumerate() {
-            logger.push_sample(
+            ring.push(
                 SimTime::from_nanos(1 + i as u64 * step),
                 ComponentPower::new(p, 0.0, 0.0, 0.0),
             );
         }
         let emit_t = SimTime::from_nanos(1 + (powers.len() as u64 - 1) * step);
-        logger.emit(emit_t, GpuTicks::from_raw(0));
+        logger.emit(&ring, emit_t, GpuTicks::from_raw(0));
         // The pending count is the authoritative way to observe how many
         // logs accumulated; draining is reserved for consuming them.
         prop_assert_eq!(logger.pending_logs(), 1);
