@@ -10,7 +10,9 @@
 //! * `mean` — mean component power over every point;
 //! * `sort` — stable ordering by run-relative time (the CSV/series path);
 //! * `filter` — busy-window clipping (`0 ≤ t ≤ end` on LOIs only);
-//! * `encode/decode` — the columnar store's binary round trip.
+//! * `encode/decode` — the columnar store's binary round trip;
+//! * `csv` — the run-time-axis CSV render (sort plus fixed-point text),
+//!   from the owned store and from its view.
 //!
 //! Run with `cargo bench -p fingrav-bench --bench profile_store`. Use
 //! `--save-baseline NAME` / `--baseline NAME` (vendored-criterion
@@ -19,6 +21,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fingrav_core::mmap::MappedProfile;
 use fingrav_core::profile::{ProfileAxis, ProfilePoint};
+use fingrav_core::report::{columns_to_csv, view_to_csv};
 use fingrav_core::store::{ProfileStore, ProfileStoreView};
 use fingrav_sim::power::ComponentPower;
 
@@ -139,6 +142,13 @@ fn bench_profile_store(c: &mut Criterion) {
         })
     });
 
+    group.bench_function("csv/columns", |b| {
+        b.iter(|| black_box(columns_to_csv(&store, ProfileAxis::RunTime).len()))
+    });
+    group.bench_function("csv/view", |b| {
+        b.iter(|| black_box(view_to_csv(&view, ProfileAxis::RunTime).len()))
+    });
+
     group.bench_function("encode/columnar-binary", |b| {
         b.iter(|| black_box(store.to_bytes().len()))
     });
@@ -174,6 +184,10 @@ fn bench_profile_store(c: &mut Criterion) {
         "view decode must equal owned decode"
     );
     assert_eq!(view.mean_power(), store.mean_power());
+    assert_eq!(
+        view_to_csv(&view, ProfileAxis::RunTime),
+        columns_to_csv(&store, ProfileAxis::RunTime)
+    );
     assert_eq!(
         view.indices_where(|p| p.in_exec() && p.run_time_ns() >= 0.0 && p.run_time_ns() <= end_ns),
         store.indices_where(|p| p.in_exec() && p.run_time_ns() >= 0.0 && p.run_time_ns() <= end_ns),

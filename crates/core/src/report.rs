@@ -4,52 +4,156 @@
 //! artefacts: CSV series (one row per stitched point) for figures and
 //! markdown tables for tabular results.
 
-use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use crate::profile::{PowerProfile, ProfileAxis};
 use crate::runner::KernelPowerReport;
-use crate::store::{ProfileColumns, ProfileStoreView};
+use crate::store::{cmp_axis_keys, ProfileColumns, ProfileStoreView};
+
+/// The CSV header line [`columns_to_csv`] starts with.
+const CSV_HEADER: &[u8] = b"run,exec_pos,x_ns,total_w,xcd_w,iod_w,hbm_w,rest_w\n";
+
+/// Bytes reserved per CSV row: campaign rows run ~55 bytes, so one
+/// allocation usually holds the whole text without over-reserving.
+const CSV_ROW_BYTES: usize = 64;
 
 /// Renders any columnar store — owned [`crate::store::ProfileStore`] or
 /// borrowed [`ProfileStoreView`] — as CSV with header
 /// `run,exec_pos,x_ns,total_w,xcd_w,iod_w,hbm_w,rest_w`, with `x` chosen
 /// by `axis`, sorted by x.
 ///
-/// Rows come out of the columns through a stable index argsort (no point
-/// structs are materialized), and points that fell outside any execution
-/// render the historical `4294967295` (`u32::MAX`) sentinel in the
-/// `exec_pos` field. Both implementations of [`ProfileColumns`] drive the
-/// exact same formatting over the exact same kernel, so a view renders
-/// byte-identically to the owned store it was decoded from.
+/// Only points with a finite `x` are rendered (on the
+/// [`ProfileAxis::Toi`] axis, only points that have a TOI). Their
+/// `(x, index)` pairs are sorted stably under the store's axis-key order
+/// (no point structs are materialized), and points that fell outside any
+/// execution render the historical `4294967295` (`u32::MAX`) sentinel in
+/// the `exec_pos` field. `x` prints with one decimal and the five powers
+/// with three, through [`write_fixed`] — byte-identical to
+/// `format!("{:.1}")` / `format!("{:.3}")`. Both implementations of
+/// [`ProfileColumns`] drive the exact same formatting over the exact same
+/// kernel, so a view renders byte-identically to the owned store it was
+/// decoded from.
 pub fn columns_to_csv<C: ProfileColumns + ?Sized>(store: &C, axis: ProfileAxis) -> String {
-    let key = |i: usize| match axis {
-        ProfileAxis::RunTime => Some(store.run_time_at(i)),
-        ProfileAxis::Toi => store.toi_at(i),
-    };
-    let mut out = String::from("run,exec_pos,x_ns,total_w,xcd_w,iod_w,hbm_w,rest_w\n");
-    for i in crate::store::argsort_columns_by_axis(store, axis) {
+    let mut rows: Vec<(f64, u32)> = (0..store.len() as u32)
+        .filter_map(|i| {
+            let x = match axis {
+                ProfileAxis::RunTime => store.run_time_at(i as usize),
+                ProfileAxis::Toi => store.toi_at(i as usize)?,
+            };
+            x.is_finite().then_some((x, i))
+        })
+        .collect();
+    rows.sort_by(|a, b| cmp_axis_keys(a.0, b.0));
+
+    let mut out = Vec::with_capacity(CSV_HEADER.len() + rows.len() * CSV_ROW_BYTES);
+    out.extend_from_slice(CSV_HEADER);
+    for (x, i) in rows {
         let i = i as usize;
-        let Some(x) = key(i) else { continue };
-        if !x.is_finite() {
-            continue;
-        }
         let power = store.power_at(i);
-        let _ = writeln!(
-            out,
-            "{},{},{:.1},{:.3},{:.3},{:.3},{:.3},{:.3}",
-            store.run_at(i),
-            store.exec_pos_at(i).unwrap_or(u32::MAX),
-            x,
-            power.total(),
-            power.xcd,
-            power.iod,
-            power.hbm,
-            power.rest
+        write_u64(&mut out, u64::from(store.run_at(i)));
+        out.push(b',');
+        write_u64(
+            &mut out,
+            u64::from(store.exec_pos_at(i).unwrap_or(u32::MAX)),
         );
+        out.push(b',');
+        write_fixed(&mut out, x, 1);
+        for w in [power.total(), power.xcd, power.iod, power.hbm, power.rest] {
+            out.push(b',');
+            write_fixed(&mut out, w, 3);
+        }
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("the CSV writer emits only ASCII")
+}
+
+/// `10^p` for the precisions [`write_fixed`] renders itself: with a
+/// mantissa below `2^53`, `m · 10^p < 2^63` fits a `u64` for `p ≤ 3`.
+const POW10: [u64; 4] = [1, 10, 100, 1_000];
+
+/// `"00".."99"`, two ASCII digits per entry.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `n`.
+#[inline]
+pub fn write_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `x` with `precision` decimals, byte-identical to
+/// `write!(out, "{x:.precision$}")`.
+///
+/// For `precision ≤ 3` and `|x| < 2^53` this is exact integer arithmetic:
+/// with `x = m · 2^e` (`m < 2^53`, `e ≤ 0`), `m · 10^precision` fits a
+/// `u64`, so shifting it right by `-e` and rounding the remainder half to
+/// even yields the correctly rounded decimal of the exact binary value —
+/// what std's formatter prints. A shift of 64 or more leaves less than
+/// half a unit, i.e. zero, with the sign kept (`-0.000`). Non-finite
+/// values, `|x| ≥ 2^53` and larger precisions go through `write!`.
+#[inline]
+pub fn write_fixed(out: &mut Vec<u8>, x: f64, precision: usize) {
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = match biased {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << 52, biased - 1075),
+    };
+    let scale = match POW10.get(precision) {
+        Some(&scale) if biased != 0x7ff && e <= 0 => scale,
+        _ => {
+            let _ = write!(out, "{x:.precision$}");
+            return;
+        }
+    };
+    let scaled = m * scale;
+    let shift = e.unsigned_abs();
+    let q = match shift {
+        0 => scaled,
+        1..=63 => {
+            let q = scaled >> shift;
+            let rem = scaled & ((1 << shift) - 1);
+            let half = 1 << (shift - 1);
+            q + u64::from(rem > half || (rem == half && q & 1 == 1))
+        }
+        _ => 0,
+    };
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    write_u64(out, q / scale);
+    if precision > 0 {
+        out.push(b'.');
+        let mut digits = [b'0'; 3];
+        let mut rest = q % scale;
+        for d in digits[..precision].iter_mut().rev() {
+            *d = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        out.extend_from_slice(&digits[..precision]);
+    }
 }
 
 /// Renders a profile as CSV — see [`columns_to_csv`] for the format.

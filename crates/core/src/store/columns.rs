@@ -10,6 +10,8 @@
 //! order, which keeps means bit-identical across the owned, view, and
 //! mmap paths.
 
+use std::cmp::Ordering;
+
 use fingrav_sim::power::ComponentPower;
 
 use super::{ColumnDiff, ProfileStore, StoreCodecError, StoreDiff};
@@ -133,6 +135,16 @@ pub(crate) fn in_exec_count<C: ProfileColumns + ?Sized>(c: &C) -> usize {
         .sum()
 }
 
+/// The total order axis keys sort under: numbers compare by value (so
+/// `-0.0` and `+0.0` tie), and every NaN sorts after every number, tied
+/// with every other NaN — a stable sort keeps tied keys, NaNs included,
+/// in index order.
+#[inline]
+pub(crate) fn cmp_axis_keys(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Stable argsort by the chosen time axis; see
 /// [`ProfileStore::argsort_by_axis`] for the ordering contract.
 pub(crate) fn argsort_by_axis<C: ProfileColumns + ?Sized>(c: &C, axis: ProfileAxis) -> Vec<u32> {
@@ -141,7 +153,7 @@ pub(crate) fn argsort_by_axis<C: ProfileColumns + ?Sized>(c: &C, axis: ProfileAx
             let mut pairs: Vec<(f64, u32)> = (0..c.len() as u32)
                 .map(|i| (c.run_time_at(i as usize), i))
                 .collect();
-            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            pairs.sort_by(|a, b| cmp_axis_keys(a.0, b.0));
             pairs.into_iter().map(|(_, i)| i).collect()
         }
         ProfileAxis::Toi => {
@@ -151,11 +163,7 @@ pub(crate) fn argsort_by_axis<C: ProfileColumns + ?Sized>(c: &C, axis: ProfileAx
                     None => (0, 0.0, i),
                 })
                 .collect();
-            pairs.sort_by(|a, b| {
-                (a.0, a.1)
-                    .partial_cmp(&(b.0, b.1))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            pairs.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp_axis_keys(a.1, b.1)));
             pairs.into_iter().map(|(_, _, i)| i).collect()
         }
     }

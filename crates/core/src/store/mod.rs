@@ -72,7 +72,7 @@ use crate::profile::{ProfileAxis, ProfilePoint};
 mod columns;
 mod view;
 
-pub(crate) use columns::argsort_by_axis as argsort_columns_by_axis;
+pub(crate) use columns::cmp_axis_keys;
 pub use columns::ProfileColumns;
 pub use view::{ColumnLayout, ProfileStoreView, ViewPointRef};
 
@@ -417,15 +417,16 @@ impl ProfileStore {
     /// Stable argsort of the points by the chosen time axis: returns the
     /// index permutation instead of moving any column data. Points without
     /// a TOI sort first on the [`ProfileAxis::Toi`] axis (matching the
-    /// historical `Option<f64>` ordering); non-comparable keys keep their
-    /// relative order.
+    /// historical `Option<f64>` ordering). Keys are totally ordered:
+    /// numbers ascend by value (`-0.0` and `+0.0` tie), then every NaN
+    /// key follows, and tied keys — NaNs included — keep index order. On
+    /// NaN-free keys this is the plain ascending `f64` order.
     ///
     /// Internally this sorts compact `(key, index)` pairs gathered from
     /// the key column — one sequential column read, then a sort over
     /// small flat elements with no per-comparison indirection. The
     /// [`ProfileAxis::Toi`] keys carry an explicit validity byte ordered
-    /// before the value, which reproduces `Option<f64>` ordering exactly
-    /// (`None` first, `NaN`s incomparable ⇒ stable).
+    /// before the value (`None` first).
     pub fn argsort_by_axis(&self, axis: ProfileAxis) -> Vec<u32> {
         columns::argsort_by_axis(self, axis)
     }
@@ -960,6 +961,55 @@ mod tests {
         assert_eq!(s.argsort_by_axis(ProfileAxis::Toi), vec![1, 2, 0]);
         let sorted = s.sorted_by_axis(ProfileAxis::RunTime);
         assert_eq!(sorted.run_times_ns(), &[10.0, 10.0, 30.0]);
+    }
+
+    #[test]
+    fn argsort_orders_nan_and_infinite_keys_totally() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let keys = [nan, 2.0, -inf, nan, -0.0, inf, 0.0, 1.0];
+        let s = ProfileStore::from_points(keys.iter().enumerate().map(|(i, &k)| {
+            let i = i as u32;
+            // Index 7 has no TOI, so it leads the TOI order.
+            let toi = (i != 7).then_some(k);
+            pt(i, toi.map(|_| i), toi, k, 1.0)
+        }));
+        let bytes = s.to_bytes();
+        let view = ProfileStoreView::new(&bytes).unwrap();
+        // Numbers ascend (-0.0 and 0.0 tie, in index order), NaNs follow
+        // every number, in index order.
+        let by_run = vec![2, 4, 6, 7, 1, 5, 0, 3];
+        let by_toi = vec![7, 2, 4, 6, 1, 5, 0, 3];
+        assert_eq!(s.argsort_by_axis(ProfileAxis::RunTime), by_run);
+        assert_eq!(view.argsort_by_axis(ProfileAxis::RunTime), by_run);
+        assert_eq!(s.argsort_by_axis(ProfileAxis::Toi), by_toi);
+        assert_eq!(view.argsort_by_axis(ProfileAxis::Toi), by_toi);
+        // Many NaNs between numbers: a non-total comparator panics or
+        // misorders here; the total one sorts the numbers and keeps the
+        // NaNs in index order at the end.
+        let many = ProfileStore::from_points((0..200u32).map(|i| {
+            let k = if i % 3 == 0 {
+                nan
+            } else {
+                f64::from((i * 37) % 101)
+            };
+            pt(i, Some(i), Some(k), k, 1.0)
+        }));
+        let bytes = many.to_bytes();
+        let many_view = ProfileStoreView::new(&bytes).unwrap();
+        for axis in [ProfileAxis::RunTime, ProfileAxis::Toi] {
+            let order = many.argsort_by_axis(axis);
+            assert_eq!(many_view.argsort_by_axis(axis), order);
+            let keys: Vec<f64> = order
+                .iter()
+                .map(|&i| many.run_time_ns(i as usize))
+                .collect();
+            let numbers = keys.iter().take_while(|k| !k.is_nan()).count();
+            assert_eq!(numbers, 133);
+            assert!(keys[..numbers].windows(2).all(|w| w[0] <= w[1]));
+            assert!(order[numbers..].windows(2).all(|w| w[0] < w[1]));
+            assert!(order[numbers..].iter().all(|i| i % 3 == 0));
+        }
     }
 
     #[test]

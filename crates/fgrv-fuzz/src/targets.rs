@@ -9,7 +9,9 @@
 //! * accepted inputs re-encode and re-decode to an equal value;
 //! * accepted inputs followed by junk bytes are handled as the format
 //!   says: [`ProfileStoreView::split_prefix`] hands the junk back, and an
-//!   [`EntryArtifact`] rejects it as trailing bytes.
+//!   [`EntryArtifact`] rejects it as trailing bytes;
+//! * accepted stores argsort and render to CSV on both axes without
+//!   panicking, the owned store and its view identically.
 //!
 //! Any violation comes back as `Err(description)` — a divergence the
 //! harness records, minimizes, and writes out as a crash artifact.
@@ -18,6 +20,8 @@ use std::io::{self, Read};
 use std::time::Duration;
 
 use fingrav_core::checkpoint::{CampaignManifest, CheckpointError, EntryArtifact, StageCheckpoint};
+use fingrav_core::profile::ProfileAxis;
+use fingrav_core::report::{columns_to_csv, view_to_csv};
 use fingrav_core::store::{ProfileStore, ProfileStoreView};
 use fingrav_core::transport::{read_next_frame, read_preamble, write_preamble, Frame};
 use fingrav_core::{ProfilePoint, ProfilingEvent, StageKind};
@@ -28,8 +32,9 @@ use crate::corpus::taxonomy_hash;
 /// One decode path under fuzz.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
-    /// `FGRVPROF`: [`ProfileStore::from_bytes`] and
-    /// [`ProfileStoreView::split_prefix`].
+    /// `FGRVPROF`: [`ProfileStore::from_bytes`],
+    /// [`ProfileStoreView::split_prefix`], and the argsort and CSV render
+    /// of both.
     Prof,
     /// `FGRVCKPT` manifest section: [`CampaignManifest::from_bytes`].
     CkptManifest,
@@ -59,7 +64,7 @@ pub const TARGETS: [TargetInfo; 5] = [
     TargetInfo {
         name: "prof",
         target: Target::Prof,
-        description: "FGRVPROF store: decode, round trip, split_prefix",
+        description: "FGRVPROF store: decode, round trip, split_prefix, owned ≡ view argsort and CSV render",
     },
     TargetInfo {
         name: "ckpt-manifest",
@@ -258,6 +263,16 @@ fn run_prof(input: &[u8]) -> Result<Taxonomy, String> {
         Ok((prefix, rest)) if rest == JUNK => {
             if !store.diff_view(&prefix).is_identical() {
                 return Err("split_prefix prefix decoded differently".to_string());
+            }
+            // Accepted stores sort and render (NaN and infinite keys
+            // included), the view exactly as the owned store.
+            for axis in [ProfileAxis::RunTime, ProfileAxis::Toi] {
+                if store.argsort_by_axis(axis) != prefix.argsort_by_axis(axis) {
+                    return Err(format!("{axis:?} argsort differs between store and view"));
+                }
+                if columns_to_csv(&store, axis) != view_to_csv(&prefix, axis) {
+                    return Err(format!("{axis:?} CSV differs between store and view"));
+                }
             }
         }
         Ok((_, rest)) => {
