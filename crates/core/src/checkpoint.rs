@@ -95,6 +95,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fingrav_sim::kernel::{KernelDesc, KernelHandle};
 use fingrav_sim::power::{Activity, ComponentPower};
@@ -108,6 +109,7 @@ use crate::binning::{Bin, Binning};
 use crate::campaign::{Campaign, CampaignReport};
 use crate::cover;
 use crate::error::MethodologyError;
+use crate::executor::CampaignOutcome;
 use crate::guidance::GuidanceEntry;
 use crate::mmap::MappedProfile;
 use crate::profile::{PowerProfile, ProfileKind};
@@ -1764,12 +1766,16 @@ impl CheckpointDir {
             root: root.to_path_buf(),
         };
         if !dir.manifest_path().is_file() {
-            return Err(CheckpointError::Io(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no {MANIFEST_FILE} under {}", root.display()),
-            )));
+            return Err(dir.missing_manifest());
         }
         Ok(dir)
+    }
+
+    fn missing_manifest(&self) -> CheckpointError {
+        CheckpointError::Io(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no {MANIFEST_FILE} under {}", self.root.display()),
+        ))
     }
 
     /// The directory root.
@@ -1965,11 +1971,12 @@ pub struct GatheredStores {
     pub ssp: ProfileStore,
 }
 
-/// Verifies two persisted copies of the same entry against each other,
-/// naming the shards and the first differing column on a mismatch. Also
-/// used by the executor's persisting observer and the transport
-/// coordinator to check a re-measured entry against a copy left by an
-/// earlier run.
+/// Verifies a copy of entry `index` persisted under shard `a_shard`
+/// against a second copy: another persisted one (`b_shard = Some(shard)`,
+/// as `gather` and a restore check crash-window duplicates) or a fresh
+/// measurement about to be persisted (`b_shard = None`, as the durable
+/// campaign ledger checks a re-measured entry). A mismatch names the
+/// shards and the first differing column.
 ///
 /// The encoding is canonical (a deterministic function of the artifact),
 /// so byte-equal copies are identical copies — the common case costs one
@@ -1980,7 +1987,7 @@ pub(crate) fn verify_duplicate_bytes(
     index: usize,
     a_shard: u32,
     a_bytes: &[u8],
-    b_shard: u32,
+    b_shard: Option<u32>,
     b_bytes: &[u8],
 ) -> Result<(), CheckpointError> {
     if a_bytes == b_bytes {
@@ -1988,6 +1995,15 @@ pub(crate) fn verify_duplicate_bytes(
     }
     let a = EntryArtifactView::parse(a_bytes)?;
     let b = EntryArtifactView::parse(b_bytes)?;
+    let copies = match b_shard {
+        Some(b_shard) => {
+            format!("entry {index} disagrees between shard {a_shard} and shard {b_shard}")
+        }
+        None => format!(
+            "entry {index}: the fresh measurement differs from the copy persisted under shard \
+             {a_shard}"
+        ),
+    };
     for (what, left, right) in [
         ("run", a.run_store(), b.run_store()),
         ("sse", a.sse_store(), b.sse_store()),
@@ -1996,8 +2012,7 @@ pub(crate) fn verify_duplicate_bytes(
         let diff = left.diff(right);
         if !diff.is_identical() {
             return Err(CheckpointError::Corrupt(format!(
-                "entry {index} disagrees between shard {a_shard} and shard {b_shard}: \
-                 {what} profile {}",
+                "{copies}: {what} profile {}",
                 diff.mismatch_brief()
             )));
         }
@@ -2005,8 +2020,7 @@ pub(crate) fn verify_duplicate_bytes(
     // The bytes differ but every profile column agrees, so the
     // disagreement is in the scalar fields (or the profile labels).
     Err(CheckpointError::Corrupt(format!(
-        "entry {index} disagrees between shard {a_shard} and shard {b_shard}: \
-         report scalars differ (profiles are identical)"
+        "{copies}: report scalars differ (profiles are identical)"
     )))
 }
 
@@ -2058,33 +2072,35 @@ pub fn gather_stores(
     Ok(gather_impl(dir, campaign, false)?.0)
 }
 
-/// Checks an entry view's self-claims against its slot: claimed index,
-/// config digest, and manifest label (in [`gather`]'s historical order).
-fn check_entry_view(
+/// The one entry self-check: an entry view's claimed index, config
+/// digest, and label must match slot `index` of the campaign digesting to
+/// `digest`, whose entry is labelled `label`. `whence` names the copy in
+/// the error (a file and its shard, or a worker's artifact). Used by
+/// [`gather`], by the ledger's restore, and by the transport coordinator
+/// on every artifact a worker delivers.
+pub(crate) fn check_entry_view(
     view: &EntryArtifactView<'_>,
     index: usize,
-    shard: u32,
-    path: &Path,
-    manifest: &CampaignManifest,
+    digest: u64,
+    label: &str,
+    whence: fmt::Arguments<'_>,
 ) -> Result<(), CheckpointError> {
     if view.index as usize != index {
         return Err(CheckpointError::Corrupt(format!(
-            "entry file {} claims index {} (shard {shard})",
-            path.display(),
+            "{whence} claims index {} but stands for entry {index}",
             view.index
         )));
     }
-    if view.config_digest != manifest.config_digest {
+    if view.config_digest != digest {
         return Err(CheckpointError::ConfigMismatch {
-            expected: manifest.config_digest,
+            expected: digest,
             found: view.config_digest,
         });
     }
-    if view.label() != manifest.entries[index].label {
+    if view.label() != label {
         return Err(CheckpointError::Corrupt(format!(
-            "entry {index} (shard {shard}) is labelled `{}` but the manifest says `{}`",
-            view.label(),
-            manifest.entries[index].label
+            "{whence} is labelled `{}` but entry {index} is `{label}`",
+            view.label()
         )));
     }
     Ok(())
@@ -2109,46 +2125,26 @@ fn gather_impl(
     let manifest = dir.read_manifest()?;
     manifest.verify_against(campaign)?;
 
-    let files = dir.entry_files()?;
-    let mut covered = vec![false; campaign.len()];
+    let copies = scan_copies(dir, campaign.len())?;
     let (mut run_total, mut sse_total, mut ssp_total) = (0usize, 0usize, 0usize);
-    // `entry_files` sorts by (index, shard), so one index's copies are
-    // adjacent: the outer loop walks primaries, the inner loop their
-    // crash-window duplicates.
-    let mut i = 0;
-    while i < files.len() {
-        let (shard, index, path) = &files[i];
-        if *index >= campaign.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "shard {shard} holds entry {index} but the campaign has only {} entries",
-                campaign.len()
-            )));
+    let mut missing = Vec::new();
+    for (index, (row, copies)) in manifest.entries.iter().zip(&copies).enumerate() {
+        let lens = read_copies(index, copies, manifest.config_digest, &row.label, |view| {
+            (
+                view.run_store().len(),
+                view.sse_store().len(),
+                view.ssp_store().len(),
+            )
+        })?;
+        match lens {
+            Some((run, sse, ssp)) => {
+                run_total += run;
+                sse_total += sse;
+                ssp_total += ssp;
+            }
+            None => missing.push(index),
         }
-        let mapped = MappedProfile::open(path)?;
-        let view = EntryArtifactView::parse(mapped.bytes())?;
-        check_entry_view(&view, *index, *shard, path, &manifest)?;
-        covered[*index] = true;
-        run_total += view.run_store().len();
-        sse_total += view.sse_store().len();
-        ssp_total += view.ssp_store().len();
-        let mut j = i + 1;
-        while j < files.len() && files[j].1 == *index {
-            let (dup_shard, _, dup_path) = &files[j];
-            let dup = MappedProfile::open(dup_path)?;
-            let dup_view = EntryArtifactView::parse(dup.bytes())?;
-            check_entry_view(&dup_view, *index, *dup_shard, dup_path, &manifest)?;
-            verify_duplicate_bytes(*index, *shard, mapped.bytes(), *dup_shard, dup.bytes())?;
-            j += 1;
-        }
-        i = j;
     }
-
-    let missing: Vec<usize> = covered
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !**c)
-        .map(|(i, _)| i)
-        .collect();
     if !missing.is_empty() {
         return Err(CheckpointError::Incomplete { missing });
     }
@@ -2159,9 +2155,7 @@ fn gather_impl(
         ssp: ProfileStore::with_capacity(ssp_total),
     };
     let mut reports = want_reports.then(|| Vec::with_capacity(campaign.len()));
-    let mut i = 0;
-    while i < files.len() {
-        let (_, index, path) = &files[i];
+    for (_, path) in copies.iter().filter_map(|copies| copies.first()) {
         let mapped = MappedProfile::open(path)?;
         // Pass 1 already vetted this file; the re-parse revalidates for
         // free while slicing the column blocks (the pages are hot).
@@ -2172,119 +2166,302 @@ fn gather_impl(
         if let Some(reports) = reports.as_mut() {
             reports.push(view.to_report());
         }
-        let mut j = i + 1;
-        while j < files.len() && files[j].1 == *index {
-            j += 1;
-        }
-        i = j;
     }
     Ok((stores, reports))
 }
 
-// ---------------------------------------------------------------------
-// Restore (shared by local resume and the transport coordinator)
-// ---------------------------------------------------------------------
-
-/// Result of [`restore_done_entries`]: the restored `(index, report)`
-/// pairs, then the ascending indices that must be (re-)measured.
-pub(crate) type RestoredEntries = (Vec<(usize, KernelPowerReport)>, Vec<usize>);
-
-/// Restores every `Done` entry of `manifest` from its persisted artifact
-/// and plans the rest: returns the restored `(index, report)` pairs plus
-/// the ascending list of indices that must be (re-)measured. Shared by
-/// [`crate::executor::CampaignExecutor::resume`] and the cross-node
-/// coordinator ([`crate::transport`]), so both trust a checkpoint under
-/// exactly the same verification:
-///
-/// * every restored artifact's own digest, index, and label must agree
-///   with the manifest;
-/// * crash-window duplicates must be bit-identical
-///   ([`verify_duplicate_bytes`]) before any copy is trusted;
-/// * a `Done` entry whose file vanished is demoted to `Pending` in
-///   `manifest` and re-planned instead of failing the restore.
-///
-/// Files are opened through [`MappedProfile`] and validated as borrowed
-/// [`EntryArtifactView`]s; only the copy actually restored decodes its
-/// profiles, and duplicates are verified without decoding at all.
-pub(crate) fn restore_done_entries(
-    ckdir: &CheckpointDir,
-    campaign: &Campaign,
-    manifest: &mut CampaignManifest,
-) -> Result<RestoredEntries, CheckpointError> {
-    // One directory scan, indexed per entry (a per-entry find_entry would
-    // walk every shard directory once per Done entry).
-    let mut files_by_index: Vec<Vec<(u32, PathBuf)>> = vec![Vec::new(); campaign.len()];
-    for (shard, index, path) in ckdir.entry_files()? {
-        if index >= campaign.len() {
+/// One directory scan, indexed per campaign entry: every persisted copy
+/// of each entry as `(shard, path)`, by ascending shard. A file naming an
+/// entry past the campaign's end is corrupt.
+fn scan_copies(
+    dir: &CheckpointDir,
+    entries: usize,
+) -> Result<Vec<Vec<(u32, PathBuf)>>, CheckpointError> {
+    let mut copies = vec![Vec::new(); entries];
+    for (shard, index, path) in dir.entry_files()? {
+        let Some(slot) = copies.get_mut(index) else {
             return Err(CheckpointError::Corrupt(format!(
-                "shard {shard} holds entry {index} but the campaign has only {} entries",
-                campaign.len()
+                "shard {shard} holds entry {index} but the campaign has only {entries} entries"
             )));
+        };
+        slot.push((shard, path));
+    }
+    Ok(copies)
+}
+
+/// Reads entry `index` from its persisted `copies` (`None` when there are
+/// none): the first copy must pass [`check_entry_view`] against the
+/// campaign's `digest` and the entry's `label`, and every crash-window
+/// duplicate must be bit-identical to it before `read` sees its view. At
+/// most the first copy and one duplicate are mapped at a time, and
+/// duplicates decode nothing.
+fn read_copies<T>(
+    index: usize,
+    copies: &[(u32, PathBuf)],
+    digest: u64,
+    label: &str,
+    read: impl FnOnce(&EntryArtifactView<'_>) -> T,
+) -> Result<Option<T>, CheckpointError> {
+    let Some(((shard, path), duplicates)) = copies.split_first() else {
+        return Ok(None);
+    };
+    let mapped = MappedProfile::open(path)?;
+    let view = EntryArtifactView::parse(mapped.bytes())?;
+    check_entry_view(
+        &view,
+        index,
+        digest,
+        label,
+        format_args!("entry file {} (shard {shard})", path.display()),
+    )?;
+    for (dup_shard, dup_path) in duplicates {
+        let dup = MappedProfile::open(dup_path)?;
+        verify_duplicate_bytes(index, *shard, mapped.bytes(), Some(*dup_shard), dup.bytes())?;
+    }
+    Ok(Some(read(&view)))
+}
+
+// ---------------------------------------------------------------------
+// Ledger (the durable-campaign rules of every front end)
+// ---------------------------------------------------------------------
+
+/// How [`Ledger::open`] treats the checkpoint directory it opens.
+pub(crate) enum Opening {
+    /// A fresh durable run (`CampaignExecutor::execute_sharded`): a
+    /// directory that checkpoints a different campaign is refused, then
+    /// this plan replaces its manifest and every entry is measured.
+    Fresh(CampaignManifest),
+    /// A local resume (`CampaignExecutor::resume`): the manifest must
+    /// exist; its `Done` entries are restored and the rest are re-planned
+    /// round-robin across `workers`.
+    Resume {
+        /// Worker count of the resuming executor.
+        workers: usize,
+    },
+    /// A served campaign (`Coordinator::serve`): restored like `Resume`
+    /// when the directory already holds a manifest, else started from
+    /// this plan. The manifest then plans one worker, and each entry
+    /// moves to the shard of the worker that completes it.
+    RestoreIfPresent(CampaignManifest),
+}
+
+/// The durable-campaign ledger: every checkpoint decision the local
+/// executor and the transport coordinator share. It owns the directory,
+/// the manifest, the entry files found on disk at opening, and the first
+/// persistence failure, and it makes every status transition:
+///
+/// * an entry becomes `Done` only after its bytes agree with each copy an
+///   earlier run left on disk (the crash window between an entry write
+///   and its manifest update) and have been written, so it is durable
+///   before any observer hears that it finished;
+/// * a failed entry becomes `Failed`, or `Aborted` when a cancellation
+///   cut it short;
+/// * the first persistence failure is kept: both front ends stop claiming
+///   entries once [`Ledger::failed`] is true, and [`Ledger::close`]
+///   returns it.
+pub(crate) struct Ledger {
+    dir: CheckpointDir,
+    digest: u64,
+    manifest: Mutex<CampaignManifest>,
+    /// Entry files on disk at opening, per campaign index.
+    copies: Vec<Vec<(u32, PathBuf)>>,
+    failure: Mutex<Option<CheckpointError>>,
+}
+
+impl Ledger {
+    /// Opens the checkpoint at `root` for `campaign`, returning the ledger,
+    /// an outcome holding the restored reports, and the ascending indices
+    /// left to measure. The manifest is written only when opening changed
+    /// it, so resuming a complete checkpoint writes nothing.
+    ///
+    /// A restored `Done` entry must pass [`check_entry_view`], and its
+    /// crash-window duplicates must be bit-identical to it; a `Done` entry
+    /// whose file vanished is demoted to `Pending` and re-planned.
+    pub(crate) fn open(
+        root: &Path,
+        campaign: &Campaign,
+        opening: Opening,
+    ) -> Result<(Ledger, CampaignOutcome, Vec<usize>), CheckpointError> {
+        let dir = match opening {
+            Opening::Resume { .. } => CheckpointDir::open(root)?,
+            _ => CheckpointDir::create(root)?,
+        };
+        let on_disk = if dir.manifest_path().is_file() {
+            let manifest = dir.read_manifest()?;
+            manifest.verify_against(campaign)?;
+            Some(manifest)
+        } else {
+            None
+        };
+        // One directory scan for the ledger's lifetime.
+        let copies = scan_copies(&dir, campaign.len())?;
+
+        let mut outcome = CampaignOutcome::empty(campaign.len());
+        let (manifest, plan) = match (opening, on_disk.clone()) {
+            (Opening::Fresh(plan), _) | (Opening::RestoreIfPresent(plan), None) => {
+                (plan, (0..campaign.len()).collect())
+            }
+            (Opening::Resume { workers }, Some(mut manifest)) => {
+                let plan = restore(&mut manifest, &copies, &mut outcome)?;
+                if !plan.is_empty() {
+                    // The resuming executor's worker count may differ from
+                    // the original run's.
+                    manifest.workers = workers as u32;
+                    for (pos, &index) in plan.iter().enumerate() {
+                        if let Some(row) = manifest.entries.get_mut(index) {
+                            row.shard = (pos % workers) as u32;
+                        }
+                    }
+                }
+                (manifest, plan)
+            }
+            (Opening::RestoreIfPresent(_), Some(mut manifest)) => {
+                let plan = restore(&mut manifest, &copies, &mut outcome)?;
+                manifest.workers = 1;
+                (manifest, plan)
+            }
+            // The manifest vanished after `CheckpointDir::open` saw it.
+            (Opening::Resume { .. }, None) => return Err(dir.missing_manifest()),
+        };
+        if on_disk.as_ref() != Some(&manifest) {
+            dir.write_manifest(&manifest)?;
         }
-        files_by_index[index].push((shard, path));
+        let ledger = Ledger {
+            dir,
+            digest: manifest.config_digest,
+            manifest: Mutex::new(manifest),
+            copies,
+            failure: Mutex::new(None),
+        };
+        Ok((ledger, outcome, plan))
     }
 
-    let mut restored = Vec::new();
-    let mut plan = Vec::new();
-    for (index, copies) in files_by_index.iter().enumerate() {
-        if manifest.entries[index].status == EntryStatus::Done {
-            // Restore the persisted report; a missing file (crash between
-            // the manifest update and a later inspection) demotes the
-            // entry back to a re-run instead of failing.
-            match copies.first() {
-                Some((shard, path)) => {
-                    let mapped = MappedProfile::open(path)?;
-                    let view = EntryArtifactView::parse(mapped.bytes())?;
-                    if view.config_digest != manifest.config_digest {
-                        return Err(CheckpointError::ConfigMismatch {
-                            expected: manifest.config_digest,
-                            found: view.config_digest,
-                        });
-                    }
-                    // The file must actually hold this slot's entry (a
-                    // copied/renamed file during manual recovery would
-                    // otherwise fill the slot with wrong data).
-                    if view.index as usize != index {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "entry file {} (shard {shard}) claims index {} but sits in \
-                             slot {index}",
-                            path.display(),
-                            view.index
-                        )));
-                    }
-                    if view.label() != manifest.entries[index].label {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "entry {index} (shard {shard}) is labelled `{}` but the \
-                             manifest says `{}`",
-                            view.label(),
-                            manifest.entries[index].label
-                        )));
-                    }
-                    // Crash-window duplicates must agree before any copy
-                    // is trusted (same verification gather does); a
-                    // diverged copy names its shard and column.
-                    for (other_shard, other_path) in &copies[1..] {
-                        let other = MappedProfile::open(other_path)?;
-                        verify_duplicate_bytes(
-                            index,
-                            *shard,
-                            mapped.bytes(),
-                            *other_shard,
-                            other.bytes(),
-                        )?;
-                    }
-                    restored.push((index, view.to_report()));
-                }
-                None => {
-                    manifest.entries[index].status = EntryStatus::Pending;
-                    plan.push(index);
-                }
+    /// The campaign digest every entry of this checkpoint carries.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// True once a persistence failure was recorded: claim no more entries.
+    pub(crate) fn failed(&self) -> bool {
+        lock(&self.failure).is_some()
+    }
+
+    /// Records a locally measured entry under its planned shard.
+    pub(crate) fn record_report(&self, index: usize, report: &KernelPowerReport) {
+        let shard = lock(&self.manifest)
+            .entries
+            .get(index)
+            .map_or(0, |row| row.shard);
+        // Encoding once, from the borrowed report, serves both the
+        // crash-window comparison and the write.
+        let bytes = encode_entry_bytes(index as u32, self.digest, report);
+        self.record_done(index, shard, &bytes);
+    }
+
+    /// Records a finished entry's encoded artifact under `shard`: verified
+    /// against every crash-window copy (a disagreement means checkpoint and
+    /// campaign have diverged, and is never overwritten), written, then
+    /// marked `Done`. The caller vouches that `bytes` encode entry `index`
+    /// of this campaign ([`check_entry_view`]).
+    pub(crate) fn record_done(&self, index: usize, shard: u32, bytes: &[u8]) {
+        let result = (|| {
+            for (old_shard, path) in self.copies.get(index).into_iter().flatten() {
+                let old = MappedProfile::open(path)?;
+                verify_duplicate_bytes(index, *old_shard, old.bytes(), None, bytes)?;
             }
+            self.dir.write_entry_bytes(shard, index, bytes)?;
+            self.update(index, |row| {
+                row.shard = shard;
+                row.status = EntryStatus::Done;
+            })
+        })();
+        self.keep_first(result);
+    }
+
+    /// Records entry `index`'s measurement failure: `Aborted` for a
+    /// cancelled session, `Failed` otherwise.
+    pub(crate) fn record_failed(&self, index: usize, error: &MethodologyError) {
+        let status = if matches!(error, MethodologyError::Aborted) {
+            EntryStatus::Aborted
         } else {
-            plan.push(index);
+            EntryStatus::Failed
+        };
+        let result = self.update(index, |row| row.status = status);
+        self.keep_first(result);
+    }
+
+    /// Sets the manifest's worker count; written with the next status change.
+    pub(crate) fn set_workers(&self, workers: u32) {
+        lock(&self.manifest).workers = workers;
+    }
+
+    /// Where entry `index` is (or will be) persisted.
+    pub(crate) fn entry_path(&self, index: usize) -> Option<PathBuf> {
+        let manifest = lock(&self.manifest);
+        let shard = manifest.entries.get(index)?.shard;
+        Some(self.dir.entry_path(shard, index))
+    }
+
+    /// Ends the campaign, returning the first persistence failure.
+    pub(crate) fn close(self) -> Result<(), CheckpointError> {
+        let failure = lock(&self.failure).take();
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// Edits entry `index`'s manifest row and rewrites the manifest (an
+    /// atomic replace per change, so a crash leaves it resumable).
+    fn update(
+        &self,
+        index: usize,
+        edit: impl FnOnce(&mut ManifestEntry),
+    ) -> Result<(), CheckpointError> {
+        let mut manifest = lock(&self.manifest);
+        if let Some(row) = manifest.entries.get_mut(index) {
+            edit(row);
+        }
+        self.dir.write_manifest(&manifest)
+    }
+
+    fn keep_first(&self, result: Result<(), CheckpointError>) {
+        if let Err(e) = result {
+            lock(&self.failure).get_or_insert(e);
         }
     }
-    Ok((restored, plan))
+}
+
+/// Locks a ledger mutex. A poisoned lock still holds a whole value (every
+/// update is one assignment), so the ledger keeps using it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Restores every `Done` entry of `manifest` into `outcome`'s report slots
+/// ([`read_copies`]) and returns the ascending indices that must be
+/// (re-)measured.
+fn restore(
+    manifest: &mut CampaignManifest,
+    copies: &[Vec<(u32, PathBuf)>],
+    outcome: &mut CampaignOutcome,
+) -> Result<Vec<usize>, CheckpointError> {
+    let digest = manifest.config_digest;
+    let mut plan = Vec::new();
+    let rows = manifest.entries.iter_mut().zip(copies);
+    for (index, ((row, copies), slot)) in rows.zip(&mut outcome.reports).enumerate() {
+        if row.status != EntryStatus::Done {
+            plan.push(index);
+            continue;
+        }
+        match read_copies(index, copies, digest, &row.label, |view| view.to_report())? {
+            Some(report) => *slot = Some(report),
+            // A missing file (crash between the manifest update and a
+            // later inspection) re-plans the entry instead of failing.
+            None => {
+                row.status = EntryStatus::Pending;
+                plan.push(index);
+            }
+        }
+    }
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -2640,7 +2817,7 @@ mod tests {
             report: sample_report("dups"),
         };
         let a = artifact.to_bytes();
-        verify_duplicate_bytes(2, 0, &a, 1, &a.clone()).expect("byte-equal copies agree");
+        verify_duplicate_bytes(2, 0, &a, Some(1), &a.clone()).expect("byte-equal copies agree");
 
         // A diverged profile column names the shards and the column.
         let mut tampered = artifact.clone();
@@ -2653,7 +2830,7 @@ mod tests {
             store.push(point);
         }
         tampered.report.sse_profile.store = store;
-        let err = verify_duplicate_bytes(2, 0, &a, 5, &tampered.to_bytes())
+        let err = verify_duplicate_bytes(2, 0, &a, Some(5), &tampered.to_bytes())
             .expect_err("diverged column is rejected");
         let msg = err.to_string();
         assert!(msg.contains("shard 0") && msg.contains("shard 5"), "{msg}");
@@ -2662,9 +2839,19 @@ mod tests {
             "{msg}"
         );
 
+        // Against a fresh measurement the error names the persisted shard.
+        let err = verify_duplicate_bytes(2, 4, &a, None, &tampered.to_bytes())
+            .expect_err("diverged fresh measurement is rejected");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("fresh measurement differs from the copy persisted under shard 4"),
+            "{msg}"
+        );
+        assert!(msg.contains("column `hbm`"), "{msg}");
+
         // Identical profiles but a diverged scalar is still a mismatch.
         artifact.report.golden_runs += 1;
-        let err = verify_duplicate_bytes(2, 0, &a, 3, &artifact.to_bytes())
+        let err = verify_duplicate_bytes(2, 0, &a, Some(3), &artifact.to_bytes())
             .expect_err("diverged scalar is rejected");
         assert!(err.to_string().contains("report scalars differ"), "{err}");
     }

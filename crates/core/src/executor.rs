@@ -38,7 +38,12 @@
 //! into a [`crate::checkpoint`] directory as it completes, and
 //! [`CampaignExecutor::resume`] finishes a cancelled/crashed campaign from
 //! that checkpoint — re-measuring only the unfinished entries — with
-//! final artifacts byte-identical to an uninterrupted run.
+//! final artifacts byte-identical to an uninterrupted run. Both persist
+//! through the same checkpoint ledger as a served campaign
+//! ([`crate::transport::Coordinator::serve`]): an entry is durable before
+//! [`CampaignObserver::entry_finished`] fires, a re-measured entry must
+//! match any copy an earlier run left on disk, and the first persistence
+//! failure stops the run from claiming further entries.
 //!
 //! # Example: cancel a sharded campaign, resume it byte-identically
 //!
@@ -83,11 +88,11 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 use crate::backend::{BackendFactory, PowerBackend};
 use crate::campaign::{Campaign, CampaignReport};
-use crate::checkpoint::{CampaignManifest, CheckpointDir, CheckpointError, EntryStatus};
+use crate::checkpoint::{CampaignManifest, Ledger, Opening};
 use crate::error::{MethodologyError, MethodologyResult};
 use crate::observe::{ProfilingEvent, ProfilingSink};
 use crate::runner::{FingravRunner, KernelPowerReport};
@@ -332,15 +337,20 @@ impl CampaignExecutor {
             &plan,
             observer,
             cancel,
+            None,
             CampaignOutcome::empty(campaign.len()),
         )
     }
 
     /// Runs the claim loop over an explicit plan of campaign indices,
     /// merging the results into `outcome` (whose slots outside the plan —
-    /// e.g. entries restored from a checkpoint — are left untouched).
-    /// Shared by the full, sharded, and resumed execution paths, so all
-    /// three issue identical per-slot backend call sequences.
+    /// e.g. entries restored from a checkpoint — are left untouched), then
+    /// settles the skipped slots. Shared by the plain, sharded, and resumed
+    /// execution paths, so all three issue identical per-slot backend call
+    /// sequences. With a `ledger` every finished entry is durable before
+    /// the observer hears of it, and after a persistence failure no new
+    /// entry is claimed (entries in flight finish).
+    #[allow(clippy::too_many_arguments)] // internal driver; args mirror run()'s knobs
     fn execute_plan<F: BackendFactory>(
         &self,
         campaign: &Campaign,
@@ -348,40 +358,34 @@ impl CampaignExecutor {
         plan: &[usize],
         observer: &dyn CampaignObserver,
         cancel: &CancellationToken,
+        ledger: Option<&Ledger>,
         mut outcome: CampaignOutcome,
     ) -> CampaignOutcome {
-        let n = plan.len();
-        if n == 0 {
-            return outcome;
-        }
-
+        let halted = || cancel.is_aborted() || ledger.is_some_and(Ledger::failed);
+        let fail_fast = self.policy == ErrorPolicy::FailFast;
         if self.workers == 1 {
             // In-place serial path: no threads, same claim loop semantics.
-            for (pos, &index) in plan.iter().enumerate() {
-                if cancel.is_aborted() {
-                    outcome.skipped.extend(plan[pos..].iter().copied());
+            for &index in plan {
+                if halted() {
                     break;
                 }
-                match profile_slot(campaign, factory, index, observer, cancel) {
+                match profile_slot(campaign, factory, index, observer, cancel, ledger) {
                     Ok(report) => outcome.reports[index] = Some(report),
                     Err(e) => {
                         outcome.errors.push((index, e));
-                        if self.policy == ErrorPolicy::FailFast {
-                            outcome.skipped.extend(plan[pos + 1..].iter().copied());
+                        if fail_fast {
                             break;
                         }
                     }
                 }
             }
-            for &index in &outcome.skipped {
-                observer.entry_skipped(index);
-            }
+            outcome.settle(plan, observer);
             return outcome;
         }
 
+        let n = plan.len();
         let next = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
-        let fail_fast = self.policy == ErrorPolicy::FailFast;
         let (tx, rx) = mpsc::channel::<(usize, MethodologyResult<KernelPowerReport>)>();
 
         std::thread::scope(|scope| {
@@ -389,8 +393,9 @@ impl CampaignExecutor {
                 let tx = tx.clone();
                 let next = &next;
                 let cancelled = &cancelled;
+                let halted = &halted;
                 scope.spawn(move || loop {
-                    if cancel.is_aborted() || (fail_fast && cancelled.load(Ordering::Acquire)) {
+                    if halted() || (fail_fast && cancelled.load(Ordering::Acquire)) {
                         return;
                     }
                     let pos = next.fetch_add(1, Ordering::Relaxed);
@@ -398,7 +403,7 @@ impl CampaignExecutor {
                         return;
                     }
                     let index = plan[pos];
-                    let result = profile_slot(campaign, factory, index, observer, cancel);
+                    let result = profile_slot(campaign, factory, index, observer, cancel, ledger);
                     if result.is_err() && fail_fast {
                         cancelled.store(true, Ordering::Release);
                     }
@@ -418,18 +423,7 @@ impl CampaignExecutor {
                 }
             }
         });
-
-        outcome.errors.sort_by_key(|(index, _)| *index);
-        outcome.skipped = plan
-            .iter()
-            .copied()
-            .filter(|&i| {
-                outcome.reports[i].is_none() && !outcome.errors.iter().any(|(e, _)| *e == i)
-            })
-            .collect();
-        for &index in &outcome.skipped {
-            observer.entry_skipped(index);
-        }
+        outcome.settle(plan, observer);
         outcome
     }
 
@@ -446,7 +440,8 @@ impl CampaignExecutor {
     /// Returns [`MethodologyError::Checkpoint`] when the checkpoint
     /// directory cannot be created or a persistence write fails
     /// (measurement errors stay inside the returned outcome, as in
-    /// [`CampaignExecutor::execute`]).
+    /// [`CampaignExecutor::execute`]). After a persistence failure no
+    /// further entry starts.
     pub fn execute_sharded<F: BackendFactory>(
         &self,
         campaign: &Campaign,
@@ -477,32 +472,14 @@ impl CampaignExecutor {
         observer: &dyn CampaignObserver,
         cancel: &CancellationToken,
     ) -> MethodologyResult<CampaignOutcome> {
-        let ckdir = CheckpointDir::create(dir).map_err(MethodologyError::from)?;
-        // Refuse to silently repurpose a directory that already checkpoints
-        // a *different* campaign: its stale entry files would poison this
-        // run (or a later gather) with misleading corruption errors. A
-        // matching digest is fine — re-running the same campaign over its
-        // own checkpoint just re-verifies the persisted entries.
-        if ckdir.manifest_path().is_file() {
-            let existing = ckdir.read_manifest().map_err(MethodologyError::from)?;
-            existing
-                .verify_against(campaign)
-                .map_err(MethodologyError::from)?;
-        }
-        let manifest = CampaignManifest::plan(campaign, factory, self.workers);
-        ckdir
-            .write_manifest(&manifest)
-            .map_err(MethodologyError::from)?;
-        let plan: Vec<usize> = (0..campaign.len()).collect();
-        self.run_checkpointed(
+        let plan = CampaignManifest::plan(campaign, factory, self.workers);
+        self.execute_durable(
             campaign,
             factory,
-            &ckdir,
-            manifest,
-            &plan,
+            dir,
+            Opening::Fresh(plan),
             observer,
             cancel,
-            CampaignOutcome::empty(campaign.len()),
         )
     }
 
@@ -548,75 +525,35 @@ impl CampaignExecutor {
         observer: &dyn CampaignObserver,
         cancel: &CancellationToken,
     ) -> MethodologyResult<CampaignOutcome> {
-        let ckdir = CheckpointDir::open(dir).map_err(MethodologyError::from)?;
-        let mut manifest = ckdir.read_manifest().map_err(MethodologyError::from)?;
-        manifest
-            .verify_against(campaign)
-            .map_err(MethodologyError::from)?;
-
-        let (restored, plan) =
-            crate::checkpoint::restore_done_entries(&ckdir, campaign, &mut manifest)
-                .map_err(MethodologyError::from)?;
-        let mut outcome = CampaignOutcome::empty(campaign.len());
-        for (index, report) in restored {
-            outcome.reports[index] = Some(report);
-        }
-        if plan.is_empty() {
-            return Ok(outcome);
-        }
-        // Re-plan the remaining entries round-robin across this executor's
-        // workers (which may differ from the original run's).
-        manifest.workers = self.workers as u32;
-        for (pos, &index) in plan.iter().enumerate() {
-            manifest.entries[index].shard = (pos % self.workers) as u32;
-        }
-        ckdir
-            .write_manifest(&manifest)
-            .map_err(MethodologyError::from)?;
-        let mut resumed = self.run_checkpointed(
-            campaign, factory, &ckdir, manifest, &plan, observer, cancel, outcome,
-        )?;
-        resumed.skipped.sort_unstable();
-        Ok(resumed)
+        let opening = Opening::Resume {
+            workers: self.workers,
+        };
+        self.execute_durable(campaign, factory, dir, opening, observer, cancel)
     }
 
-    /// Shared tail of the sharded and resumed paths: wraps the caller's
-    /// observer in the persisting observer, runs the plan over the (possibly
-    /// prefilled) outcome, then surfaces any persistence failure recorded
-    /// along the way.
-    #[allow(clippy::too_many_arguments)] // internal driver; args mirror run()'s knobs
-    fn run_checkpointed<F: BackendFactory>(
+    /// The durable driver behind the sharded and resumed paths: opens the
+    /// checkpoint ledger, runs the plan it leaves over the restored
+    /// outcome, then surfaces the first persistence failure.
+    fn execute_durable<F: BackendFactory>(
         &self,
         campaign: &Campaign,
         factory: &F,
-        ckdir: &CheckpointDir,
-        manifest: CampaignManifest,
-        plan: &[usize],
+        dir: &Path,
+        opening: Opening,
         observer: &dyn CampaignObserver,
         cancel: &CancellationToken,
-        prefilled: CampaignOutcome,
     ) -> MethodologyResult<CampaignOutcome> {
-        // One directory scan up front: entry files left by an earlier run
-        // (the crash window between an entry write and its manifest
-        // update) are indexed here so the per-entry persist path never
-        // walks the directory itself.
-        let mut preexisting: Vec<Vec<(u32, std::path::PathBuf)>> = vec![Vec::new(); campaign.len()];
-        for (shard, index, path) in ckdir.entry_files().map_err(MethodologyError::from)? {
-            if index < preexisting.len() {
-                preexisting[index].push((shard, path));
-            }
-        }
-        let persist = PersistingObserver {
-            inner: observer,
-            dir: ckdir,
-            state: Mutex::new(manifest),
-            preexisting,
-            failure: Mutex::new(None),
-        };
-        let outcome = self.execute_plan(campaign, factory, plan, &persist, cancel, prefilled);
-        if let Some(e) = persist.failure.into_inner().expect("persist failure lock") {
-            return Err(e.into());
-        }
+        let (ledger, restored, plan) = Ledger::open(dir, campaign, opening)?;
+        let outcome = self.execute_plan(
+            campaign,
+            factory,
+            &plan,
+            observer,
+            cancel,
+            Some(&ledger),
+            restored,
+        );
+        ledger.close()?;
         Ok(outcome)
     }
 
@@ -636,113 +573,6 @@ impl CampaignExecutor {
     }
 }
 
-/// Observer wrapper that makes a campaign durable: every finished entry's
-/// report is written under its planned shard the moment it exists, and the
-/// manifest statuses are kept current (atomic rewrite per change, so a
-/// crash at any point leaves a resumable checkpoint). Persistence failures
-/// cannot surface through the observer interface, so the first one is
-/// recorded and re-raised after the campaign drains.
-struct PersistingObserver<'a> {
-    inner: &'a dyn CampaignObserver,
-    dir: &'a CheckpointDir,
-    state: Mutex<CampaignManifest>,
-    /// Entry files found on disk before this run started, per campaign
-    /// index (scanned once in `run_checkpointed`; normally all empty).
-    preexisting: Vec<Vec<(u32, std::path::PathBuf)>>,
-    failure: Mutex<Option<CheckpointError>>,
-}
-
-impl PersistingObserver<'_> {
-    fn record_failure(&self, e: CheckpointError) {
-        let mut slot = self.failure.lock().expect("persist failure lock");
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-
-    fn persist_finished(
-        &self,
-        index: usize,
-        report: &KernelPowerReport,
-    ) -> Result<(), CheckpointError> {
-        let (shard, digest) = {
-            let state = self.state.lock().expect("manifest lock");
-            (state.entries[index].shard, state.config_digest)
-        };
-        // A file for this entry may already exist (crash window between an
-        // earlier entry write and its manifest update). The fresh result
-        // must be bit-identical to it — slots derive solely from their
-        // campaign index — so a disagreement means the checkpoint and the
-        // campaign have diverged, and it is reported with the shards and
-        // the first differing column rather than silently overwritten.
-        // Encoding once, from the borrowed report, serves both the
-        // comparison (the format is canonical, so byte-equality is
-        // value-equality) and the write — no report clone, no re-decode.
-        let bytes = crate::checkpoint::encode_entry_bytes(index as u32, digest, report);
-        for (old_shard, path) in &self.preexisting[index] {
-            let old = crate::mmap::MappedProfile::open(path)?;
-            crate::checkpoint::verify_duplicate_bytes(
-                index,
-                *old_shard,
-                old.bytes(),
-                shard,
-                &bytes,
-            )?;
-        }
-        self.dir.write_entry_bytes(shard, index, &bytes)?;
-        let mut state = self.state.lock().expect("manifest lock");
-        state.entries[index].status = EntryStatus::Done;
-        self.dir.write_manifest(&state)
-    }
-
-    fn set_status(&self, index: usize, status: EntryStatus) -> Result<(), CheckpointError> {
-        let mut state = self.state.lock().expect("manifest lock");
-        state.entries[index].status = status;
-        self.dir.write_manifest(&state)
-    }
-}
-
-impl CampaignObserver for PersistingObserver<'_> {
-    fn entry_started(&self, index: usize, label: &str) {
-        self.inner.entry_started(index, label);
-    }
-
-    fn entry_event(&self, index: usize, event: &ProfilingEvent) {
-        self.inner.entry_event(index, event);
-    }
-
-    fn entry_finished(&self, index: usize, report: &KernelPowerReport) {
-        if let Err(e) = self.persist_finished(index, report) {
-            self.record_failure(e);
-        }
-        self.inner.entry_finished(index, report);
-    }
-
-    fn entry_engine_stats(&self, index: usize, stats: EngineStats) {
-        self.inner.entry_engine_stats(index, stats);
-    }
-
-    fn entry_failed(&self, index: usize, error: &MethodologyError) {
-        let status = if matches!(error, MethodologyError::Aborted) {
-            EntryStatus::Aborted
-        } else {
-            EntryStatus::Failed
-        };
-        if let Err(e) = self.set_status(index, status) {
-            self.record_failure(e);
-        }
-        self.inner.entry_failed(index, error);
-    }
-
-    fn entry_skipped(&self, index: usize) {
-        self.inner.entry_skipped(index);
-    }
-
-    fn entry_evicted(&self, index: usize) {
-        self.inner.entry_evicted(index);
-    }
-}
-
 /// Forwards one slot's profiling events to the campaign observer.
 struct SlotSink<'o> {
     index: usize,
@@ -757,7 +587,9 @@ impl ProfilingSink for SlotSink<'_> {
 
 /// Profiles one campaign slot on a fresh backend (shared by the serial and
 /// threaded paths, so both issue the identical call sequence), reporting
-/// its lifecycle to the observer and honoring the cancellation token.
+/// its lifecycle to the observer and honoring the cancellation token. With
+/// a `ledger` the outcome is recorded in the checkpoint first, so an entry
+/// is durable before `entry_finished` fires.
 ///
 /// Crate-visible because it is also the *remote execution seam*: a
 /// [`crate::transport`] worker measures each assigned entry through this
@@ -770,6 +602,7 @@ pub(crate) fn profile_slot<F: BackendFactory>(
     index: usize,
     observer: &dyn CampaignObserver,
     cancel: &CancellationToken,
+    ledger: Option<&Ledger>,
 ) -> MethodologyResult<KernelPowerReport> {
     let entry = &campaign.entries()[index];
     observer.entry_started(index, &entry.desc.name);
@@ -792,10 +625,16 @@ pub(crate) fn profile_slot<F: BackendFactory>(
             if let Some(stats) = stats {
                 observer.entry_engine_stats(index, stats);
             }
+            if let Some(ledger) = ledger {
+                ledger.record_report(index, &report);
+            }
             observer.entry_finished(index, &report);
             Ok(report)
         }
         Err(e) => {
+            if let Some(ledger) = ledger {
+                ledger.record_failed(index, &e);
+            }
             observer.entry_failed(index, &e);
             Err(e)
         }
@@ -831,6 +670,24 @@ impl CampaignOutcome {
             errors: Vec::new(),
             skipped: Vec::new(),
             evictions: Vec::new(),
+        }
+    }
+
+    /// Settles a finished plan: every index of `plan` that produced
+    /// neither a report nor an error was never started and is reported
+    /// skipped, ascending; errors are sorted by index.
+    pub(crate) fn settle(&mut self, plan: &[usize], observer: &dyn CampaignObserver) {
+        self.errors.sort_by_key(|(index, _)| *index);
+        let errors = &self.errors;
+        let reports = &self.reports;
+        self.skipped = plan
+            .iter()
+            .copied()
+            .filter(|&i| reports[i].is_none() && !errors.iter().any(|(e, _)| *e == i))
+            .collect();
+        self.skipped.sort_unstable();
+        for &index in &self.skipped {
+            observer.entry_skipped(index);
         }
     }
 

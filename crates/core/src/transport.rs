@@ -15,7 +15,8 @@
 //!   [`EntryArtifact`](crate::checkpoint::EntryArtifact) — byte-for-byte the on-disk `FGRVCKPT` entry
 //!   section — when it completes;
 //! * the coordinator persists every artifact into a normal
-//!   [`CheckpointDir`], so [`crate::checkpoint::gather`] and
+//!   [`CheckpointDir`](crate::checkpoint::CheckpointDir), so
+//!   [`crate::checkpoint::gather`] and
 //!   [`crate::executor::CampaignExecutor::resume`] work on the result
 //!   unchanged, and a campaign cut short on the wire is finished the same
 //!   way a locally cancelled one is.
@@ -31,7 +32,8 @@
 //! that: a re-measured entry is diffed column-by-column against any copy
 //! already on disk before it is trusted (same
 //! [`ProfileStore::diff`](crate::store::ProfileStore::diff)-based check
-//! the local executor and `gather` apply).
+//! `gather` applies). The coordinator persists through the checkpoint
+//! ledger a local executor uses, so the two cannot drift apart.
 //!
 //! Silence is a fault too, not just observed drops: every stream carries
 //! read/write deadlines, workers pump [`Frame::Heartbeat`] frames (a
@@ -133,8 +135,8 @@ use std::time::{Duration, Instant};
 
 use crate::campaign::Campaign;
 use crate::checkpoint::{
-    campaign_digest, restore_done_entries, CampaignManifest, CheckpointDir, CheckpointError, Codec,
-    EntryArtifactView, EntryStatus,
+    campaign_digest, check_entry_view, CampaignManifest, CheckpointError, Codec, EntryArtifactView,
+    Ledger, Opening,
 };
 use crate::cover;
 use crate::error::{MethodologyError, MethodologyResult};
@@ -977,7 +979,8 @@ impl LeaseTable {
 // ---------------------------------------------------------------------
 
 /// The serving half of a cross-node campaign: binds a listener, plans (or
-/// resumes) the campaign into a [`CheckpointDir`], hands entries to
+/// resumes) the campaign into a
+/// [`CheckpointDir`](crate::checkpoint::CheckpointDir), hands entries to
 /// connecting workers, and persists every artifact they stream back.
 #[derive(Debug)]
 pub struct Coordinator {
@@ -988,23 +991,20 @@ pub struct Coordinator {
 }
 
 struct CoordState {
-    manifest: CampaignManifest,
     queue: VecDeque<usize>,
     in_flight: usize,
-    reports: Vec<Option<KernelPowerReport>>,
-    errors: Vec<(usize, MethodologyError)>,
-    /// No further assignments: a fail-fast failure or cancellation fired.
+    /// Reports, errors and evictions as they arrive (restored reports
+    /// prefilled); settled into the serve's result at the end.
+    outcome: CampaignOutcome,
+    /// No further assignments: a fail-fast failure, a cancellation, or a
+    /// persistence failure fired.
     halted: bool,
     next_shard: u32,
     connections: usize,
-    persist_failure: Option<CheckpointError>,
     /// One live lease per in-flight assignment; granted on Assign,
     /// renewed by every frame the owning worker delivers, released on
     /// Done/Failed or eviction.
     leases: LeaseTable,
-    /// Entries whose lease deadline lapsed and were re-planned, in
-    /// eviction order (an entry can appear more than once).
-    evictions: Vec<usize>,
 }
 
 impl CoordState {
@@ -1012,24 +1012,17 @@ impl CoordState {
     fn over(&self) -> bool {
         self.in_flight == 0 && (self.queue.is_empty() || self.halted)
     }
-
-    /// True when every entry has a report.
-    fn complete(&self) -> bool {
-        self.reports.iter().all(Option::is_some)
-    }
 }
 
 struct CoordShared<'a> {
     campaign: &'a Campaign,
-    dir: &'a CheckpointDir,
+    /// The checkpoint: every persistence decision is the ledger's.
+    ledger: &'a Ledger,
     observer: &'a dyn CampaignObserver,
     cancel: &'a CancellationToken,
     policy: ErrorPolicy,
     digest: u64,
     sequence: u64,
-    /// Entry files found on disk before serving started, per campaign
-    /// index (re-measured entries must agree with them byte for byte).
-    preexisting: Vec<Vec<(u32, PathBuf)>>,
     /// Maximum peer byte-silence before eviction.
     idle: Duration,
     /// Cadence of coordinator → worker heartbeats while an assignment
@@ -1144,66 +1137,27 @@ impl Coordinator {
         observer: &dyn CampaignObserver,
         cancel: &CancellationToken,
     ) -> MethodologyResult<CampaignOutcome> {
-        let ckdir = CheckpointDir::create(dir).map_err(MethodologyError::from)?;
-        let n = campaign.len();
-        let (mut manifest, restored_reports, plan) = if ckdir.manifest_path().is_file() {
-            let mut existing = ckdir.read_manifest().map_err(MethodologyError::from)?;
-            existing
-                .verify_against(campaign)
-                .map_err(MethodologyError::from)?;
-            let (restored, plan) = restore_done_entries(&ckdir, campaign, &mut existing)
-                .map_err(MethodologyError::from)?;
-            (existing, restored, plan)
-        } else {
-            (
-                CampaignManifest::plan_remote(campaign),
-                Vec::new(),
-                (0..n).collect(),
-            )
-        };
-        manifest.workers = 1;
-        ckdir
-            .write_manifest(&manifest)
-            .map_err(MethodologyError::from)?;
-
-        let mut reports: Vec<Option<KernelPowerReport>> = Vec::with_capacity(n);
-        reports.resize_with(n, || None);
-        for (index, report) in restored_reports {
-            reports[index] = Some(report);
-        }
-
-        // One scan up front: files left by an earlier (crashed) run are
-        // indexed so re-measured entries can be verified against them.
-        let mut preexisting: Vec<Vec<(u32, PathBuf)>> = vec![Vec::new(); n];
-        for (shard, index, path) in ckdir.entry_files().map_err(MethodologyError::from)? {
-            if index < n {
-                preexisting[index].push((shard, path));
-            }
-        }
-
+        let plan = CampaignManifest::plan_remote(campaign);
+        let (ledger, restored, plan) =
+            Ledger::open(dir, campaign, Opening::RestoreIfPresent(plan))?;
         let shared = CoordShared {
             campaign,
-            dir: &ckdir,
+            ledger: &ledger,
             observer,
             cancel,
             policy: self.policy,
-            digest: manifest.config_digest,
+            digest: ledger.digest(),
             sequence: self.sequence,
-            preexisting,
             idle: self.idle,
             heartbeat: (self.idle / 4).clamp(POLL_INTERVAL, DEFAULT_HEARTBEAT_INTERVAL),
             state: Mutex::new(CoordState {
-                manifest,
                 queue: plan.iter().copied().collect(),
                 in_flight: 0,
-                reports,
-                errors: Vec::new(),
+                outcome: restored,
                 halted: false,
                 next_shard: 0,
                 connections: 0,
-                persist_failure: None,
                 leases: LeaseTable::new(),
-                evictions: Vec::new(),
             }),
             cond: Condvar::new(),
         };
@@ -1212,27 +1166,10 @@ impl Coordinator {
             self.accept_loop(&shared).map_err(MethodologyError::from)?;
         }
 
-        let mut state = shared.state.into_inner().expect("coordinator state");
-        let mut outcome = CampaignOutcome::empty(n);
-        outcome.reports = std::mem::take(&mut state.reports);
-        state.errors.sort_by_key(|(index, _)| *index);
-        outcome.errors = std::mem::take(&mut state.errors);
-        outcome.skipped = state
-            .queue
-            .iter()
-            .copied()
-            .filter(|&i| {
-                outcome.reports[i].is_none() && !outcome.errors.iter().any(|(e, _)| *e == i)
-            })
-            .collect();
-        outcome.skipped.sort_unstable();
-        outcome.evictions = std::mem::take(&mut state.evictions);
-        for &index in &outcome.skipped {
-            observer.entry_skipped(index);
-        }
-        if let Some(e) = state.persist_failure {
-            return Err(e.into());
-        }
+        let state = shared.state.into_inner().expect("coordinator state");
+        let mut outcome = state.outcome;
+        outcome.settle(&plan, observer);
+        ledger.close()?;
         Ok(outcome)
     }
 
@@ -1249,17 +1186,14 @@ impl Coordinator {
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         {
                             let mut state = shared.lock();
-                            // Cancellation must be observed here too: with
-                            // no worker connected nothing else ever sets
-                            // `halted`, and a cancelled serve has to
-                            // return even if entries are still queued.
-                            if shared.cancel.is_aborted() {
+                            // Cancellation and persistence failures must be
+                            // observed here too: with no worker connected
+                            // nothing else ever sets `halted`, and the serve
+                            // has to return even if entries are still queued.
+                            if shared.halting() {
                                 state.halted = true;
                             }
                             if state.over() && state.connections == 0 {
-                                return Ok(());
-                            }
-                            if state.persist_failure.is_some() && state.connections == 0 {
                                 return Ok(());
                             }
                         }
@@ -1280,6 +1214,12 @@ impl<'a> CoordShared<'a> {
     fn lock(&self) -> std::sync::MutexGuard<'_, CoordState> {
         self.state.lock().expect("coordinator state lock")
     }
+
+    /// True once no further entry may be assigned: the campaign was
+    /// cancelled or its checkpoint broke.
+    fn halting(&self) -> bool {
+        self.cancel.is_aborted() || self.ledger.failed()
+    }
 }
 
 /// Per-connection coordinator logic. Never returns an error to the accept
@@ -1297,7 +1237,7 @@ fn serve_connection(shared: &CoordShared<'_>, stream: TcpStream) {
         state.in_flight -= 1;
         state.leases.release(index);
         if deadline_lapsed {
-            state.evictions.push(index);
+            state.outcome.evictions.push(index);
             evicted = Some(index);
         }
     }
@@ -1390,7 +1330,7 @@ fn handle_connection(
         let mut state = shared.lock();
         let shard = state.next_shard;
         state.next_shard += 1;
-        state.manifest.workers = state.next_shard.max(1);
+        shared.ledger.set_workers(state.next_shard);
         shard
     };
     Frame::Welcome {
@@ -1476,11 +1416,7 @@ fn next_assignment_step(
     let started = Instant::now();
     let mut state = shared.lock();
     loop {
-        if shared.cancel.is_aborted() {
-            state.halted = true;
-            return Some(Frame::Abort);
-        }
-        if state.persist_failure.is_some() {
+        if shared.halting() {
             state.halted = true;
             return Some(Frame::Abort);
         }
@@ -1496,7 +1432,7 @@ fn next_assignment_step(
         }
         if state.over() {
             return Some(Frame::Finished {
-                complete: state.complete(),
+                complete: state.outcome.is_complete(),
             });
         }
         if started.elapsed() >= budget {
@@ -1531,8 +1467,13 @@ fn expect_current(
     Ok(index)
 }
 
-/// Persists a finished entry exactly as a local sharded run would, then
-/// records its report.
+/// Records a finished entry: the artifact must pass the entry self-check
+/// (else it is a connection fault and the entry is re-planned), then the
+/// ledger persists it exactly as a local sharded run would. A ledger
+/// failure (a re-measured entry disagreeing with a persisted copy, or a
+/// failed write) is a checkpoint fault, not a connection fault:
+/// measurement is deterministic, so re-planning would reproduce it
+/// forever, and the serve halts instead.
 fn entry_done(
     shared: &CoordShared<'_>,
     shard: u32,
@@ -1543,118 +1484,41 @@ fn entry_done(
     // stores stay borrowed views over `bytes`, so validating the
     // artifact does not materialise its per-column `Vec`s.
     let view = EntryArtifactView::parse(bytes)?;
-    if view.index as usize != index {
-        return Err(TransportError::Protocol(format!(
-            "artifact claims index {} but was delivered for entry {index}",
-            view.index
-        )));
-    }
-    if view.config_digest != shared.digest {
-        return Err(TransportError::DigestMismatch {
-            expected: shared.digest,
-            found: view.config_digest,
-        });
-    }
-    if view.label() != shared.campaign.entries()[index].desc.name {
-        return Err(TransportError::Protocol(format!(
-            "artifact for entry {index} is labelled `{}` but the campaign says `{}`",
-            view.label(),
-            shared.campaign.entries()[index].desc.name
-        )));
-    }
-    // A file for this entry may already exist (crash window of an earlier
-    // run, or a worker that died after its artifact was persisted but
-    // before its manifest update). The fresh result must be bit-identical.
-    // A mismatch is a *checkpoint* fault, not a connection fault:
-    // measurement is deterministic, so re-planning the entry would
-    // reproduce the same mismatch forever — halt the serve and surface
-    // the typed error instead (exactly what gather/resume do for the
-    // same tampered file).
-    let duplicates_ok = (|| -> Result<(), CheckpointError> {
-        for (old_shard, path) in &shared.preexisting[index] {
-            let old = crate::mmap::MappedProfile::open(path)?;
-            crate::checkpoint::verify_duplicate_bytes(
-                index,
-                *old_shard,
-                old.bytes(),
-                shard,
-                bytes,
-            )?;
-        }
-        Ok(())
-    })();
-    if let Err(e) = duplicates_ok {
-        let mut state = shared.lock();
-        if state.persist_failure.is_none() {
-            state.persist_failure = Some(e);
-        }
-        state.halted = true;
-        state.in_flight -= 1;
-        drop(state);
-        shared.cond.notify_all();
-        return Ok(());
-    }
+    check_entry_view(
+        &view,
+        index,
+        shared.digest,
+        &shared.campaign.entries()[index].desc.name,
+        format_args!("artifact from shard {shard}"),
+    )?;
     // One decode materialises the report for the in-memory record; the
     // file gets the received bytes verbatim (the encoding is canonical,
-    // so they are exactly what a local `write_entry` would have written).
+    // so they are exactly what a local run would have written).
     let report = view.to_report();
-    let persist = (|| -> Result<(), CheckpointError> {
-        shared.dir.write_entry_bytes(shard, index, bytes)?;
-        let mut state = shared.lock();
-        state.manifest.entries[index].shard = shard;
-        state.manifest.entries[index].status = EntryStatus::Done;
-        shared.dir.write_manifest(&state.manifest)?;
-        state.in_flight -= 1;
-        state.reports[index] = Some(report.clone());
-        Ok(())
-    })();
-    if let Some(e) = persist.err() {
-        let mut state = shared.lock();
-        if state.persist_failure.is_none() {
-            state.persist_failure = Some(e);
-        }
-        state.halted = true;
-        // The entry itself arrived fine; only persistence failed. Leave
-        // in_flight consistent so the serve can drain.
-        if state.reports[index].is_none() {
-            state.in_flight -= 1;
-        }
-        drop(state);
-        shared.observer.entry_finished(index, &report);
-        return Ok(());
-    }
+    shared.ledger.record_done(index, shard, bytes);
     shared.observer.entry_finished(index, &report);
+    let mut state = shared.lock();
+    state.in_flight -= 1;
+    state.outcome.reports[index] = Some(report);
     Ok(())
 }
 
 /// Records a worker-reported failure: aborts re-plan, real errors follow
 /// the error policy.
 fn entry_failed(shared: &CoordShared<'_>, index: usize, error: MethodologyError) {
+    // The status is durable before the entry can be claimed again.
+    shared.ledger.record_failed(index, &error);
     let mut state = shared.lock();
     state.in_flight -= 1;
     if matches!(error, MethodologyError::Aborted) && !shared.cancel.is_aborted() {
         // A worker being shut down (its local cancellation) is a
         // transport-level fault, not a measurement verdict: re-plan.
-        state.manifest.entries[index].status = EntryStatus::Aborted;
         state.queue.push_front(index);
     } else {
-        let status = if matches!(error, MethodologyError::Aborted) {
-            EntryStatus::Aborted
-        } else {
-            EntryStatus::Failed
-        };
-        state.manifest.entries[index].status = status;
-        state.errors.push((index, error.clone()));
+        state.outcome.errors.push((index, error.clone()));
         if shared.policy == ErrorPolicy::FailFast {
             state.halted = true;
         }
-    }
-    let persist = shared.dir.write_manifest(&state.manifest);
-    if let Err(e) = persist {
-        if state.persist_failure.is_none() {
-            state.persist_failure = Some(e);
-        }
-        state.halted = true;
     }
     drop(state);
     shared.observer.entry_failed(index, &error);
@@ -1669,14 +1533,7 @@ fn fetch_artifact(shared: &CoordShared<'_>, index: u64) -> Result<Frame, Transpo
             shared.campaign.len()
         )));
     }
-    let (has_report, shard) = {
-        let state = shared.lock();
-        (
-            state.reports[index].is_some(),
-            state.manifest.entries[index].shard,
-        )
-    };
-    if !has_report {
+    if shared.lock().outcome.reports[index].is_none() {
         return Err(TransportError::Protocol(format!(
             "fetch for entry {index}, which has no report"
         )));
@@ -1686,7 +1543,7 @@ fn fetch_artifact(shared: &CoordShared<'_>, index: u64) -> Result<Frame, Transpo
     // cloning and re-encoding the in-memory report. The cheap parse
     // guards against a damaged or replaced file — on any doubt, fall
     // back to re-encoding from the report.
-    if let Ok(bytes) = std::fs::read(shared.dir.entry_path(shard, index)) {
+    if let Some(Ok(bytes)) = shared.ledger.entry_path(index).map(std::fs::read) {
         if EntryArtifactView::parse(&bytes)
             .is_ok_and(|v| v.index as usize == index && v.config_digest == shared.digest)
         {
@@ -1694,7 +1551,7 @@ fn fetch_artifact(shared: &CoordShared<'_>, index: u64) -> Result<Frame, Transpo
         }
     }
     let state = shared.lock();
-    let Some(report) = state.reports[index].as_ref() else {
+    let Some(report) = state.outcome.reports[index].as_ref() else {
         return Err(TransportError::Protocol(format!(
             "fetch for entry {index}, which has no report"
         )));
@@ -2037,8 +1894,9 @@ pub fn work<F: crate::backend::BackendFactory>(
                             inner: observer,
                             failure: Mutex::new(None),
                         };
-                        let result =
-                            crate::executor::profile_slot(campaign, factory, index, &wire, cancel);
+                        let result = crate::executor::profile_slot(
+                            campaign, factory, index, &wire, cancel, None,
+                        );
                         if let Some(e) = wire.failure.into_inner().expect("worker failure lock") {
                             return Err(TransportError::Io(e));
                         }

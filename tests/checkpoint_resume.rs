@@ -324,13 +324,47 @@ fn resume_of_a_complete_checkpoint_never_remeasures() {
             )))
         }
     }
+    // A complete resume writes nothing: concurrent readers may reopen the
+    // same directory, so not even a same-bytes manifest rewrite happens.
+    let manifest_path = CheckpointDir::open(&root).expect("open").manifest_path();
+    let manifest_before = std::fs::read(&manifest_path).expect("manifest readable");
+    let listing_before = listing(&root);
     let restored = CampaignExecutor::new(2)
         .resume(&campaign, &PoisonFactory, &root)
         .expect("pure restore")
         .into_report()
         .expect("complete");
     assert_eq!(entry_bytes(&restored.reports), entry_bytes(&full.reports));
+    assert_eq!(
+        std::fs::read(&manifest_path).expect("manifest readable"),
+        manifest_before,
+        "a complete resume must not touch the manifest"
+    );
+    assert_eq!(
+        listing(&root),
+        listing_before,
+        "a complete resume must not write into the checkpoint"
+    );
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
+}
+
+/// Every file under `root` with its length and modification time, sorted.
+fn listing(root: &Path) -> Vec<(PathBuf, u64, std::time::SystemTime)> {
+    let mut out = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("listable") {
+            let entry = entry.expect("listable");
+            let meta = entry.metadata().expect("stat");
+            if meta.is_dir() {
+                dirs.push(entry.path());
+            } else {
+                out.push((entry.path(), meta.len(), meta.modified().expect("mtime")));
+            }
+        }
+    }
+    out.sort();
+    out
 }
 
 // ---------------------------------------------------------------------
