@@ -9,7 +9,7 @@ use std::path::Path;
 
 use crate::profile::{PowerProfile, ProfileAxis};
 use crate::runner::KernelPowerReport;
-use crate::store::{cmp_axis_keys, ProfileColumns, ProfileStoreView};
+use crate::store::{argsort_by_axis, ProfileColumns, ProfileStoreView};
 
 /// The CSV header line [`columns_to_csv`] starts with.
 const CSV_HEADER: &[u8] = b"run,exec_pos,x_ns,total_w,xcd_w,iod_w,hbm_w,rest_w\n";
@@ -24,42 +24,51 @@ const CSV_ROW_BYTES: usize = 64;
 /// by `axis`, sorted by x.
 ///
 /// Only points with a finite `x` are rendered (on the
-/// [`ProfileAxis::Toi`] axis, only points that have a TOI). Their
-/// `(x, index)` pairs are sorted stably under the store's axis-key order
-/// (no point structs are materialized), and points that fell outside any
-/// execution render the historical `4294967295` (`u32::MAX`) sentinel in
-/// the `exec_pos` field. `x` prints with one decimal and the five powers
-/// with three, through [`write_fixed`] — byte-identical to
-/// `format!("{:.1}")` / `format!("{:.3}")`. Both implementations of
-/// [`ProfileColumns`] drive the exact same formatting over the exact same
-/// kernel, so a view renders byte-identically to the owned store it was
-/// decoded from.
+/// [`ProfileAxis::Toi`] axis, only points that have a TOI), in the order
+/// of the store's `argsort_by_axis`. The points left out key at the two
+/// ends of that order (a missing TOI and `-inf` first, `+inf` and NaN
+/// last), so the printed rows are one contiguous run of it. Points that
+/// fell outside any execution render the historical `4294967295`
+/// (`u32::MAX`) sentinel in the `exec_pos` field. `x` prints with one
+/// decimal and the five powers with three, byte-identical to
+/// `format!("{:.1}")` / `format!("{:.3}")`: each row is formatted into a
+/// fixed stack buffer eight digits at a time and appended in one copy,
+/// and a row with a non-finite power or a value of magnitude `2^53` or
+/// more goes through [`write_u64`] / [`write_fixed`] instead. Both
+/// implementations of [`ProfileColumns`] drive the exact same formatting
+/// over the exact same kernel, so a view renders byte-identically to the
+/// owned store it was decoded from.
 pub fn columns_to_csv<C: ProfileColumns + ?Sized>(store: &C, axis: ProfileAxis) -> String {
-    let mut rows: Vec<(f64, u32)> = (0..store.len() as u32)
-        .filter_map(|i| {
-            let x = match axis {
-                ProfileAxis::RunTime => store.run_time_at(i as usize),
-                ProfileAxis::Toi => store.toi_at(i as usize)?,
-            };
-            x.is_finite().then_some((x, i))
-        })
-        .collect();
-    rows.sort_by(|a, b| cmp_axis_keys(a.0, b.0));
+    let x_at = |i: usize| match axis {
+        ProfileAxis::RunTime => Some(store.run_time_at(i)),
+        ProfileAxis::Toi => store.toi_at(i),
+    };
+    let printed = |&i: &u32| x_at(i as usize).is_some_and(f64::is_finite);
+    let order = argsort_by_axis(store, axis);
+    let first = order.iter().position(printed).unwrap_or(order.len());
+    let last = order.iter().rposition(printed).map_or(first, |l| l + 1);
+    let rows = &order[first..last];
 
     let mut out = Vec::with_capacity(CSV_HEADER.len() + rows.len() * CSV_ROW_BYTES);
     out.extend_from_slice(CSV_HEADER);
-    for (x, i) in rows {
+    let mut row = Row::new();
+    for &i in rows {
         let i = i as usize;
+        let Some(x) = x_at(i) else { continue };
+        let run = u64::from(store.run_at(i));
+        let exec_pos = u64::from(store.exec_pos_at(i).unwrap_or(u32::MAX));
         let power = store.power_at(i);
-        write_u64(&mut out, u64::from(store.run_at(i)));
+        let powers = [power.total(), power.xcd, power.iod, power.hbm, power.rest];
+        if row.fill(run, exec_pos, x, powers) {
+            out.extend_from_slice(row.bytes());
+            continue;
+        }
+        write_u64(&mut out, run);
         out.push(b',');
-        write_u64(
-            &mut out,
-            u64::from(store.exec_pos_at(i).unwrap_or(u32::MAX)),
-        );
+        write_u64(&mut out, exec_pos);
         out.push(b',');
         write_fixed(&mut out, x, 1);
-        for w in [power.total(), power.xcd, power.iod, power.hbm, power.rest] {
+        for w in powers {
             out.push(b',');
             write_fixed(&mut out, w, 3);
         }
@@ -68,52 +77,168 @@ pub fn columns_to_csv<C: ProfileColumns + ?Sized>(store: &C, axis: ProfileAxis) 
     String::from_utf8(out).expect("the CSV writer emits only ASCII")
 }
 
-/// `10^p` for the precisions [`write_fixed`] renders itself: with a
-/// mantissa below `2^53`, `m · 10^p < 2^63` fits a `u64` for `p ≤ 3`.
-const POW10: [u64; 4] = [1, 10, 100, 1_000];
+/// `10^8`: the digit core converts eight decimal digits per step.
+const E8: u64 = 100_000_000;
 
-/// `"00".."99"`, two ASCII digits per entry.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
+/// ASCII `'0'` in every byte of a word.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The eight decimal digits of `n < 10^8`, leading zeros included, one
+/// per byte with the most significant digit in the lowest byte (so
+/// `to_le_bytes` yields them in print order). Each step halves the lane
+/// width with a multiply-shift division: `n` splits into two 4-digit
+/// lanes, each of those into two 2-digit lanes (`x / 100 = x·10486 >> 20`
+/// for `x < 10^4`), and each of those into two digits
+/// (`x / 10 = x·103 >> 10` for `x < 100`). No lane's product reaches the
+/// next lane, so one `u64` multiply divides all lanes at once.
+#[inline]
+fn digits8(n: u64) -> u64 {
+    let v = (n / 10_000) | ((n % 10_000) << 32);
+    let hi = ((v * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    let v = hi | ((v - hi * 100) << 16);
+    let hi = ((v * 103) >> 10) & 0x000F_000F_000F_000F;
+    hi | ((v - hi * 10) << 8)
+}
+
+/// The longest row [`Row::fill`] formats is 152 bytes: two 10-digit
+/// integers and their two commas, `x` as sign, 16 integer digits, point
+/// and one decimal, five powers as comma, sign, 16 integer digits, point
+/// and three decimals, and the newline. A word store keeps at least its
+/// first byte, so it starts by byte 151 and ends within the 160.
+const ROW_CAP: usize = 160;
+
+/// A fixed stack buffer one CSV row (or one number) is formatted into.
+/// Digits go in eight at a time: each store writes a whole word and then
+/// advances by the real digit count, so the next store overwrites the
+/// spare bytes.
+struct Row {
+    buf: [u8; ROW_CAP],
+    len: usize,
+}
+
+impl Row {
+    fn new() -> Self {
+        Row {
+            buf: [0; ROW_CAP],
+            len: 0,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    #[inline]
+    fn push(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// Stores the eight bytes of `word` and keeps the first `n` of them.
+    #[inline]
+    fn put8(&mut self, word: u64, n: usize) {
+        self.buf[self.len..self.len + 8].copy_from_slice(&word.to_le_bytes());
+        self.len += n;
+    }
+
+    /// The digits of `n < 10^8` without leading zeros (`0` prints `0`).
+    #[inline]
+    fn put_short(&mut self, n: u64) {
+        let digits = digits8(n);
+        let zeros = (digits.trailing_zeros() / 8).min(7);
+        self.put8((digits | ZEROS) >> (8 * zeros), 8 - zeros as usize);
+    }
+
+    /// The digits of `n`: the leading chunk without leading zeros, every
+    /// further chunk of eight with them.
+    #[inline]
+    fn put_u64(&mut self, n: u64) {
+        if n < E8 {
+            self.put_short(n);
+        } else if n < E8 * E8 {
+            self.put_short(n / E8);
+            self.put8(digits8(n % E8) | ZEROS, 8);
+        } else {
+            self.put_short(n / (E8 * E8));
+            self.put8(digits8(n / E8 % E8) | ZEROS, 8);
+            self.put8(digits8(n % E8) | ZEROS, 8);
+        }
+    }
+
+    /// Formats `x` with `P ≤ 3` decimals as [`write_fixed`] does;
+    /// `false` (with a partial row) outside [`fixed_point`]'s domain.
+    /// `P` is a constant so that every division here is by a constant.
+    /// Below `10^8`, one word holds the integer and the fraction digits.
+    #[inline]
+    fn put_fixed<const P: usize>(&mut self, x: f64) -> bool {
+        let scale = 10u64.pow(P as u32);
+        let Some(q) = fixed_point(x, scale) else {
+            return false;
+        };
+        if x.is_sign_negative() {
+            self.push(b'-');
+        }
+        if P == 0 {
+            self.put_u64(q);
+            return true;
+        }
+        let word = if q < E8 {
+            let digits = digits8(q);
+            let zeros = (digits.trailing_zeros() as usize / 8).min(7 - P);
+            let word = digits | ZEROS;
+            self.put8(word >> (8 * zeros), 8 - P - zeros);
+            word
+        } else {
+            self.put_u64(q / scale);
+            digits8(q % scale) | ZEROS
+        };
+        // The fraction is the last `P` digits of either word.
+        self.push(b'.');
+        self.put8(word >> (8 * (8 - P)), P);
+        true
+    }
+
+    /// Formats one whole CSV row; `false` when a value needs the
+    /// [`write_fixed`] fallback.
+    #[inline]
+    fn fill(&mut self, run: u64, exec_pos: u64, x: f64, powers: [f64; 5]) -> bool {
+        self.len = 0;
+        self.put_u64(run);
+        self.push(b',');
+        self.put_u64(exec_pos);
+        self.push(b',');
+        if !self.put_fixed::<1>(x) {
+            return false;
+        }
+        for w in powers {
+            self.push(b',');
+            if !self.put_fixed::<3>(w) {
+                return false;
+            }
+        }
+        self.push(b'\n');
+        true
+    }
+}
 
 /// Appends the decimal digits of `n`.
 #[inline]
-pub fn write_u64(out: &mut Vec<u8>, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = b'0' + n as u8;
-    }
-    out.extend_from_slice(&buf[at..]);
+pub fn write_u64(out: &mut Vec<u8>, n: u64) {
+    let mut row = Row::new();
+    row.put_u64(n);
+    out.extend_from_slice(row.bytes());
 }
 
-/// Appends `x` with `precision` decimals, byte-identical to
-/// `write!(out, "{x:.precision$}")`.
+/// `|x| · scale` rounded to an integer half to even, for `scale = 10^p`
+/// with `p ≤ 3`; `None` for non-finite `x` and `|x| ≥ 2^53`.
 ///
-/// For `precision ≤ 3` and `|x| < 2^53` this is exact integer arithmetic:
-/// with `x = m · 2^e` (`m < 2^53`, `e ≤ 0`), `m · 10^precision` fits a
-/// `u64`, so shifting it right by `-e` and rounding the remainder half to
-/// even yields the correctly rounded decimal of the exact binary value —
-/// what std's formatter prints. A shift of 64 or more leaves less than
-/// half a unit, i.e. zero, with the sign kept (`-0.000`). Non-finite
-/// values, `|x| ≥ 2^53` and larger precisions go through `write!`.
+/// This is exact integer arithmetic: with `x = m · 2^e` (`m < 2^53`,
+/// `e ≤ 0`), `m · 10^p < 2^63` fits a `u64`, so shifting it right by `-e`
+/// and rounding the remainder half to even yields the correctly rounded
+/// decimal of the exact binary value — what std's formatter prints. A
+/// shift of 64 or more leaves less than half a unit, i.e. zero.
 #[inline]
-pub fn write_fixed(out: &mut Vec<u8>, x: f64, precision: usize) {
+fn fixed_point(x: f64, scale: u64) -> Option<u64> {
     let bits = x.to_bits();
     let biased = ((bits >> 52) & 0x7ff) as i32;
     let fraction = bits & ((1 << 52) - 1);
@@ -121,16 +246,12 @@ pub fn write_fixed(out: &mut Vec<u8>, x: f64, precision: usize) {
         0 => (fraction, -1074),
         _ => (fraction | 1 << 52, biased - 1075),
     };
-    let scale = match POW10.get(precision) {
-        Some(&scale) if biased != 0x7ff && e <= 0 => scale,
-        _ => {
-            let _ = write!(out, "{x:.precision$}");
-            return;
-        }
-    };
+    if biased == 0x7ff || e > 0 {
+        return None;
+    }
     let scaled = m * scale;
     let shift = e.unsigned_abs();
-    let q = match shift {
+    Some(match shift {
         0 => scaled,
         1..=63 => {
             let q = scaled >> shift;
@@ -139,20 +260,30 @@ pub fn write_fixed(out: &mut Vec<u8>, x: f64, precision: usize) {
             q + u64::from(rem > half || (rem == half && q & 1 == 1))
         }
         _ => 0,
+    })
+}
+
+/// Appends `x` with `precision` decimals, byte-identical to
+/// `write!(out, "{x:.precision$}")`.
+///
+/// For `precision ≤ 3` and `|x| < 2^53` the digits come from exact
+/// integer arithmetic on `x`'s binary value; a negative `x` keeps its
+/// sign even when it rounds to zero (`-0.000`), as std does. Non-finite
+/// values, `|x| ≥ 2^53` and larger precisions go through `write!`.
+#[inline]
+pub fn write_fixed(out: &mut Vec<u8>, x: f64, precision: usize) {
+    let mut row = Row::new();
+    let fast = match precision {
+        0 => row.put_fixed::<0>(x),
+        1 => row.put_fixed::<1>(x),
+        2 => row.put_fixed::<2>(x),
+        3 => row.put_fixed::<3>(x),
+        _ => false,
     };
-    if bits >> 63 == 1 {
-        out.push(b'-');
-    }
-    write_u64(out, q / scale);
-    if precision > 0 {
-        out.push(b'.');
-        let mut digits = [b'0'; 3];
-        let mut rest = q % scale;
-        for d in digits[..precision].iter_mut().rev() {
-            *d = b'0' + (rest % 10) as u8;
-            rest /= 10;
-        }
-        out.extend_from_slice(&digits[..precision]);
+    if fast {
+        out.extend_from_slice(row.bytes());
+    } else {
+        let _ = write!(out, "{x:.precision$}");
     }
 }
 

@@ -17,6 +17,7 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
 }
 
 /// Median (average of the middle two for even lengths); `None` if empty.
+/// The average of two finite values is finite, even near `f64::MAX`.
 ///
 /// Sorts by [`f64::total_cmp`], so NaN inputs never panic: negative NaNs
 /// order below `-inf` and positive NaNs above `+inf`. A NaN therefore only
@@ -33,7 +34,15 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     Some(if n % 2 == 1 {
         v[n / 2]
     } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
+        // Halving first only where the sum overflows, so every finite
+        // midpoint stays bit-identical to `0.5 * (a + b)`.
+        let (a, b) = (v[n / 2 - 1], v[n / 2]);
+        let sum = a + b;
+        if sum.is_finite() {
+            0.5 * sum
+        } else {
+            0.5 * a + 0.5 * b
+        }
     })
 }
 
@@ -113,6 +122,18 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
         assert_eq!(median(&[]), None);
+    }
+
+    #[test]
+    fn median_of_huge_values_does_not_overflow() {
+        assert_eq!(median(&[f64::MAX, f64::MAX]), Some(f64::MAX));
+        assert_eq!(median(&[-f64::MAX, -f64::MAX]), Some(-f64::MAX));
+        assert_eq!(median(&[f64::MAX, 0.5 * f64::MAX]), Some(0.75 * f64::MAX));
+        // Non-finite middles keep their old results.
+        assert_eq!(median(&[f64::INFINITY, f64::INFINITY]), Some(f64::INFINITY));
+        assert!(median(&[f64::NEG_INFINITY, f64::INFINITY])
+            .unwrap()
+            .is_nan());
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! order, which keeps means bit-identical across the owned, view, and
 //! mmap paths.
 
-use std::cmp::Ordering;
-
 use fingrav_sim::power::ComponentPower;
 
 use super::{ColumnDiff, ProfileStore, StoreCodecError, StoreDiff};
@@ -135,38 +133,87 @@ pub(crate) fn in_exec_count<C: ProfileColumns + ?Sized>(c: &C) -> usize {
         .sum()
 }
 
-/// The total order axis keys sort under: numbers compare by value (so
-/// `-0.0` and `+0.0` tie), and every NaN sorts after every number, tied
-/// with every other NaN — a stable sort keeps tied keys, NaNs included,
-/// in index order.
+/// The order-preserving `u64` key of an axis value: unsigned key order
+/// is the total order axes sort under. Numbers ascend by value (`-0.0`
+/// maps to `+0.0`, so the two zeros tie); every NaN maps to `u64::MAX`,
+/// after `+inf`, tied with every other NaN. A missing TOI maps to `0`,
+/// below `-inf`'s `0x000F_FFFF_FFFF_FFFF`. Negative values map to their
+/// complemented bits, everything else to its bits with the top bit set.
 #[inline]
-pub(crate) fn cmp_axis_keys(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b)
-        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+fn axis_key(x: Option<f64>) -> u64 {
+    match x {
+        None => 0,
+        Some(x) if x.is_nan() => u64::MAX,
+        Some(x) => {
+            let bits = if x == 0.0 { 0 } else { x.to_bits() };
+            if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            }
+        }
+    }
 }
 
 /// Stable argsort by the chosen time axis; see
 /// [`ProfileStore::argsort_by_axis`] for the ordering contract.
 pub(crate) fn argsort_by_axis<C: ProfileColumns + ?Sized>(c: &C, axis: ProfileAxis) -> Vec<u32> {
-    match axis {
-        ProfileAxis::RunTime => {
-            let mut pairs: Vec<(f64, u32)> = (0..c.len() as u32)
-                .map(|i| (c.run_time_at(i as usize), i))
-                .collect();
-            pairs.sort_by(|a, b| cmp_axis_keys(a.0, b.0));
-            pairs.into_iter().map(|(_, i)| i).collect()
-        }
-        ProfileAxis::Toi => {
-            let mut pairs: Vec<(u8, f64, u32)> = (0..c.len() as u32)
-                .map(|i| match c.toi_at(i as usize) {
-                    Some(t) => (1, t, i),
-                    None => (0, 0.0, i),
-                })
-                .collect();
-            pairs.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp_axis_keys(a.1, b.1)));
-            pairs.into_iter().map(|(_, _, i)| i).collect()
+    let keys: Vec<u64> = (0..c.len())
+        .map(|i| {
+            axis_key(match axis {
+                ProfileAxis::RunTime => Some(c.run_time_at(i)),
+                ProfileAxis::Toi => c.toi_at(i),
+            })
+        })
+        .collect();
+    let index: Vec<u32> = (0..c.len() as u32).collect();
+    radix_argsort(keys, index)
+}
+
+/// Stable LSD radix sort of `index` by `keys`, one 8-bit digit per pass,
+/// least significant first. A pass whose digit is the same for every key
+/// would leave the order unchanged, so it is skipped. Returns the
+/// permuted `index`.
+fn radix_argsort(mut keys: Vec<u64>, mut index: Vec<u32>) -> Vec<u32> {
+    let n = keys.len();
+    let mut counts = [[0usize; 256]; 8];
+    for &k in &keys {
+        for (count, digit) in counts.iter_mut().zip(k.to_le_bytes()) {
+            if let Some(c) = count.get_mut(usize::from(digit)) {
+                *c += 1;
+            }
         }
     }
+    let mut keys_out: Vec<u64> = Vec::new();
+    let mut index_out: Vec<u32> = Vec::new();
+    for (pass, count) in counts.iter().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        if keys_out.is_empty() {
+            keys_out = vec![0; n];
+            index_out = vec![0; n];
+        }
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = sum;
+            sum += c;
+        }
+        let shift = 8 * pass;
+        for (&k, &i) in keys.iter().zip(&index) {
+            if let Some(slot) = next.get_mut(usize::from((k >> shift) as u8)) {
+                if let (Some(ko), Some(io)) = (keys_out.get_mut(*slot), index_out.get_mut(*slot)) {
+                    *ko = k;
+                    *io = i;
+                }
+                *slot += 1;
+            }
+        }
+        std::mem::swap(&mut keys, &mut keys_out);
+        std::mem::swap(&mut index, &mut index_out);
+    }
+    index
 }
 
 /// Indices of points satisfying `pred`, in storage order.

@@ -72,7 +72,7 @@ use crate::profile::{ProfileAxis, ProfilePoint};
 mod columns;
 mod view;
 
-pub(crate) use columns::cmp_axis_keys;
+pub(crate) use columns::argsort_by_axis;
 pub use columns::ProfileColumns;
 pub use view::{ColumnLayout, ProfileStoreView, ViewPointRef};
 
@@ -422,11 +422,12 @@ impl ProfileStore {
     /// key follows, and tied keys — NaNs included — keep index order. On
     /// NaN-free keys this is the plain ascending `f64` order.
     ///
-    /// Internally this sorts compact `(key, index)` pairs gathered from
-    /// the key column — one sequential column read, then a sort over
-    /// small flat elements with no per-comparison indirection. The
-    /// [`ProfileAxis::Toi`] keys carry an explicit validity byte ordered
-    /// before the value (`None` first).
+    /// Internally this is a stable LSD radix sort: one sequential read of
+    /// the key column maps each point to an order-preserving `u64` key
+    /// (a missing TOI to `0`, every NaN to `u64::MAX`, `-0.0` to `+0.0`),
+    /// then up to eight 8-bit counting passes scatter `(key, index)`
+    /// between two buffers, skipping any pass whose digit is the same for
+    /// every key. The CSV writer renders its rows in this same order.
     pub fn argsort_by_axis(&self, axis: ProfileAxis) -> Vec<u32> {
         columns::argsort_by_axis(self, axis)
     }

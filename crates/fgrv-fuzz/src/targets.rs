@@ -11,7 +11,8 @@
 //!   says: [`ProfileStoreView::split_prefix`] hands the junk back, and an
 //!   [`EntryArtifact`] rejects it as trailing bytes;
 //! * accepted stores argsort and render to CSV on both axes without
-//!   panicking, the owned store and its view identically.
+//!   panicking, the owned store and its view identically, in the order
+//!   the comparator sort of `tests/common/axis_order.rs` gives.
 //!
 //! Any violation comes back as `Err(description)` — a divergence the
 //! harness records, minimizes, and writes out as a crash artifact.
@@ -28,6 +29,10 @@ use fingrav_core::{ProfilePoint, ProfilingEvent, StageKind};
 use fingrav_sim::power::ComponentPower;
 
 use crate::corpus::taxonomy_hash;
+
+#[path = "../../../tests/common/axis_order.rs"]
+mod axis_order;
+use axis_order::reference_argsort;
 
 /// One decode path under fuzz.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +69,7 @@ pub const TARGETS: [TargetInfo; 5] = [
     TargetInfo {
         name: "prof",
         target: Target::Prof,
-        description: "FGRVPROF store: decode, round trip, split_prefix, owned ≡ view argsort and CSV render",
+        description: "FGRVPROF store: decode, round trip, split_prefix, owned ≡ view ≡ comparator argsort, owned ≡ view CSV render",
     },
     TargetInfo {
         name: "ckpt-manifest",
@@ -265,10 +270,16 @@ fn run_prof(input: &[u8]) -> Result<Taxonomy, String> {
                 return Err("split_prefix prefix decoded differently".to_string());
             }
             // Accepted stores sort and render (NaN and infinite keys
-            // included), the view exactly as the owned store.
+            // included), the view exactly as the owned store. Both run
+            // one radix kernel, so its order is also checked against
+            // the comparator sort.
             for axis in [ProfileAxis::RunTime, ProfileAxis::Toi] {
-                if store.argsort_by_axis(axis) != prefix.argsort_by_axis(axis) {
+                let order = store.argsort_by_axis(axis);
+                if order != prefix.argsort_by_axis(axis) {
                     return Err(format!("{axis:?} argsort differs between store and view"));
+                }
+                if order != reference_argsort(&store, axis) {
+                    return Err(format!("{axis:?} argsort differs from the comparator sort"));
                 }
                 if columns_to_csv(&store, axis) != view_to_csv(&prefix, axis) {
                     return Err(format!("{axis:?} CSV differs between store and view"));

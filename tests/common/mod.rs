@@ -6,7 +6,9 @@
 //! fixtures,
 //! and the systematic truncation/corruption drivers both the `FGRVPROF`
 //! and `FGRVCKPT` adversarial suites run over, and the deque telemetry
-//! the sample ring is checked against (`sensor_ring.rs`). [`entry_bytes`] is the
+//! the sample ring is checked against (`sensor_ring.rs`). [`axis_order`]
+//! holds the comparator argsort the radix `argsort_by_axis` is checked
+//! against (`store_view.rs`, and the fuzz `prof` oracle). [`entry_bytes`] is the
 //! bit-exact report comparison the determinism tests and the resume and
 //! distributed examples share.
 //!
@@ -14,6 +16,8 @@
 //! own crate, so this module is compiled per binary; not every binary
 //! uses every helper.
 #![allow(dead_code)] // per-binary compilation: see note above
+
+pub mod axis_order;
 
 use std::collections::VecDeque;
 

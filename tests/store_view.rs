@@ -10,13 +10,40 @@
 //! `to_store`), so these cases exercise it directly.
 
 use fingrav::core::mmap::MappedProfile;
-use fingrav::core::profile::ProfileAxis;
+use fingrav::core::profile::{ProfileAxis, ProfilePoint};
 use fingrav::core::report::{columns_to_csv, view_to_csv};
-use fingrav::core::store::{ProfileStoreView, StoreCodecError};
+use fingrav::core::store::{ProfileStore, ProfileStoreView, StoreCodecError};
+use fingrav::sim::ComponentPower;
 use proptest::prelude::*;
 
 mod common;
+use common::axis_order::reference_argsort;
 use common::{build_store, fgrvprof_truncated_block};
+
+/// SplitMix64 step: the per-point draws of the argsort property.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// An axis key from one of the classes the radix key map treats apart:
+/// NaNs with random payloads of both signs, ±0, ±inf, subnormals of
+/// both signs, a small pool of repeated values (ties), arbitrary bits.
+fn axis_value(class: u64, bits: u64) -> f64 {
+    let sign = bits & 1 << 63;
+    let mantissa = bits & 0x000F_FFFF_FFFF_FFFF;
+    match class {
+        0 => f64::from_bits(sign | 0x7FF0_0000_0000_0000 | mantissa.max(1)),
+        1 => f64::from_bits(sign),
+        2 => f64::from_bits(sign | 0x7FF0_0000_0000_0000),
+        3 => f64::from_bits(sign | mantissa),
+        4 => [1.0, -1.0, 2.5, 1e300, -1e-300, f64::MIN_POSITIVE][(bits % 6) as usize],
+        _ => f64::from_bits(bits),
+    }
+}
 
 // ---------------------------------------------------------------------
 // Property: every view accessor / kernel ≡ the owned store
@@ -78,6 +105,35 @@ proptest! {
         prop_assert!(view.diff(&view).is_identical());
         prop_assert!(view.diff_store(&store).is_identical());
         prop_assert!(store.diff_view(&view).is_identical());
+    }
+
+    /// The radix argsort equals the comparator sort on both axes, for the
+    /// owned store and its view, over every key class (NaN payloads of
+    /// both signs, ±0, ±inf, subnormals, ties, arbitrary bits) and
+    /// points without a TOI.
+    #[test]
+    fn argsort_matches_the_comparator_sort(seeds in prop::collection::vec(0u64..=u64::MAX, 0..3000)) {
+        let store = ProfileStore::from_points(seeds.iter().enumerate().map(|(i, &seed)| {
+            let mut state = seed;
+            let draw = splitmix(&mut state);
+            let run_time_ns = axis_value(draw % 8, splitmix(&mut state));
+            let has_toi = !(draw >> 8).is_multiple_of(4);
+            let toi_ns = has_toi.then(|| axis_value((draw >> 16) % 8, splitmix(&mut state)));
+            ProfilePoint {
+                run: i as u32,
+                exec_pos: toi_ns.map(|_| 0),
+                toi_ns,
+                run_time_ns,
+                power: ComponentPower::ZERO,
+            }
+        }));
+        let bytes = store.to_bytes();
+        let view = ProfileStoreView::new(&bytes).expect("valid encoding");
+        for axis in [ProfileAxis::RunTime, ProfileAxis::Toi] {
+            let want = reference_argsort(&store, axis);
+            prop_assert_eq!(store.argsort_by_axis(axis), want.clone());
+            prop_assert_eq!(view.argsort_by_axis(axis), want);
+        }
     }
 
     /// The CSV formatter renders a view byte-identically to the owned
