@@ -19,7 +19,6 @@
 //! fidelity) to compare against a previous run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fingrav_core::mmap::MappedProfile;
 use fingrav_core::profile::{ProfileAxis, ProfilePoint};
 use fingrav_core::report::{columns_to_csv, view_to_csv};
 use fingrav_core::store::{ProfileStore, ProfileStoreView};
@@ -162,19 +161,7 @@ fn bench_profile_store(c: &mut Criterion) {
     group.bench_function("decode/view", |b| {
         b.iter(|| black_box(ProfileStoreView::new(&bytes).expect("decodes").len()))
     });
-    // Same decode over an mmapped file instead of an in-memory buffer
-    // (pages are hot after the first pass, so this times the decoder, not
-    // the disk).
-    let mmap_path =
-        std::env::temp_dir().join(format!("fingrav-bench-decode-{}.fgrv", std::process::id()));
-    std::fs::write(&mmap_path, &bytes).expect("bench scratch file");
-    let mapped = MappedProfile::open(&mmap_path).expect("maps");
-    group.bench_function("decode/mmap", |b| {
-        b.iter(|| black_box(mapped.view().expect("decodes").len()))
-    });
     group.finish();
-    drop(mapped);
-    let _ = std::fs::remove_file(&mmap_path);
 
     // Sanity: the view path agrees with the owned path on every benched
     // kernel before any of its timings are trusted.

@@ -3,11 +3,12 @@
 //! re-reads them, and asserts the round trip is bit-identical — the
 //! checkpoint-integrity guarantee distributed campaigns rely on.
 //!
-//! Every store is re-read three ways — owned `from_bytes`, borrowed
-//! `ProfileStoreView`, and an mmapped file — and all three must agree
-//! bit for bit; the decode (and encode) throughput of each path is
-//! reported in MB/s. The CSV artifact is additionally emitted through
-//! the zero-copy view and checked byte-identical to the owned render.
+//! Every store is read back with `MappedProfile::open` and decoded two
+//! ways — owned `from_bytes` and the borrowed `ProfileStoreView` — and
+//! both must agree with the written store bit for bit; the decode (and
+//! encode) throughput of each path is reported in MB/s. The CSV artifact
+//! is additionally emitted through the zero-copy view and checked
+//! byte-identical to the owned render.
 //!
 //! Usage: `store_roundtrip [--quick|--full|--bench] [--out DIR]`.
 //! Artifacts land in the output directory (default `results/`):
@@ -62,27 +63,23 @@ fn main() {
         let path = dir.join(format!("{name}.fgrv"));
         fs::write(&path, &bytes).expect("store artifact writes");
 
-        let reread = fs::read(&path).expect("store artifact reads back");
-        let restored = ProfileStore::from_bytes(&reread).expect("store artifact decodes");
+        let reread = MappedProfile::open(&path).expect("store artifact reads back");
+        let restored = ProfileStore::from_bytes(reread.bytes()).expect("store artifact decodes");
         let diff = profile.store.diff(&restored);
         let reencoded = restored.to_bytes();
 
-        // The zero-copy paths must see exactly the same store: a view
-        // over the re-read buffer and a view over the mmapped file.
-        let view = ProfileStoreView::new(&reread).expect("view decodes");
-        let mapped = MappedProfile::open(&path).expect("store artifact maps");
-        let mapped_view = mapped.view().expect("mapped view decodes");
-        let views_identical = profile.store.diff_view(&view).is_identical()
-            && profile.store.diff_view(&mapped_view).is_identical()
-            && view.to_store() == restored;
+        // The zero-copy path must see exactly the same store.
+        let view = reread.view().expect("view decodes");
+        let view_identical =
+            profile.store.diff_view(&view).is_identical() && view.to_store() == restored;
 
-        let identical = diff.is_identical() && reencoded == bytes && views_identical;
+        let identical = diff.is_identical() && reencoded == bytes && view_identical;
         println!(
             "{name}: {} points, {} bytes -> {}",
             profile.len(),
             bytes.len(),
             if identical {
-                "bit-identical round trip (owned, view, mmap)".to_string()
+                "bit-identical round trip (owned, view)".to_string()
             } else {
                 failures += 1;
                 format!("ROUND TRIP DIVERGED\n{}", diff.summary())
@@ -90,18 +87,19 @@ fn main() {
         );
 
         let encode = time_reps(|| profile.store.to_bytes().len());
-        let owned = time_reps(|| ProfileStore::from_bytes(&reread).expect("decodes").len());
-        let viewed = time_reps(|| ProfileStoreView::new(&reread).expect("decodes").len());
-        let mmapped = time_reps(|| mapped.view().expect("decodes").len());
+        let owned = time_reps(|| {
+            ProfileStore::from_bytes(reread.bytes())
+                .expect("decodes")
+                .len()
+        });
+        let viewed = time_reps(|| reread.view().expect("decodes").len());
         println!(
             "{name} throughput: encode {:.0} MB/s | decode owned {:.0} MB/s, \
-             view {:.0} MB/s ({:.1}x), mmap {:.0} MB/s ({:.1}x)",
+             view {:.0} MB/s ({:.1}x)",
             mb_per_s(bytes.len(), encode),
             mb_per_s(bytes.len(), owned),
             mb_per_s(bytes.len(), viewed),
             owned.as_secs_f64() / viewed.as_secs_f64(),
-            mb_per_s(bytes.len(), mmapped),
-            owned.as_secs_f64() / mmapped.as_secs_f64(),
         );
     }
 

@@ -32,7 +32,7 @@
 //! Every checkpoint file follows the `FGRVPROF` codec conventions
 //! established by [`crate::store`]: an 8-byte magic, a `u32` version, a
 //! section tag, then a little-endian payload. Every section decodes from
-//! a whole buffer (a file read, an mmap, or a wire payload) through one
+//! a whole buffer (a whole-file read or a wire payload) through one
 //! path — `from_bytes`, or [`EntryArtifactView::parse`] for entries —
 //! and surfaces
 //! [`CheckpointError::BadMagic`] / [`CheckpointError::UnsupportedVersion`]
@@ -2107,8 +2107,8 @@ pub(crate) fn check_entry_view(
 }
 
 /// The streaming merge behind [`gather`]/[`gather_stores`]: two passes
-/// over the (mmapped) entry files, each holding at most one entry — plus
-/// at most one crash-window duplicate — mapped at a time.
+/// over the entry files, each read whole, holding at most one entry —
+/// plus at most one crash-window duplicate — in memory at a time.
 ///
 /// Pass 1 validates every file through a borrowed [`EntryArtifactView`]
 /// (header, digest, label, duplicate agreement, and the embedded stores'
@@ -2193,7 +2193,7 @@ fn scan_copies(
 /// none): the first copy must pass [`check_entry_view`] against the
 /// campaign's `digest` and the entry's `label`, and every crash-window
 /// duplicate must be bit-identical to it before `read` sees its view. At
-/// most the first copy and one duplicate are mapped at a time, and
+/// most the first copy and one duplicate are in memory at a time, and
 /// duplicates decode nothing.
 fn read_copies<T>(
     index: usize,

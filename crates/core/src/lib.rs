@@ -40,10 +40,7 @@
 //! # }
 //! ```
 
-// The only unsafe lives in `mmap.rs`; unsafe operations inside unsafe
-// fns must still be scoped in explicit blocks with their own SAFETY
-// comments (audited by `fgrv-lint`).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,206 +1,65 @@
-//! Memory-mapped (or read-to-buffer) access to persisted artefacts.
+//! Whole-file reads of persisted artefacts for zero-copy decoding.
 //!
-//! [`MappedProfile`] opens a file and exposes its bytes for zero-copy
-//! decoding: hand [`MappedProfile::bytes`] to
-//! [`ProfileStoreView`] (for `.fgrv`
-//! profile stores) or to the checkpoint entry parser (for `.fgrvckpt`
-//! shard entries) and the kernels run straight over the page cache —
-//! no per-column `Vec`, no decode copy.
+//! [`MappedProfile`] reads a file into one exactly sized buffer with a
+//! single [`std::fs::read`] and exposes its bytes: hand
+//! [`MappedProfile::bytes`] to [`ProfileStoreView`] (for `.fgrv` profile
+//! stores) or to the checkpoint entry parser (for `.fgrvckpt` shard
+//! entries) and the kernels run straight over that buffer — no
+//! per-column `Vec`, no decode copy.
 //!
-//! On 64-bit unix targets with the `mmap` crate feature (default), the
-//! file is mapped read-only with a thin `unsafe extern "C"` wrapper
-//! over `mmap(2)`/`munmap(2)` — deliberately minimal, no `libc`
-//! dependency. Everywhere else the file is read into an owned `Vec`:
-//! identical API and identical bytes, so non-unix builds and tests are
-//! unaffected.
+//! Reading beats mapping at these file sizes: an entry file is ~144 KB,
+//! and one copy out of the page cache costs less than an `mmap`, a
+//! minor fault per touched page and an `munmap` whose TLB flush reaches
+//! every core the process runs on. A read also cannot fault later: a
+//! file truncated by another process is a short buffer that fails to
+//! parse with a typed `Truncated` error, where a mapping of it raises
+//! `SIGBUS`. The module and type keep their `mmap` names for API
+//! stability; importers such as `campaign-bench` name them.
 
-use std::fs::File;
 use std::io;
 use std::path::Path;
 
 use crate::store::{ProfileStoreView, StoreCodecError};
 
-#[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-mod sys {
-    //! Raw mmap(2)/munmap(2) bindings for 64-bit unix. The constants
-    //! are the POSIX-universal values (identical on Linux and the BSDs
-    //! for these two flags); `off_t` is 64-bit on every supported
-    //! target here, which is why the fast path is gated on
-    //! `target_pointer_width = "64"`.
-    use std::os::raw::{c_int, c_void};
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> c_int;
-    }
-
-    /// Pages may be read.
-    pub const PROT_READ: c_int = 1;
-    /// Private (copy-on-write) mapping; we never write, so this is a
-    /// plain shared read of the page cache.
-    pub const MAP_PRIVATE: c_int = 2;
-    /// `mmap` failure sentinel (`(void *)-1`).
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-}
-
-/// How the file's bytes are held.
-enum Backing {
-    /// Read-only `mmap(2)` region (64-bit unix, `mmap` feature).
-    #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-    Mapped {
-        /// Page-aligned base address returned by `mmap`.
-        ptr: *mut std::os::raw::c_void,
-        /// Mapping length in bytes (the file size at open).
-        len: usize,
-    },
-    /// Owned fallback buffer (non-unix, `--no-default-features`, empty
-    /// files, or an `mmap` syscall failure).
-    Owned(Vec<u8>),
-}
-
-/// A file opened for zero-copy decoding: mmap-backed where supported,
-/// an owned read-to-`Vec` buffer otherwise. See the module docs.
-///
-/// The mapping is private and read-only; `MappedProfile` is `Send` and
-/// `Sync` like the `&[u8]` it hands out.
-pub struct MappedProfile {
-    backing: Backing,
-}
-
-// SAFETY: the mapped region is immutable for the lifetime of the value
-// (PROT_READ, MAP_PRIVATE, never written through `ptr`), so sharing or
-// moving it across threads is no different from sharing a `Vec<u8>`.
-unsafe impl Send for MappedProfile {}
-unsafe impl Sync for MappedProfile {}
+/// A file's bytes, read once into an owned buffer. See the module docs.
+pub struct MappedProfile(Vec<u8>);
 
 impl MappedProfile {
-    /// Opens `path` and makes its bytes addressable. Uses `mmap(2)` on
-    /// 64-bit unix (feature `mmap`, default); falls back to reading the
-    /// file into an owned buffer elsewhere — and for empty files, which
-    /// `mmap` rejects with `EINVAL`.
+    /// Reads all of `path` into a buffer sized from the file's length,
+    /// so a file of `N` bytes costs `N` bytes of heap and no regrowth.
     ///
     /// # Errors
     ///
-    /// Any I/O error opening or reading the file; a failed `mmap`
-    /// syscall is transparently degraded to the read fallback.
+    /// Any I/O error opening or reading the file.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<MappedProfile> {
-        let file = File::open(path.as_ref())?;
-        let len = file.metadata()?.len();
-        let len = usize::try_from(len).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "file larger than the address space",
-            )
-        })?;
-        Ok(MappedProfile {
-            backing: Self::map_or_read(file, len)?,
-        })
-    }
-
-    #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-    fn map_or_read(file: File, len: usize) -> io::Result<Backing> {
-        use std::os::unix::io::AsRawFd;
-        if len == 0 {
-            return Ok(Backing::Owned(Vec::new()));
-        }
-        // SAFETY: `fd` is a valid open descriptor for the duration of
-        // the call; a PROT_READ + MAP_PRIVATE mapping of `len` bytes at
-        // a kernel-chosen address aliases no Rust-managed memory. The
-        // mapping outlives the `File` (POSIX keeps it valid after
-        // close) and is unmapped exactly once, in `Drop`.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr == sys::MAP_FAILED || ptr.is_null() {
-            // Degrade gracefully (e.g. a filesystem without mmap
-            // support): same bytes, one copy.
-            return Ok(Backing::Owned(Self::read_all(file, len)?));
-        }
-        Ok(Backing::Mapped { ptr, len })
-    }
-
-    #[cfg(not(all(unix, target_pointer_width = "64", feature = "mmap")))]
-    fn map_or_read(file: File, len: usize) -> io::Result<Backing> {
-        Ok(Backing::Owned(Self::read_all(file, len)?))
-    }
-
-    fn read_all(mut file: File, len: usize) -> io::Result<Vec<u8>> {
-        use std::io::Read;
-        let mut buf = Vec::with_capacity(len);
-        file.read_to_end(&mut buf)?;
-        Ok(buf)
+        std::fs::read(path).map(MappedProfile)
     }
 
     /// The file's bytes.
     pub fn bytes(&self) -> &[u8] {
-        match &self.backing {
-            #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-            // SAFETY: `ptr` points at a live PROT_READ mapping of
-            // exactly `len` bytes (established in `map_or_read`,
-            // released only in `Drop`).
-            Backing::Mapped { ptr, len } => unsafe {
-                std::slice::from_raw_parts(ptr.cast::<u8>(), *len)
-            },
-            Backing::Owned(buf) => buf,
-        }
+        &self.0
     }
 
     /// Number of bytes in the file.
     pub fn len(&self) -> usize {
-        self.bytes().len()
+        self.0.len()
     }
 
     /// True when the file was empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the bytes are served by an actual `mmap` region (false
-    /// on the read-to-`Vec` fallback).
-    pub fn is_mapped(&self) -> bool {
-        match &self.backing {
-            #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-            Backing::Mapped { .. } => true,
-            Backing::Owned(_) => false,
-        }
+        self.0.is_empty()
     }
 
     /// Parses the file as one encoded `FGRVPROF` store and returns the
-    /// zero-copy view over the mapped bytes.
+    /// zero-copy view over the read bytes.
     ///
     /// # Errors
     ///
     /// The [`StoreCodecError`] taxonomy of
-    /// [`ProfileStoreView::new`] — the mapped file is validated exactly
-    /// like an in-memory buffer.
+    /// [`ProfileStoreView::new`] — the file is validated exactly like
+    /// any other in-memory buffer.
     pub fn view(&self) -> Result<ProfileStoreView<'_>, StoreCodecError> {
-        ProfileStoreView::new(self.bytes())
-    }
-}
-
-impl Drop for MappedProfile {
-    fn drop(&mut self) {
-        #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-        if let Backing::Mapped { ptr, len } = self.backing {
-            // SAFETY: `ptr`/`len` came from a successful `mmap` and are
-            // unmapped exactly once; no `bytes()` borrow can outlive
-            // `self`.
-            unsafe { sys::munmap(ptr, len) };
-        }
+        ProfileStoreView::new(&self.0)
     }
 }
 
@@ -208,7 +67,6 @@ impl std::fmt::Debug for MappedProfile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedProfile")
             .field("len", &self.len())
-            .field("mapped", &self.is_mapped())
             .finish()
     }
 }
@@ -251,9 +109,13 @@ mod tests {
         let view = mapped.view().unwrap();
         assert_eq!(view.to_store(), store);
         assert_eq!(view.mean_power(), store.mean_power());
-        #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-        assert!(mapped.is_mapped(), "unix fast path should actually map");
-        drop(mapped);
+
+        // A file cut short after it was written reads as a short buffer
+        // and fails with a typed error instead of faulting.
+        let bytes = store.to_bytes();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let short = MappedProfile::open(&path).unwrap();
+        assert!(matches!(short.view(), Err(StoreCodecError::Truncated(_))));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -263,7 +125,6 @@ mod tests {
         std::fs::write(&path, []).unwrap();
         let mapped = MappedProfile::open(&path).unwrap();
         assert!(mapped.is_empty());
-        assert!(!mapped.is_mapped());
         assert!(mapped.view().is_err(), "an empty file is not a store");
         std::fs::remove_file(&path).unwrap();
     }

@@ -67,14 +67,17 @@ pub fn median_u64(xs: &[u64]) -> Option<u64> {
     })
 }
 
-/// The `p`-quantile (0.0..=1.0) by linear interpolation; `None` if empty.
+/// The `p`-quantile (0.0..=1.0) by linear interpolation; `None` if empty
+/// or if `p` is NaN.
 ///
 /// Sorts by [`f64::total_cmp`] (see [`median`] for the NaN placement):
 /// NaNs never panic, they gather at the ends of the sorted slice —
 /// positive NaNs above `+inf`, negative below `-inf` — so only quantiles
-/// that land on (or interpolate across) a NaN come back NaN.
+/// that land on (or interpolate across) a NaN come back NaN. Equal
+/// neighbours return that value itself: `x * (1 - t) + x * t` can round
+/// past `x`, and so past every sample.
 pub fn quantile(xs: &[f64], p: f64) -> Option<f64> {
-    if xs.is_empty() {
+    if xs.is_empty() || p.is_nan() {
         return None;
     }
     let mut v = xs.to_vec();
@@ -83,7 +86,7 @@ pub fn quantile(xs: &[f64], p: f64) -> Option<f64> {
     let pos = p * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
-    if lo == hi {
+    if lo == hi || v[lo] == v[hi] {
         Some(v[lo])
     } else {
         let t = pos - lo as f64;
@@ -183,6 +186,31 @@ mod tests {
         assert_eq!(quantile(&xs, 0.5), Some(3.0));
         assert_eq!(quantile(&xs, 0.25), Some(2.0));
         assert_eq!(quantile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn quantile_of_equal_neighbours_is_that_value() {
+        // Interpolating 0.1 with itself rounds to 0.10000000000000002,
+        // above every sample.
+        assert_eq!(quantile(&[0.1, 0.1, 0.1], 0.1), Some(0.1));
+        for &x in &[0.1, 0.3, 1.0e-300, 7.7, 123_456.789, f64::MAX] {
+            for &p in &[0.01, 0.1, 0.3, 0.5, 0.77, 0.99] {
+                assert_eq!(quantile(&[x; 5], p), Some(x), "x = {x}, p = {p}");
+                assert_eq!(quantile(&[-x, x, x, x], p.max(0.34)), Some(x));
+            }
+        }
+        // Unequal neighbours still interpolate.
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), Some(1.5));
+    }
+
+    #[test]
+    fn quantile_of_nan_p_is_none() {
+        assert_eq!(quantile(&[1.0, 2.0, 3.0], f64::NAN), None);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0], -f64::NAN), None);
+        assert_eq!(quantile(&[], f64::NAN), None);
+        // Out-of-range p still clamps to the ends.
+        assert_eq!(quantile(&[1.0, 2.0, 3.0], -1.0), Some(1.0));
+        assert_eq!(quantile(&[1.0, 2.0, 3.0], f64::INFINITY), Some(3.0));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! byte blocks served in place — implement [`ProfileColumns`]; every
 //! analysis kernel is a single generic implementation, so the two paths
 //! cannot drift apart. All floating-point reductions fold in storage
-//! order, which keeps means bit-identical across the owned, view, and
-//! mmap paths.
+//! order, which keeps means bit-identical across the owned and view
+//! paths.
 
 use fingrav_sim::power::ComponentPower;
 

@@ -16,8 +16,8 @@
 //!   [`ProfileStore::indices_where`], [`ProfileStore::select`]);
 //! * the whole store maps 1:1 onto a raw little-endian on-disk layout
 //!   ([`ProfileStore::write_to`]) that the zero-copy [`ProfileStoreView`]
-//!   reads in place — from an mmapped shard, a wire payload, or a buffer
-//!   — and two persisted stores diff column-wise without materializing
+//!   reads in place — from a shard file read whole, a wire payload, or
+//!   any other buffer — and two persisted stores diff column-wise without materializing
 //!   points ([`ProfileStore::diff`]).
 //!
 //! Invalid slots (points that fell outside any execution) are stored

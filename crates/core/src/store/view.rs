@@ -5,8 +5,8 @@
 //! exact block sizes, stray-bitmap-bit and canonical-zero invariants —
 //! and then serves every column straight out of the caller's byte
 //! buffer: no `Vec` per column, no copy per point. The buffer can come
-//! from anywhere bytes live (an mmap'd shard file, a received wire
-//! frame, an owned `Vec<u8>`), which is why the view never assumes
+//! from anywhere bytes live (a shard file read whole, a received wire
+//! frame, a checkpoint entry section), which is why the view never assumes
 //! alignment: every element is read with an unaligned little-endian
 //! load (`u32::from_le_bytes` / `u64::from_le_bytes` on a 4- or 8-byte
 //! chunk), per the in-place-read rules in `docs/FORMATS.md` §2. Owned

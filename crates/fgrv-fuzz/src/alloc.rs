@@ -5,8 +5,8 @@
 //! `PREALLOC_ELEMS`-chunked sequence reads, `MAX_STR_LEN`,
 //! `MAX_FRAME_LEN`-bounded payloads — see `docs/FORMATS.md`). Measuring
 //! that takes a real allocator hook: [`CountingAlloc`] wraps
-//! [`std::alloc::System`] and tracks a per-thread live-byte count and
-//! peak.
+//! [`std::alloc::System`] and tracks a per-thread live-byte count, its
+//! peak and the number of allocations.
 //!
 //! The harness binaries install it with `#[global_allocator]`; library
 //! consumers that embed the oracle without installing it (the root
@@ -29,6 +29,8 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 thread_local! {
     /// (live bytes, peak live bytes) on this thread.
     static LIVE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    /// Allocations and reallocations made on this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// True when [`CountingAlloc`] is installed as the global allocator in
@@ -50,8 +52,15 @@ pub fn peak() -> usize {
     LIVE.with(|c| c.get().1)
 }
 
+/// Allocations (a reallocation counts as one) made on this thread so
+/// far; take the difference around the code being measured.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
 fn add(n: usize) {
     ACTIVE.store(true, Ordering::Relaxed);
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
     LIVE.with(|c| {
         let (live, peak) = c.get();
         let live = live.saturating_add(n);

@@ -2,8 +2,9 @@
 //!
 //! FinGraV's value is trustworthy fine-grain power data. The repo holds
 //! three versioned untrusted-input codecs (`FGRVPROF`/`FGRVCKPT`/
-//! `FGRVWIRE`), an unsafe mmap read path, and lock-free cancellation
-//! flags spread across crates — correctness that tests exercise but
+//! `FGRVWIRE`), `unsafe` confined to the test and fuzz counting
+//! allocators, and lock-free cancellation flags spread across crates —
+//! correctness that tests exercise but
 //! nothing *enforces*. This tool machine-checks those conventions as
 //! deny-by-default diagnostics:
 //!

@@ -1,16 +1,21 @@
 //! Deterministic heap cost of the CSV render and the argsort under it,
-//! measured with the counting allocator `fgrv-fuzz` installs. Allocation
-//! sizes are exact, unlike wall time, so a doubling output buffer or an
-//! extra per-row buffer fails here however noisy the host is.
+//! of reading a persisted file, and of one warm engine run, measured
+//! with the counting allocator `fgrv-fuzz` installs. Allocation sizes
+//! and counts are exact, unlike wall time, so a doubling output buffer,
+//! an extra per-row buffer or one more allocation per run fails here
+//! however noisy the host is.
 //!
-//! This file holds a single `#[test]`: the counters are per-thread, and
-//! one test keeps the measured thread free of anything else.
+//! The counters are per-thread and the harness runs each `#[test]` on a
+//! thread of its own, so the tests here do not see each other's heap.
 
 use fgrv_fuzz::alloc::{self, CountingAlloc};
+use fingrav::core::mmap::MappedProfile;
 use fingrav::core::profile::{ProfileAxis, ProfilePoint};
 use fingrav::core::report::columns_to_csv;
 use fingrav::core::store::ProfileStore;
-use fingrav::sim::ComponentPower;
+use fingrav::sim::script::Script;
+use fingrav::sim::{ComponentPower, SimConfig, SimDuration, Simulation};
+use fingrav::workloads::suite;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -31,6 +36,13 @@ fn transient_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let base = alloc::peak();
     let out = f();
     (out, alloc::peak() - base)
+}
+
+/// [`transient_peak`] plus the number of allocations `f` made.
+fn heap_cost<T>(f: impl FnOnce() -> T) -> (T, usize, u64) {
+    let before = alloc::allocations();
+    let (out, peak) = transient_peak(f);
+    (out, peak, alloc::allocations() - before)
 }
 
 /// A store shaped like a campaign's run profile: a few hundred runs of
@@ -84,4 +96,70 @@ fn csv_render_and_argsort_heap_stay_within_output_plus_scratch() {
             csv.len()
         );
     }
+}
+
+#[test]
+fn file_read_allocates_the_file_once() {
+    assert!(alloc::active(), "the counting allocator is installed");
+    // About one checkpoint entry file, and far from a power of two, so a
+    // buffer grown by doubling would overshoot it by ~80%.
+    const N: usize = 144_000;
+    let path = std::env::temp_dir().join(format!("fingrav-read-heap-{}.bin", std::process::id()));
+    let bytes: Vec<u8> = (0..N).map(|i| (i * 7) as u8).collect();
+    std::fs::write(&path, &bytes).expect("scratch file writes");
+
+    let (file, peak, allocations) = heap_cost(|| MappedProfile::open(&path).expect("reads"));
+    assert_eq!(file.bytes(), &bytes[..]);
+    // The path becomes a C string on the stack when it is short, and in
+    // one more heap allocation of its length plus the NUL when it is not.
+    let path_bytes = path.as_os_str().len() + 1;
+    assert!(
+        peak <= N + path_bytes && allocations <= 2,
+        "reading {N} B peaked at {peak} B over {allocations} allocations"
+    );
+    drop(file);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn warm_engine_run_heap_is_pinned() {
+    assert!(alloc::active(), "the counting allocator is installed");
+    // The engine bench's `run/noop` profiling run at seed 7 (as pinned
+    // in `tests/sensor_ring.rs`).
+    let machine = SimConfig::default().machine;
+    let mut sim = Simulation::new(SimConfig::default(), 7).expect("valid");
+    let k = sim
+        .register_kernel(suite::cb_gemm(&machine, 4096))
+        .expect("valid kernel");
+    let script = Script::builder()
+        .begin_run()
+        .start_power_logger()
+        .read_gpu_timestamp()
+        .launch_timed(k, 24)
+        .sleep(SimDuration::from_millis(1))
+        .read_gpu_timestamp()
+        .stop_power_logger()
+        .sleep(SimDuration::from_millis(8))
+        .build();
+    // The first runs fill the sensor-sample ring, which grows lazily to
+    // its fixed capacity; after that a run allocates little more than
+    // the trace it returns.
+    for _ in 0..3 {
+        sim.run_script(&script).expect("runs");
+    }
+    alloc::reset_peak();
+    let base = alloc::peak();
+    let (trace, peak, allocations) = heap_cost(|| sim.run_script(&script).expect("runs"));
+    alloc::reset_peak();
+    let retained = alloc::peak() - base;
+    assert_eq!(trace.executions.len(), 24);
+    // The exact cost: one more allocation, or a buffer that grows
+    // further, fails here. A change that moves them on purpose updates
+    // them.
+    assert_eq!(
+        (peak, retained, allocations),
+        (2680, 2656, 7),
+        "(peak heap B, heap B the returned trace holds, allocations) \
+         of a warm run/noop at seed 7"
+    );
 }

@@ -227,9 +227,9 @@ fn gather_streams_one_shard_at_a_time() {
     let peak_extra = PEAK.load(Ordering::SeqCst) - before;
 
     // The transient budget: the three exactly-sized outputs, at most two
-    // entry files resident at once (a primary and a would-be duplicate on
-    // the non-mmap fallback; the mmap path keeps them off the heap
-    // entirely), and small change for paths/manifest/scratch.
+    // entry files resident at once (a primary and a would-be duplicate,
+    // each read whole into one exactly sized buffer), and small change
+    // for paths/manifest/scratch.
     let budget = output_heap + 2 * max_entry_file + 256 * 1024;
     assert!(
         peak_extra <= budget,

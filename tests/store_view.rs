@@ -2,7 +2,7 @@
 //! kernel agrees bit-for-bit with the owned `ProfileStore` on random
 //! stores; the CSV render through the view is byte-identical to the
 //! owned render; `extend_from_view` equals the copy-then-merge path;
-//! mmapped files decode identically to in-memory buffers; and damaged
+//! files read from disk decode identically to in-memory buffers; and damaged
 //! encodings (truncations, bit flips, stray bitmap bits, non-canonical
 //! slots, trailing bytes) fail with the typed error `docs/FORMATS.md` §2
 //! prescribes — never a panic, never a wrong store. The view is the
@@ -316,7 +316,7 @@ fn implausible_length_rejected_without_allocation() {
 }
 
 // ---------------------------------------------------------------------
-// mmap path: a mapped file serves the identical view
+// File path: a file read by `MappedProfile` serves the identical view
 // ---------------------------------------------------------------------
 
 #[test]
