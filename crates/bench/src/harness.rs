@@ -7,7 +7,7 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use fingrav_core::backend::{FnBackendFactory, SimulationFactory};
+use fingrav_core::backend::FnBackendFactory;
 use fingrav_core::campaign::Campaign;
 use fingrav_core::checkpoint::campaign_digest;
 use fingrav_core::executor::{CampaignExecutor, CampaignObserver, CampaignTally};
@@ -24,7 +24,7 @@ pub enum Scale {
     Full,
     /// Reduced run counts for quick regeneration and CI.
     Quick,
-    /// Minimal run counts for Criterion micro-benchmarks.
+    /// Minimal run counts for smoke runs.
     Bench,
 }
 
@@ -347,12 +347,6 @@ impl CampaignObserver for CampaignProgress {
     fn entry_failed(&self, index: usize, error: &fingrav_core::error::MethodologyError) {
         eprintln!("  [slot {index}] FAILED: {error}");
     }
-}
-
-/// The deterministic default-config backend factory for an experiment:
-/// campaign slot `i` draws seed `mix_seed(seed_for(name), i)`.
-pub fn campaign_factory(name: &str) -> SimulationFactory {
-    SimulationFactory::new(SimConfig::default(), seed_for(name))
 }
 
 /// The checkpoint subdirectory a harness campaign lives under: a readable

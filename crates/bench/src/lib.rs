@@ -1,10 +1,9 @@
 //! # fingrav-bench — the paper's evaluation, regenerated
 //!
 //! One experiment function per table/figure of the FinGraV paper
-//! (ISPASS 2025), shared between the `src/bin` regeneration binaries and
-//! the Criterion benches. Every experiment is deterministic given its
-//! built-in seed and returns plain data that the binaries render to
-//! stdout + CSV.
+//! (ISPASS 2025), shared by the `src/bin` regeneration binaries. Every
+//! experiment is deterministic given its built-in seed and returns plain
+//! data that the binaries render to stdout + CSV.
 //!
 //! | Artifact | Function | Paper content |
 //! |---|---|---|

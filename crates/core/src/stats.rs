@@ -1,19 +1,38 @@
 //! Small statistics helpers used across the methodology.
 
-/// Arithmetic mean; `None` for an empty slice.
+/// Arithmetic mean; `None` for an empty slice. The mean of finite values
+/// is finite, even near `f64::MAX`.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
-        None
+        return None;
+    }
+    let n = xs.len() as f64;
+    let m = xs.iter().sum::<f64>() / n;
+    // Dividing first only where the sum overflows, so every finite mean
+    // stays bit-identical to `sum / n`.
+    if m.is_finite() || !xs.iter().all(|x| x.is_finite()) {
+        Some(m)
     } else {
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
+        Some(xs.iter().map(|x| x / n).sum())
     }
 }
 
-/// Population standard deviation; `None` for an empty slice.
+/// Population standard deviation; `None` for an empty slice. The
+/// deviation of finite values is finite, even near `f64::MAX`.
 pub fn std_dev(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
+    let n = xs.len() as f64;
+    let sd = (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n).sqrt();
+    if sd.is_finite() || !xs.iter().all(|x| x.is_finite()) {
+        return Some(sd);
+    }
+    // The squares overflow: measure halved deviations (which cannot
+    // overflow) in units of the largest, so every finite result stays
+    // bit-identical to the plain formula.
+    let dev = |x: f64| 0.5 * x - 0.5 * m;
+    let scale = xs.iter().map(|&x| dev(x).abs()).fold(0.0, f64::max);
+    let var = xs.iter().map(|&x| (dev(x) / scale).powi(2)).sum::<f64>() / n;
+    Some(2.0 * (scale * var.sqrt()))
 }
 
 /// Median (average of the middle two for even lengths); `None` if empty.
@@ -118,6 +137,32 @@ mod tests {
         let sd = std_dev(&[2.0, 4.0]).unwrap();
         assert!((sd - 1.0).abs() < 1e-12);
         assert_eq!(std_dev(&[]), None);
+    }
+
+    #[test]
+    fn mean_of_huge_values_does_not_overflow() {
+        assert_eq!(mean(&[f64::MAX, f64::MAX]), Some(f64::MAX));
+        assert_eq!(mean(&[-f64::MAX, -f64::MAX]), Some(-f64::MAX));
+        assert_eq!(mean(&[f64::MAX, 0.5 * f64::MAX]), Some(0.75 * f64::MAX));
+        // Finite sums keep their old bits; non-finite inputs their old results.
+        assert_eq!(mean(&[0.1, 0.2, 0.3]), Some((0.1 + 0.2 + 0.3) / 3.0));
+        assert_eq!(mean(&[f64::INFINITY, 1.0]), Some(f64::INFINITY));
+        assert!(mean(&[f64::NEG_INFINITY, f64::INFINITY]).unwrap().is_nan());
+    }
+
+    #[test]
+    fn std_dev_of_huge_values_does_not_overflow() {
+        assert_eq!(std_dev(&[f64::MAX, f64::MAX]), Some(0.0));
+        assert_eq!(std_dev(&[f64::MAX, -f64::MAX]), Some(f64::MAX));
+        let sd = std_dev(&[f64::MAX, -f64::MAX, -f64::MAX]).unwrap();
+        let want = f64::MAX * (8.0f64 / 9.0).sqrt();
+        assert!(sd.is_finite() && (sd - want).abs() <= want * 1e-15, "{sd}");
+        // Finite squares keep their old bits; non-finite inputs their old results.
+        let xs = [1.0, 2.0, 4.0];
+        let m: f64 = 7.0 / 3.0;
+        let plain = (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / 3.0).sqrt();
+        assert_eq!(std_dev(&xs), Some(plain));
+        assert!(std_dev(&[f64::INFINITY, 1.0]).unwrap().is_nan());
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Deterministic discrete-event queues.
+//! The engine's deterministic discrete-event queue.
 //!
 //! The simulator advances by popping the earliest pending event. Ties are
 //! broken by insertion order (FIFO), which keeps runs bit-reproducible no
 //! matter how the heap happens to reorganize internally.
 //!
-//! Two queue types share that discipline:
-//!
-//! * [`EventQueue`] — the general heap: any number of events, O(log n)
-//!   per operation.
-//! * [`HybridQueue`] — the engine's hot-loop queue: a fixed set of
-//!   *periodic slots* (one armed firing each, O(1) to arm and pop) merged
-//!   against a small heap of irregular events. Both halves draw sequence
-//!   numbers from one shared counter, so the merged pop order — including
-//!   FIFO tie order — is exactly what a single [`EventQueue`] holding the
-//!   same schedule would produce.
+//! [`HybridQueue`] is the engine's hot-loop queue: a fixed set of
+//! *periodic slots* (one armed firing each, O(1) to arm and pop) merged
+//! against a small heap of irregular events. Both halves draw sequence
+//! numbers from one shared counter, so the merged pop order — including
+//! FIFO tie order — is exactly what a single time-ordered heap holding the
+//! same schedule would produce (the plain heap reference lives with the
+//! tests that check this).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -53,75 +50,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A time-ordered event queue with FIFO tie-breaking.
-///
-/// # Examples
-///
-/// ```
-/// use fingrav_sim::event::EventQueue;
-/// use fingrav_sim::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_nanos(20), "late");
-/// q.schedule(SimTime::from_nanos(10), "early");
-/// assert_eq!(q.pop().unwrap().1, "early");
-/// assert_eq!(q.pop().unwrap().1, "late");
-/// assert!(q.pop().is_none());
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
-    }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// What a [`HybridQueue::pop`] produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Popped<E> {
@@ -138,8 +66,8 @@ pub enum Popped<E> {
 /// irregular events go through an ordinary binary heap. A single sequence
 /// counter spans both tiers, so interleaving [`HybridQueue::arm`] and
 /// [`HybridQueue::schedule`] calls produces exactly the pop order (times,
-/// then FIFO ties) of an [`EventQueue`] receiving the same `schedule`
-/// calls in the same order.
+/// then FIFO ties) of a single time-ordered heap receiving the same
+/// `schedule` calls in the same order.
 ///
 /// # Examples
 ///
@@ -272,53 +200,6 @@ impl<E, const N: usize> Default for HybridQueue<E, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(30), 3);
-        q.schedule(SimTime::from_nanos(10), 1);
-        q.schedule(SimTime::from_nanos(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(5);
-        for i in 0..100 {
-            q.schedule(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        q.schedule(SimTime::from_nanos(5), "b");
-        q.schedule(SimTime::from_nanos(1), "c");
-        assert_eq!(q.pop().unwrap().1, "c");
-        q.schedule(SimTime::from_nanos(2), "d");
-        assert_eq!(q.pop().unwrap().1, "d");
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
 
     #[test]
     fn hybrid_pops_slots_and_heap_in_time_order() {
@@ -348,7 +229,7 @@ mod tests {
     #[test]
     fn hybrid_ties_break_by_shared_sequence_counter() {
         // At the same instant, whoever was armed/scheduled first pops
-        // first — across tiers, exactly like one EventQueue.
+        // first — across tiers, exactly like one time-ordered heap.
         let t = SimTime::from_nanos(100);
         let mut q: HybridQueue<u32, 2> = HybridQueue::new();
         q.arm(1, t); // seq 0
@@ -377,77 +258,5 @@ mod tests {
         q.arm(0, t); // seq 3
         assert_eq!(q.pop(), Some((t, Popped::Irregular(2))));
         assert_eq!(q.pop(), Some((t, Popped::Periodic(0))));
-    }
-
-    #[test]
-    fn hybrid_matches_the_heap_reference_on_a_random_schedule() {
-        // Mirror every operation into an EventQueue; the merged pop
-        // stream (time, kind) must be identical, including tie order.
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        enum Kind {
-            Slot(usize),
-            Irregular(u64),
-        }
-        let mut hybrid: HybridQueue<u64, 4> = HybridQueue::new();
-        let mut reference: EventQueue<Kind> = EventQueue::new();
-        let mut x = 0xDEADBEEF_u64;
-        let step =
-            |hybrid: &mut HybridQueue<u64, 4>, reference: &mut EventQueue<Kind>, x: &mut u64| {
-                *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let at = SimTime::from_nanos(*x % 64); // dense times force ties
-                *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let slot = (*x % 8) as usize;
-                if slot < 4 {
-                    if hybrid.slots[slot].is_none() {
-                        hybrid.arm(slot, at);
-                        reference.schedule(at, Kind::Slot(slot));
-                    }
-                } else {
-                    hybrid.schedule(at, *x);
-                    reference.schedule(at, Kind::Irregular(*x));
-                }
-            };
-        for round in 0..200 {
-            for _ in 0..(round % 7) + 1 {
-                step(&mut hybrid, &mut reference, &mut x);
-            }
-            // Drain a few, interleaved with scheduling.
-            for _ in 0..(round % 5) {
-                let got = hybrid.pop();
-                let want = reference.pop();
-                match (got, want) {
-                    (None, None) => {}
-                    (Some((gt, Popped::Periodic(s))), Some((wt, Kind::Slot(ws)))) => {
-                        assert_eq!((gt, s), (wt, ws));
-                    }
-                    (Some((gt, Popped::Irregular(p))), Some((wt, Kind::Irregular(wp)))) => {
-                        assert_eq!((gt, p), (wt, wp));
-                    }
-                    (g, w) => panic!("pop mismatch: {g:?} vs {w:?}"),
-                }
-            }
-        }
-        while let Some(want) = reference.pop() {
-            let got = hybrid.pop().expect("hybrid drained early");
-            assert_eq!(got.0, want.0);
-        }
-        assert!(hybrid.pop().is_none());
-    }
-
-    #[test]
-    fn never_pops_backwards_under_load() {
-        let mut q = EventQueue::new();
-        // Pseudo-random but deterministic schedule.
-        let mut x = 0x12345678_u64;
-        for i in 0..5_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let at = SimTime::ZERO + SimDuration::from_nanos(x % 1_000_000);
-            q.schedule(at, i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-        }
     }
 }

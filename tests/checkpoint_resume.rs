@@ -27,6 +27,7 @@ use fingrav::sim::session::{AbortHandle, TelemetrySink};
 use fingrav::sim::time::SimDuration;
 use fingrav::sim::trace::RunTrace;
 use fingrav::sim::{SimConfig, Simulation};
+use fingrav::workloads::suite;
 
 mod common;
 use common::entry_bytes;
@@ -569,5 +570,50 @@ fn stage_checkpoint_survives_persistence_and_finalizes_identically() {
     assert_eq!(
         report, direct,
         "restored artifacts must finalize identically"
+    );
+}
+
+/// Total size of every FGRVCKPT file under `dir`, recursively.
+fn fgrvckpt_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("checkpoint directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .map(|path| {
+            if path.is_dir() {
+                fgrvckpt_bytes(&path)
+            } else if path.extension().is_some_and(|e| e == "fgrvckpt") {
+                std::fs::metadata(&path).expect("metadata").len()
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+/// The exact FGRVCKPT bytes a fixed suite campaign persists (manifest
+/// plus entry files): one byte more per entry, a wider field or a stray
+/// section fails here instead of hiding in wall-time noise. A change
+/// that moves it on purpose updates it and says why.
+#[test]
+fn suite_campaign_checkpoint_bytes_are_pinned() {
+    let machine = SimConfig::default().machine;
+    let mut campaign = Campaign::new(RunnerConfig::quick(4));
+    campaign.add_all(suite::full_suite(&machine).into_iter().map(|k| k.desc));
+    let root = scratch_root("byte-pin");
+    let _ = std::fs::remove_dir_all(&root);
+    CampaignExecutor::new(2)
+        .execute_sharded(
+            &campaign,
+            &SimulationFactory::new(SimConfig::default(), 7),
+            &root,
+        )
+        .expect("campaign runs")
+        .into_report()
+        .expect("complete");
+    let bytes = fgrvckpt_bytes(&root);
+    std::fs::remove_dir_all(&root).expect("scratch removable");
+    assert_eq!(
+        bytes, 105_500,
+        "FGRVCKPT bytes of the 14-kernel suite campaign"
     );
 }

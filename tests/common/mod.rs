@@ -8,7 +8,9 @@
 //! and `FGRVCKPT` adversarial suites run over, and the deque telemetry
 //! the sample ring is checked against (`sensor_ring.rs`). [`axis_order`]
 //! holds the comparator argsort the radix `argsort_by_axis` is checked
-//! against (`store_view.rs`, and the fuzz `prof` oracle). [`entry_bytes`] is the
+//! against (`store_view.rs`, and the fuzz `prof` oracle). [`event_queue`]
+//! holds the heap reference the engine's `HybridQueue` is checked against
+//! (`event_queue.rs`, `proptests.rs`). [`entry_bytes`] is the
 //! bit-exact report comparison the determinism tests and the resume and
 //! distributed examples share.
 //!
@@ -18,6 +20,7 @@
 #![allow(dead_code)] // per-binary compilation: see note above
 
 pub mod axis_order;
+pub mod event_queue;
 
 use std::collections::VecDeque;
 

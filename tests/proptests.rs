@@ -10,6 +10,8 @@ use fingrav::sim::telemetry::{AveragingPowerLogger, SampleRing};
 use fingrav::sim::{ComponentPower, CpuTime, GpuTicks, SimDuration, SimTime};
 use proptest::prelude::*;
 
+mod common;
+
 proptest! {
     // ------------------------------------------------------------------
     // Time sync
@@ -354,7 +356,8 @@ proptest! {
         // has no tuple strategies, so decode the fields from one integer.
         raw_ops in prop::collection::vec(0u64..(8 * 64 * 4), 1..200),
     ) {
-        use fingrav::sim::event::{EventQueue, HybridQueue, Popped};
+        use common::event_queue::EventQueue;
+        use fingrav::sim::event::{HybridQueue, Popped};
 
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Kind {

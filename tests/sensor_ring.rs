@@ -306,7 +306,7 @@ fn odd_window_config_matches_pinned_bytes() {
 
 #[test]
 fn exact_pm_folds_are_rare_on_a_throttling_run_and_absent_when_idle() {
-    // The engine bench's `run/noop` profiling run: CB-GEMM-4096 hits the
+    // The `perf` binary's `run/noop` profiling run: CB-GEMM-4096 hits the
     // cap, so the firmware throttles.
     let machine = SimConfig::default().machine;
     let mut sim = Simulation::new(SimConfig::default(), 7).expect("valid");
