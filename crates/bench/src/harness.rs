@@ -64,9 +64,9 @@ pub struct RunContext {
     pub resume: bool,
     /// Where campaigns are measured (`--serve ADDR` / `--connect ADDR`).
     pub transport: Transport,
-    /// Flags the grammar did not recognize or could not apply: unknown
-    /// flags, value flags without their value, and `--serve` with
-    /// `--connect` (both are then ignored).
+    /// Arguments the grammar did not recognize or could not apply:
+    /// unknown flags, bare positionals, value flags without their value,
+    /// and `--serve` with `--connect` (both are then ignored).
     pub unknown: Vec<String>,
     /// Per-process campaign ordinal: every [`RunContext::campaign_report`]
     /// call gets the next position, and because the `--serve` and
@@ -93,12 +93,12 @@ pub struct RunContext {
 
 impl RunContext {
     /// Parses a binary's argv (without the program name), warning on
-    /// stderr about every flag in [`RunContext::unknown`].
+    /// stderr about every argument in [`RunContext::unknown`].
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> RunContext {
         let ctx = RunContext::parse(args);
-        for flag in &ctx.unknown {
+        for arg in &ctx.unknown {
             eprintln!(
-                "warning: ignoring flag `{flag}` \
+                "warning: ignoring argument `{arg}` \
                  (expected --quick, --full, --bench, --workers N, --out DIR, \
                   --checkpoint-dir DIR, --resume, and at most one of \
                   --serve ADDR or --connect ADDR)"
@@ -161,10 +161,10 @@ impl RunContext {
                     Some(addr) => connect = Some(addr),
                     None => ctx.unknown.push(a),
                 },
-                flag if flag.starts_with('-') => ctx.unknown.push(a),
-                // Bare positionals (e.g. a cargo-bench filter) pass through
-                // silently.
-                _ => {}
+                // Unknown flags and bare positionals (a typo such as
+                // `perf typo`, or a stray value like the `zero` of
+                // `--workers zero`) are surfaced alike.
+                _ => ctx.unknown.push(a),
             }
         }
         ctx.transport = match (serve, connect) {
@@ -706,10 +706,11 @@ mod tests {
         assert_eq!(ctx.workers, Some(3));
         assert_eq!(ctx.scale, Scale::Bench);
         assert!(ctx.unknown.is_empty());
-        // A missing or non-positive value is surfaced, not silently eaten.
+        // A missing or non-positive value is surfaced, not silently eaten,
+        // and so is the malformed value itself.
         let ctx = parse(&["--workers", "zero"]);
         assert_eq!(ctx.workers, None);
-        assert_eq!(ctx.unknown, vec!["--workers".to_string()]);
+        assert_eq!(ctx.unknown, vec!["--workers".to_string(), "zero".into()]);
         let ctx = parse(&["--workers", "0"]);
         assert_eq!(ctx.workers, None);
         assert!(!ctx.unknown.is_empty());
@@ -788,6 +789,14 @@ mod tests {
             ctx.unknown,
             vec!["--frobnicate".to_string(), "-x".to_string()]
         );
+        // Bare positionals are surfaced the same way.
+        let ctx = parse(&["typo"]);
+        assert_eq!(ctx.scale, Scale::Full);
+        assert_eq!(ctx.unknown, vec!["typo".to_string()]);
+        let ctx = parse(&["--bench", "resultz", "--out", "o", "x"]);
+        assert_eq!(ctx.scale, Scale::Bench);
+        assert_eq!(ctx.out, PathBuf::from("o"));
+        assert_eq!(ctx.unknown, vec!["resultz".to_string(), "x".into()]);
     }
 
     #[test]

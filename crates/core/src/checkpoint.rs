@@ -40,17 +40,16 @@
 //! never a panic — and bounds every allocation before trusting a length
 //! field, so a corrupt header cannot drive memory commitment.
 //!
-//! Three section kinds exist:
+//! Two section kinds exist:
 //!
 //! * **Manifest** ([`CampaignManifest`]) — the campaign plan: config
 //!   digest, worker count, and per-entry label/seed/status/shard rows;
 //! * **Entry artifact** ([`EntryArtifact`]) — one finished entry's
 //!   [`KernelPowerReport`], its stitched profiles embedded in their
-//!   native `FGRVPROF` binary form via [`ProfileStore::write_to`];
-//! * **Stage state** ([`StageCheckpoint`]) — the mid-entry boundary: the
-//!   typed pipeline artifacts ([`TimingArtifact`], [`SspArtifact`],
-//!   [`RunCollection`]) persisted between stages, for runners that want
-//!   to checkpoint *inside* an entry.
+//!   native `FGRVPROF` binary form via [`ProfileStore::write_to`].
+//!
+//! Section tag 3 belonged to a retired mid-entry stage-state section; it
+//! stays reserved, and every reader refuses it as a section mismatch.
 //!
 //! # Example: manifest round trip and damage rejection
 //!
@@ -102,10 +101,9 @@ use fingrav_sim::power::{Activity, ComponentPower};
 use fingrav_sim::script::HostOp;
 use fingrav_sim::session::TelemetryEvent;
 use fingrav_sim::telemetry::PowerLog;
-use fingrav_sim::time::{CpuTime, GpuTicks, SimDuration, SimTime};
-use fingrav_sim::trace::{GroundTruth, RunTrace, TimedExecution, TimestampRead, TrueExecution};
+use fingrav_sim::time::{CpuTime, GpuTicks, SimDuration};
+use fingrav_sim::trace::{TimedExecution, TimestampRead};
 
-use crate::binning::{Bin, Binning};
 use crate::campaign::{Campaign, CampaignReport};
 use crate::cover;
 use crate::error::MethodologyError;
@@ -113,10 +111,8 @@ use crate::executor::CampaignOutcome;
 use crate::guidance::GuidanceEntry;
 use crate::mmap::MappedProfile;
 use crate::profile::{PowerProfile, ProfileKind};
-use crate::runner::{CollectedRun, KernelPowerReport, LoggerChoice, RunnerConfig};
-use crate::stages::{RunCollection, SspArtifact, StitchedProfiles, TimingArtifact};
+use crate::runner::{KernelPowerReport, LoggerChoice, RunnerConfig};
 use crate::store::{ProfileStore, ProfileStoreView, StoreCodecError};
-use crate::sync::{ReadDelayCalibration, TimeSync};
 
 /// Magic bytes opening every checkpoint file.
 pub const CKPT_MAGIC: [u8; 8] = *b"FGRVCKPT";
@@ -129,7 +125,12 @@ pub const MANIFEST_FILE: &str = "manifest.fgrvckpt";
 /// Section tags distinguishing the payload kinds of a checkpoint file.
 const SECTION_MANIFEST: u32 = 1;
 const SECTION_ENTRY: u32 = 2;
-const SECTION_STAGE: u32 = 3;
+/// The tag of the retired stage-state section. Every reader refuses it as
+/// a section mismatch. It stays declared so no new section reuses it, and
+/// so its committed fixture (`tests/data/golden_stage.fgrvckpt`, kept as
+/// a refused input) still opens with a declared tag.
+const SECTION_RETIRED: u32 = 3;
+const _: () = assert!(SECTION_RETIRED != SECTION_MANIFEST && SECTION_RETIRED != SECTION_ENTRY);
 
 /// Hard ceiling on any decoded collection length: 2^32 elements of the
 /// smallest element would already be a multi-GiB checkpoint; anything
@@ -438,17 +439,6 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
-impl<A: Codec, B: Codec> Codec for (A, B) {
-    const BLOCK: &'static str = "pair";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.0.encode(w)?;
-        self.1.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Domain-type codecs (simulator observables)
 // ---------------------------------------------------------------------
@@ -474,9 +464,6 @@ u64_newtype_codec!(CpuTime, "cpu time", |t: &CpuTime| t.as_nanos(), |ns| {
 });
 u64_newtype_codec!(GpuTicks, "gpu ticks", |t: &GpuTicks| t.as_raw(), |v| {
     GpuTicks::from_raw(v)
-});
-u64_newtype_codec!(SimTime, "sim time", |t: &SimTime| t.as_nanos(), |ns| {
-    SimTime::from_nanos(ns)
 });
 u64_newtype_codec!(
     SimDuration,
@@ -569,68 +556,6 @@ impl Codec for TimestampRead {
             cpu_before: CpuTime::decode(r)?,
             cpu_after: CpuTime::decode(r)?,
             ticks: GpuTicks::decode(r)?,
-        })
-    }
-}
-
-impl Codec for TrueExecution {
-    const BLOCK: &'static str = "true execution";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.kernel.encode(w)?;
-        self.start.encode(w)?;
-        self.end.encode(w)?;
-        self.index.encode(w)?;
-        self.execs_since_cold.encode(w)?;
-        self.outlier.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(TrueExecution {
-            kernel: KernelHandle::decode(r)?,
-            start: SimTime::decode(r)?,
-            end: SimTime::decode(r)?,
-            index: u32::decode(r)?,
-            execs_since_cold: u32::decode(r)?,
-            outlier: bool::decode(r)?,
-        })
-    }
-}
-
-impl Codec for GroundTruth {
-    const BLOCK: &'static str = "ground truth";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.executions.encode(w)?;
-        self.freq_changes.encode(w)?;
-        self.final_temp_c.encode(w)?;
-        self.instant_power.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(GroundTruth {
-            executions: Vec::decode(r)?,
-            freq_changes: Vec::decode(r)?,
-            final_temp_c: f64::decode(r)?,
-            instant_power: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for RunTrace {
-    const BLOCK: &'static str = "run trace";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.executions.encode(w)?;
-        self.timestamp_reads.encode(w)?;
-        self.power_logs.encode(w)?;
-        self.coarse_logs.encode(w)?;
-        self.aborted.encode(w)?;
-        self.truth.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(RunTrace {
-            executions: Vec::decode(r)?,
-            timestamp_reads: Vec::decode(r)?,
-            power_logs: Vec::decode(r)?,
-            coarse_logs: Vec::decode(r)?,
-            aborted: bool::decode(r)?,
-            truth: GroundTruth::decode(r)?,
         })
     }
 }
@@ -770,37 +695,6 @@ impl Codec for TelemetryEvent {
 // Domain-type codecs (methodology artifacts)
 // ---------------------------------------------------------------------
 
-impl Codec for TimeSync {
-    const BLOCK: &'static str = "time sync";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let (anchor_cpu_ns, anchor_ticks, ns_per_tick) = self.to_parts();
-        anchor_cpu_ns.encode(w)?;
-        anchor_ticks.encode(w)?;
-        ns_per_tick.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(TimeSync::from_parts(
-            f64::decode(r)?,
-            f64::decode(r)?,
-            f64::decode(r)?,
-        ))
-    }
-}
-
-impl Codec for ReadDelayCalibration {
-    const BLOCK: &'static str = "read-delay calibration";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.median_rtt_ns.encode(w)?;
-        self.assumed_sample_frac.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(ReadDelayCalibration {
-            median_rtt_ns: u64::decode(r)?,
-            assumed_sample_frac: f64::decode(r)?,
-        })
-    }
-}
-
 impl Codec for GuidanceEntry {
     const BLOCK: &'static str = "guidance entry";
     fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -816,107 +710,6 @@ impl Codec for GuidanceEntry {
             max_exec: Option::decode(r)?,
             runs: u32::decode(r)?,
             loi_interval: SimDuration::decode(r)?,
-            margin_frac: f64::decode(r)?,
-        })
-    }
-}
-
-impl Codec for TimingArtifact {
-    const BLOCK: &'static str = "timing artifact";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.sse_index.encode(w)?;
-        self.exec_time_ns.encode(w)?;
-        self.guidance.encode(w)?;
-        self.runs.encode(w)?;
-        self.margin_frac.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(TimingArtifact {
-            sse_index: u32::decode(r)?,
-            exec_time_ns: u64::decode(r)?,
-            guidance: GuidanceEntry::decode(r)?,
-            runs: u32::decode(r)?,
-            margin_frac: f64::decode(r)?,
-        })
-    }
-}
-
-impl Codec for SspArtifact {
-    const BLOCK: &'static str = "ssp artifact";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.ssp_index.encode(w)?;
-        self.throttle_detected.encode(w)?;
-        self.executions_per_run.encode(w)?;
-        self.loi_target.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(SspArtifact {
-            ssp_index: u32::decode(r)?,
-            throttle_detected: bool::decode(r)?,
-            executions_per_run: u32::decode(r)?,
-            loi_target: u32::decode(r)?,
-        })
-    }
-}
-
-impl Codec for Bin {
-    const BLOCK: &'static str = "bin";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.low_ns.encode(w)?;
-        self.high_ns.encode(w)?;
-        let members: Vec<u64> = self.members.iter().map(|&m| m as u64).collect();
-        members.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        let low_ns = u64::decode(r)?;
-        let high_ns = u64::decode(r)?;
-        let raw = Vec::<u64>::decode(r)?;
-        // Members index the entry's run list, itself a `MAX_SEQ_LEN`-
-        // bounded sequence; convert checked instead of `as usize` so a
-        // wide index can neither truncate on 32-bit hosts nor smuggle
-        // an absurd run number past the decoder.
-        let mut members = Vec::with_capacity(raw.len());
-        for m in raw {
-            let index = usize::try_from(m)
-                .ok()
-                .filter(|&i| i <= MAX_SEQ_LEN)
-                .ok_or_else(|| {
-                    cover::hit(cover::CKPT_BIN_BAD_MEMBER);
-                    CheckpointError::Corrupt(format!("implausible bin member index {m}"))
-                })?;
-            members.push(index);
-        }
-        Ok(Bin {
-            low_ns,
-            high_ns,
-            members,
-        })
-    }
-}
-
-impl Codec for Binning {
-    const BLOCK: &'static str = "binning";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.bins.encode(w)?;
-        (self.golden as u64).encode(w)?;
-        self.margin_frac.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        let bins: Vec<Bin> = Vec::decode(r)?;
-        let golden = decode_usize(r)?;
-        // A valid binning always holds at least one bin (the golden one),
-        // so an empty bin list is rejected here too — `golden_bin()`
-        // indexes `bins[golden]` and must never panic on decoded data.
-        if golden >= bins.len() {
-            cover::hit(cover::CKPT_BINNING_BAD_GOLDEN);
-            return Err(CheckpointError::Corrupt(format!(
-                "golden-bin index {golden} out of range for {} bins",
-                bins.len()
-            )));
-        }
-        Ok(Binning {
-            bins,
-            golden,
             margin_frac: f64::decode(r)?,
         })
     }
@@ -953,66 +746,14 @@ impl Codec for ProfileKind {
     }
 }
 
-impl Codec for PowerProfile {
-    const BLOCK: &'static str = "power profile";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.label.encode(w)?;
-        self.kind.encode(w)?;
-        // Profiles embed in their native FGRVPROF binary form, so the
-        // persisted bytes are exactly what `ProfileStore::write_to` emits.
-        self.store.write_to(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(ProfileViewPart::parse(r)?.to_profile())
-    }
-}
-
-impl Codec for CollectedRun {
-    const BLOCK: &'static str = "collected run";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.trace.encode(w)?;
-        self.sync.encode(w)?;
-        self.steady_median_ns.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(CollectedRun {
-            trace: RunTrace::decode(r)?,
-            sync: TimeSync::decode(r)?,
-            steady_median_ns: u64::decode(r)?,
-        })
-    }
-}
-
-impl Codec for StitchedProfiles {
-    const BLOCK: &'static str = "stitched profiles";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.run.encode(w)?;
-        self.sse.encode(w)?;
-        self.ssp.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(StitchedProfiles {
-            run: PowerProfile::decode(r)?,
-            sse: PowerProfile::decode(r)?,
-            ssp: PowerProfile::decode(r)?,
-        })
-    }
-}
-
-impl Codec for RunCollection {
-    const BLOCK: &'static str = "run collection";
-    fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.collected.encode(w)?;
-        self.binning.encode(w)?;
-        self.profiles.encode(w)
-    }
-    fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
-        Ok(RunCollection {
-            collected: Vec::decode(r)?,
-            binning: Binning::decode(r)?,
-            profiles: StitchedProfiles::decode(r)?,
-        })
-    }
+/// Encodes one embedded profile of an entry section; its one decoder is
+/// `ProfileViewPart::parse`.
+fn write_profile<W: Write>(profile: &PowerProfile, w: &mut W) -> io::Result<()> {
+    profile.label.encode(w)?;
+    profile.kind.encode(w)?;
+    // Profiles embed in their native FGRVPROF binary form, so the
+    // persisted bytes are exactly what `ProfileStore::write_to` emits.
+    profile.store.write_to(w)
 }
 
 // ---------------------------------------------------------------------
@@ -1477,9 +1218,9 @@ fn write_entry_to<W: Write>(
     report.throttle_detected.encode(w)?;
     report.read_delay_ns.encode(w)?;
     report.estimated_drift_ppm.encode(w)?;
-    report.run_profile.encode(w)?;
-    report.sse_profile.encode(w)?;
-    report.ssp_profile.encode(w)?;
+    write_profile(&report.run_profile, w)?;
+    write_profile(&report.sse_profile, w)?;
+    write_profile(&report.ssp_profile, w)?;
     report.sse_mean_total_w.encode(w)?;
     report.ssp_mean_total_w.encode(w)?;
     report.sse_vs_ssp_error.encode(w)
@@ -1658,76 +1399,6 @@ impl<'a> EntryArtifactView<'a> {
             config_digest: self.config_digest,
             report: self.to_report(),
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Stage checkpoint (mid-entry boundary)
-// ---------------------------------------------------------------------
-
-/// The mid-entry checkpoint boundary: every typed artifact the stage
-/// pipeline has produced so far for one kernel. A runner that persists
-/// this after each stage can resume *inside* an entry — rerun only the
-/// stages whose artifact is absent, then [`crate::stages::StagePipeline::
-/// finalize`] from the restored state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageCheckpoint {
-    /// Kernel label.
-    pub label: String,
-    /// The read-delay calibration (always present; it is the first stage).
-    pub calibration: ReadDelayCalibration,
-    /// Timing-probe output, when that stage finished.
-    pub timing: Option<TimingArtifact>,
-    /// SSP-search output, when that stage finished.
-    pub ssp: Option<SspArtifact>,
-    /// Run-collection output (full traces, binning, stitched profiles),
-    /// when that stage finished.
-    pub collection: Option<RunCollection>,
-}
-
-impl StageCheckpoint {
-    /// Writes the stage state as an `FGRVCKPT` stage section.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write_header(w, SECTION_STAGE)?;
-        self.label.encode(w)?;
-        self.calibration.encode(w)?;
-        self.timing.encode(w)?;
-        self.ssp.encode(w)?;
-        self.collection.encode(w)
-    }
-
-    /// Encodes to an owned buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out).expect("Vec writes are infallible");
-        out
-    }
-
-    /// Decodes stage state previously written by
-    /// [`StageCheckpoint::write_to`], rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`CheckpointError`] for foreign, newer, truncated,
-    /// or invariant-violating buffers, and [`CheckpointError::Corrupt`] on
-    /// trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        from_bytes_with(bytes, |r| {
-            read_header(r, SECTION_STAGE)?;
-            let stage = StageCheckpoint {
-                label: String::decode(r)?,
-                calibration: ReadDelayCalibration::decode(r)?,
-                timing: Option::decode(r)?,
-                ssp: Option::decode(r)?,
-                collection: Option::decode(r)?,
-            };
-            cover::hit(cover::CKPT_STAGE_OK);
-            Ok(stage)
-        })
     }
 }
 
@@ -1920,22 +1591,6 @@ impl CheckpointDir {
         }
         out.sort_by_key(|&(shard, index, _)| (index, shard));
         Ok(out)
-    }
-
-    /// Every persisted file of entry `index`, as `(shard, path)` pairs
-    /// sorted by shard. Normally zero or one; more after a crash between
-    /// an entry write and its manifest update (see [`gather`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-walk failures.
-    pub fn find_entry(&self, index: usize) -> Result<Vec<(u32, PathBuf)>, CheckpointError> {
-        Ok(self
-            .entry_files()?
-            .into_iter()
-            .filter(|&(_, i, _)| i == index)
-            .map(|(shard, _, path)| (shard, path))
-            .collect())
     }
 }
 

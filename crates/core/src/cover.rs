@@ -71,11 +71,8 @@ cover_sites! {
     CKPT_KIND_BAD_TAG,
     CKPT_STATUS_BAD_TAG,
     CKPT_HANDLE_IMPLAUSIBLE,
-    CKPT_BIN_BAD_MEMBER,
-    CKPT_BINNING_BAD_GOLDEN,
     CKPT_MANIFEST_OK,
     CKPT_ENTRY_OK,
-    CKPT_STAGE_OK,
     // FGRVWIRE: preamble and frame reader (transport.rs).
     WIRE_PREAMBLE_BAD_MAGIC,
     WIRE_PREAMBLE_BAD_VERSION,

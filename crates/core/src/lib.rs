@@ -78,7 +78,6 @@ pub use campaign::{Campaign, CampaignEntry, CampaignReport};
 pub use checkpoint::{
     campaign_digest, gather, gather_stores, CampaignManifest, CheckpointDir, CheckpointError,
     EntryArtifact, EntryArtifactView, EntryStatus, GatheredCampaign, GatheredStores, ManifestEntry,
-    StageCheckpoint,
 };
 pub use error::{MethodologyError, MethodologyResult};
 pub use executor::{CampaignExecutor, CampaignObserver, CampaignOutcome, ErrorPolicy};
@@ -93,5 +92,5 @@ pub use store::{
 };
 pub use sync::{ReadDelayCalibration, TimeSync};
 pub use transport::{
-    connect_with_retry, work, work_at, Coordinator, TransportError, WorkerOptions, WorkerSummary,
+    connect_with_retry, work, Coordinator, TransportError, WorkerOptions, WorkerSummary,
 };

@@ -215,8 +215,8 @@ impl KernelPowerReport {
 ///
 /// `profile` composes the typed stages of [`crate::stages`] — timing probe,
 /// SSP search, run collection, binning, stitching, finalization — into the
-/// paper's nine-step recipe. Drive [`StagePipeline`] directly to run,
-/// inspect, or checkpoint individual stages. Attach a
+/// paper's nine-step recipe. Drive [`StagePipeline`] directly to run or
+/// inspect individual stages. Attach a
 /// [`ProfilingSink`] via [`FingravRunner::with_observer`] to stream
 /// stage-scoped telemetry while the device runs, and a cancellation
 /// token via [`FingravRunner::with_abort`] to stop a profiling

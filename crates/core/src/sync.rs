@@ -110,24 +110,6 @@ impl TimeSync {
         self.ns_per_tick
     }
 
-    /// Decomposes the sync into its raw `(anchor_cpu_ns, anchor_ticks,
-    /// ns_per_tick)` parts, for persistence (checkpoint codecs).
-    pub fn to_parts(&self) -> (f64, f64, f64) {
-        (self.anchor_cpu_ns, self.anchor_ticks, self.ns_per_tick)
-    }
-
-    /// Rebuilds a sync from parts previously obtained with
-    /// [`TimeSync::to_parts`]. No validation is performed; the parts are
-    /// trusted to come from a sync this process (or a checkpoint decoder)
-    /// took apart.
-    pub fn from_parts(anchor_cpu_ns: f64, anchor_ticks: f64, ns_per_tick: f64) -> Self {
-        TimeSync {
-            anchor_cpu_ns,
-            anchor_ticks,
-            ns_per_tick,
-        }
-    }
-
     /// Converts a raw tick count to CPU nanoseconds (fractional).
     pub fn cpu_ns_of_ticks(&self, ticks: u64) -> f64 {
         self.anchor_cpu_ns + (ticks as f64 - self.anchor_ticks) * self.ns_per_tick

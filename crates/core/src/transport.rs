@@ -1980,29 +1980,6 @@ pub fn work<F: crate::backend::BackendFactory>(
     Ok(summary)
 }
 
-/// Convenience: [`connect_with_retry`] + [`work`] with a no-op observer
-/// and a fresh token.
-///
-/// # Errors
-///
-/// As [`connect_with_retry`] and [`work`].
-pub fn work_at<A: ToSocketAddrs, F: crate::backend::BackendFactory>(
-    addr: A,
-    campaign: &Campaign,
-    factory: &F,
-    options: &WorkerOptions,
-) -> Result<WorkerSummary, TransportError> {
-    let stream = connect_with_retry(addr, Duration::from_secs(30)).map_err(TransportError::Io)?;
-    work(
-        stream,
-        campaign,
-        factory,
-        &NoopCampaignObserver,
-        &CancellationToken::new(),
-        options,
-    )
-}
-
 // ---------------------------------------------------------------------
 // Campaign service
 // ---------------------------------------------------------------------

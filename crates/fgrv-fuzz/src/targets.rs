@@ -20,7 +20,7 @@
 use std::io::{self, Read};
 use std::time::Duration;
 
-use fingrav_core::checkpoint::{CampaignManifest, CheckpointError, EntryArtifact, StageCheckpoint};
+use fingrav_core::checkpoint::{CampaignManifest, CheckpointError, EntryArtifact};
 use fingrav_core::profile::ProfileAxis;
 use fingrav_core::report::{columns_to_csv, view_to_csv};
 use fingrav_core::store::{ProfileStore, ProfileStoreView};
@@ -45,8 +45,6 @@ pub enum Target {
     CkptManifest,
     /// `FGRVCKPT` entry section: [`EntryArtifact::from_bytes`].
     CkptEntry,
-    /// `FGRVCKPT` stage section: [`StageCheckpoint::from_bytes`].
-    CkptStage,
     /// `FGRVWIRE` v2 stream: the budgeted [`read_next_frame`] path over a
     /// stalling reader.
     Wire,
@@ -65,7 +63,7 @@ pub struct TargetInfo {
 
 /// Every shipped fuzz target. `docs/FUZZING.md`'s table mirrors this
 /// row for row (pinned by `tests/docs_spec.rs`).
-pub const TARGETS: [TargetInfo; 5] = [
+pub const TARGETS: [TargetInfo; 4] = [
     TargetInfo {
         name: "prof",
         target: Target::Prof,
@@ -80,11 +78,6 @@ pub const TARGETS: [TargetInfo; 5] = [
         name: "ckpt-entry",
         target: Target::CkptEntry,
         description: "FGRVCKPT entry section: decode, round trip, trailing-bytes rejection",
-    },
-    TargetInfo {
-        name: "ckpt-stage",
-        target: Target::CkptStage,
-        description: "FGRVCKPT stage section: decode + re-encode round trip",
     },
     TargetInfo {
         name: "wire",
@@ -149,9 +142,6 @@ pub fn seeds(target: Target) -> Vec<Vec<u8>> {
         }
         Target::CkptEntry => {
             vec![include_bytes!("../../../tests/data/golden_entry.fgrvckpt").to_vec()]
-        }
-        Target::CkptStage => {
-            vec![include_bytes!("../../../tests/data/golden_stage.fgrvckpt").to_vec()]
         }
         Target::Wire => {
             let artifact = include_bytes!("../../../tests/data/golden_entry.fgrvckpt").to_vec();
@@ -229,7 +219,6 @@ pub fn execute(target: Target, input: &[u8]) -> Result<Taxonomy, String> {
         Target::Prof => run_prof(input),
         Target::CkptManifest => run_manifest(input),
         Target::CkptEntry => run_entry(input),
-        Target::CkptStage => run_stage(input),
         Target::Wire => run_wire(input),
     }
 }
@@ -298,10 +287,10 @@ fn run_prof(input: &[u8]) -> Result<Taxonomy, String> {
     Ok(Vec::new())
 }
 
-/// Decode + round-trip oracle shared by the manifest and stage sections
-/// (single-decoder targets). Value equality is checked through the
-/// canonical encoding — bit-exact, so decoded NaN payloads equal
-/// themselves where derived `PartialEq` would not.
+/// Decode + round-trip oracle shared by the manifest and entry sections.
+/// Value equality is checked through the canonical encoding — bit-exact,
+/// so decoded NaN payloads equal themselves where derived `PartialEq`
+/// would not.
 fn run_roundtrip<T, E>(
     input: &[u8],
     what: &str,
@@ -330,15 +319,6 @@ fn run_manifest(input: &[u8]) -> Result<Taxonomy, String> {
         "FGRVCKPT manifest",
         CampaignManifest::from_bytes,
         CampaignManifest::to_bytes,
-    )
-}
-
-fn run_stage(input: &[u8]) -> Result<Taxonomy, String> {
-    run_roundtrip(
-        input,
-        "FGRVCKPT stage",
-        StageCheckpoint::from_bytes,
-        StageCheckpoint::to_bytes,
     )
 }
 

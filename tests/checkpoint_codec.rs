@@ -1,31 +1,22 @@
 //! `FGRVCKPT` codec guarantees: lossless bit-exact round trips for the
-//! manifest, entry-artifact, and stage-state sections (including the
-//! stage artifacts `TimingArtifact` / `SspArtifact` / `RunCollection`),
-//! systematic rejection of every truncation and of bit-flipped
-//! magic/version/length fields with a specific typed error — never a
-//! panic or an unbounded allocation — and a committed golden fixture that
-//! fails loudly if a format change breaks v1 compatibility.
+//! manifest and entry-artifact sections, systematic rejection of every
+//! truncation and of bit-flipped magic/version/length fields with a
+//! specific typed error — never a panic or an unbounded allocation —
+//! committed golden fixtures that fail loudly if a format change breaks
+//! v1 compatibility, and refusal of the retired stage-state section.
 
-use fingrav::core::binning::bin_durations;
 use fingrav::core::campaign::Campaign;
 use fingrav::core::checkpoint::{
-    CampaignManifest, CheckpointError, EntryArtifact, EntryStatus, ManifestEntry, StageCheckpoint,
-    CKPT_VERSION,
+    CampaignManifest, CheckpointError, EntryArtifact, EntryArtifactView, EntryStatus,
+    ManifestEntry, CKPT_VERSION,
 };
-use fingrav::core::guidance::GuidanceEntry;
-use fingrav::core::profile::{PowerProfile, ProfileKind};
-use fingrav::core::runner::{CollectedRun, RunnerConfig};
-use fingrav::core::stages::{RunCollection, SspArtifact, StitchedProfiles, TimingArtifact};
-use fingrav::core::sync::ReadDelayCalibration;
-use fingrav::sim::{SimConfig, SimDuration};
+use fingrav::core::runner::RunnerConfig;
+use fingrav::sim::SimConfig;
 use fingrav::workloads::suite;
 use proptest::prelude::*;
 
 mod common;
-use common::{
-    assert_all_truncations_rejected, build_store, build_trace, golden_entry, golden_manifest,
-    golden_stage, identity_sync,
-};
+use common::{assert_all_truncations_rejected, golden_entry, golden_manifest};
 
 // ---------------------------------------------------------------------
 // Golden fixture: committed v1 bytes must keep decoding forever
@@ -60,15 +51,27 @@ fn golden_checkpoint_fixtures_decode() {
         entry_bytes,
         "entry encoding drifted from the committed v1 bytes"
     );
+}
 
-    let stage_bytes = include_bytes!("data/golden_stage.fgrvckpt");
-    let stage = StageCheckpoint::from_bytes(stage_bytes).expect("v1 stage state decodes");
-    assert_eq!(stage, golden_stage());
-    assert_eq!(
-        golden_stage().to_bytes(),
-        stage_bytes,
-        "stage-state encoding drifted from the committed v1 bytes"
-    );
+/// The committed fixture of the retired stage-state section (tag 3) is
+/// kept as a refused input: tag 3 is reserved, and every reader rejects
+/// it as a section mismatch rather than misdecoding it.
+#[test]
+fn retired_stage_section_is_refused_by_every_reader() {
+    let bytes = include_bytes!("data/golden_stage.fgrvckpt");
+    assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 3);
+    assert!(matches!(
+        CampaignManifest::from_bytes(bytes),
+        Err(CheckpointError::Corrupt(_))
+    ));
+    assert!(matches!(
+        EntryArtifact::from_bytes(bytes),
+        Err(CheckpointError::Corrupt(_))
+    ));
+    assert!(matches!(
+        EntryArtifactView::parse(bytes),
+        Err(CheckpointError::Corrupt(_))
+    ));
 }
 
 /// Regenerates the golden fixtures (run explicitly with `--ignored` after
@@ -83,7 +86,6 @@ fn regenerate_golden_checkpoint_fixtures() {
     )
     .unwrap();
     std::fs::write(dir.join("golden_entry.fgrvckpt"), golden_entry().to_bytes()).unwrap();
-    std::fs::write(dir.join("golden_stage.fgrvckpt"), golden_stage().to_bytes()).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -104,12 +106,6 @@ fn every_truncation_is_rejected_with_a_typed_error() {
         &golden_entry().to_bytes(),
         1,
         EntryArtifact::from_bytes,
-        |e| matches!(e, CheckpointError::Truncated(_)),
-    );
-    assert_all_truncations_rejected(
-        &golden_stage().to_bytes(),
-        1,
-        StageCheckpoint::from_bytes,
         |e| matches!(e, CheckpointError::Truncated(_)),
     );
 }
@@ -247,74 +243,6 @@ proptest! {
             Err(e) => return Err(format!("decode failed: {e}")),
         };
         prop_assert_eq!(&restored, &manifest);
-        prop_assert_eq!(restored.to_bytes(), bytes);
-    }
-
-    /// Stage checkpoints — including the full `RunCollection` with traces,
-    /// sync, binning, and stitched profiles — round-trip bit-exactly.
-    #[test]
-    fn stage_checkpoint_round_trips(
-        starts in prop::collection::vec(0u64..5_000_000, 1..10),
-        ticks in prop::collection::vec(0u64..600_000, 0..30),
-        medians in prop::collection::vec(10_000u64..1_000_000, 1..8),
-        runs in prop::collection::vec(0u32..100, 0..40),
-        vals in prop::collection::vec(-1.0e6f64..1.0e6, 0..40),
-        execs in prop::collection::vec(0u32..32, 0..40),
-        shape in 0u8..4,
-    ) {
-        let (with_ssp, with_collection) = (shape & 1 != 0, shape & 2 != 0);
-        let collected: Vec<CollectedRun> = medians
-            .iter()
-            .map(|&m| CollectedRun {
-                trace: build_trace(&starts, &ticks),
-                sync: identity_sync(),
-                steady_median_ns: m,
-            })
-            .collect();
-        let binning = bin_durations(&medians, 0.05).expect("non-empty medians");
-        let profile = |kind: ProfileKind| PowerProfile {
-            label: "prop".to_string(),
-            kind,
-            store: build_store(&runs, &vals, &execs),
-        };
-        let stage = StageCheckpoint {
-            label: "prop".to_string(),
-            calibration: ReadDelayCalibration { median_rtt_ns: 1_000, assumed_sample_frac: 0.5 },
-            timing: Some(TimingArtifact {
-                sse_index: 2,
-                exec_time_ns: medians[0],
-                guidance: GuidanceEntry {
-                    min_exec: SimDuration::from_micros(25),
-                    max_exec: None,
-                    runs: 200,
-                    loi_interval: SimDuration::from_micros(10),
-                    margin_frac: 0.02,
-                },
-                runs: 200,
-                margin_frac: 0.02,
-            }),
-            ssp: with_ssp.then_some(SspArtifact {
-                ssp_index: 9,
-                throttle_detected: true,
-                executions_per_run: 12,
-                loi_target: 5,
-            }),
-            collection: with_collection.then(|| RunCollection {
-                collected,
-                binning,
-                profiles: StitchedProfiles {
-                    run: profile(ProfileKind::Run),
-                    sse: profile(ProfileKind::Sse),
-                    ssp: profile(ProfileKind::Custom("x".into())),
-                },
-            }),
-        };
-        let bytes = stage.to_bytes();
-        let restored = match StageCheckpoint::from_bytes(&bytes) {
-            Ok(s) => s,
-            Err(e) => return Err(format!("decode failed: {e}")),
-        };
-        prop_assert_eq!(&restored, &stage);
         prop_assert_eq!(restored.to_bytes(), bytes);
     }
 

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use fingrav::core::backend::{BackendFactory, PowerBackend, SimulationFactory};
 use fingrav::core::campaign::{Campaign, CampaignReport};
-use fingrav::core::checkpoint::{gather, CheckpointDir, EntryStatus, StageCheckpoint};
+use fingrav::core::checkpoint::{gather, CheckpointDir, EntryStatus};
 use fingrav::core::error::{MethodologyError, MethodologyResult};
 use fingrav::core::executor::{
     CampaignExecutor, CancellationToken, ErrorPolicy, NoopCampaignObserver,
@@ -524,14 +524,14 @@ fn gather_verifies_duplicates_and_names_shard_and_column() {
 }
 
 // ---------------------------------------------------------------------
-// Stage-level checkpointing: persist between stages, finalize restored
+// Staged pipeline: stage by stage, finalize identically
 // ---------------------------------------------------------------------
 
-/// The mid-entry boundary works end to end: artifacts persisted after the
-/// run-collection stage and decoded back finalize into a report identical
-/// to an unstaged `FingravRunner::profile` on the same seed.
+/// Driving the pipeline one stage at a time and finalizing from the
+/// stage artifacts yields a report identical to an unstaged
+/// `FingravRunner::profile` on the same seed.
 #[test]
-fn stage_checkpoint_survives_persistence_and_finalizes_identically() {
+fn staged_pipeline_finalizes_identically_to_profile() {
     let desc = kernel("stage-ckpt", 110, 0.6);
     let config = RunnerConfig::quick(6);
 
@@ -548,29 +548,8 @@ fn stage_checkpoint_survives_persistence_and_finalizes_identically() {
     let collection = pipeline
         .collect_runs(handle, &desc.name, &calibration, &timing, &ssp)
         .unwrap();
-
-    // Persist the full stage state, round-trip it, then finalize from the
-    // *restored* artifacts.
-    let stage = StageCheckpoint {
-        label: desc.name.clone(),
-        calibration,
-        timing: Some(timing),
-        ssp: Some(ssp),
-        collection: Some(collection),
-    };
-    let restored = StageCheckpoint::from_bytes(&stage.to_bytes()).unwrap();
-    assert_eq!(restored, stage);
-    let report = pipeline.finalize(
-        &restored.label,
-        &restored.calibration,
-        &restored.timing.unwrap(),
-        &restored.ssp.unwrap(),
-        restored.collection.unwrap(),
-    );
-    assert_eq!(
-        report, direct,
-        "restored artifacts must finalize identically"
-    );
+    let report = pipeline.finalize(&desc.name, &calibration, &timing, &ssp, collection);
+    assert_eq!(report, direct, "stage artifacts must finalize identically");
 }
 
 /// Total size of every FGRVCKPT file under `dir`, recursively.

@@ -24,14 +24,10 @@ pub mod event_queue;
 
 use std::collections::VecDeque;
 
-use fingrav::core::binning::bin_durations;
-use fingrav::core::checkpoint::{
-    CampaignManifest, EntryArtifact, EntryStatus, ManifestEntry, StageCheckpoint,
-};
+use fingrav::core::checkpoint::{CampaignManifest, EntryArtifact, EntryStatus, ManifestEntry};
 use fingrav::core::guidance::GuidanceEntry;
 use fingrav::core::profile::{PlacedLog, PowerProfile, ProfileKind, ProfilePoint};
-use fingrav::core::runner::{CollectedRun, KernelPowerReport};
-use fingrav::core::stages::{RunCollection, SspArtifact, StitchedProfiles, TimingArtifact};
+use fingrav::core::runner::KernelPowerReport;
 use fingrav::core::store::{ColumnLayout, ProfileStore};
 use fingrav::core::sync::{ReadDelayCalibration, TimeSync};
 use fingrav::sim::kernel::KernelHandle;
@@ -331,56 +327,6 @@ pub fn golden_entry() -> EntryArtifact {
             ssp_mean_total_w: Some(812.0625),
             sse_vs_ssp_error: None,
         },
-    }
-}
-
-/// The golden v1 stage checkpoint (`tests/data/golden_stage.fgrvckpt`).
-pub fn golden_stage() -> StageCheckpoint {
-    let starts: Vec<u64> = (0..6).map(|i| 10_000 + i * 40_000).collect();
-    let ticks: Vec<u64> = (0..15).map(|i| 500 + i * 2_500).collect();
-    let collected: Vec<CollectedRun> = (0..3)
-        .map(|r| CollectedRun {
-            trace: build_trace(&starts, &ticks),
-            sync: identity_sync(),
-            steady_median_ns: 40_000 + r * 10,
-        })
-        .collect();
-    let medians: Vec<u64> = collected.iter().map(|c| c.steady_median_ns).collect();
-    let binning = bin_durations(&medians, 0.05).expect("non-empty");
-    StageCheckpoint {
-        label: "stage-golden".to_string(),
-        calibration: ReadDelayCalibration {
-            median_rtt_ns: 1_500,
-            assumed_sample_frac: 0.5,
-        },
-        timing: Some(TimingArtifact {
-            sse_index: 2,
-            exec_time_ns: 40_005,
-            guidance: GuidanceEntry {
-                min_exec: SimDuration::from_micros(25),
-                max_exec: Some(SimDuration::from_micros(50)),
-                runs: 400,
-                loi_interval: SimDuration::from_micros(5),
-                margin_frac: 0.05,
-            },
-            runs: 400,
-            margin_frac: 0.05,
-        }),
-        ssp: Some(SspArtifact {
-            ssp_index: 24,
-            throttle_detected: false,
-            executions_per_run: 27,
-            loi_target: 8,
-        }),
-        collection: Some(RunCollection {
-            collected,
-            binning,
-            profiles: StitchedProfiles {
-                run: golden_profile("stage-golden", ProfileKind::Run, 3),
-                sse: golden_profile("stage-golden", ProfileKind::Sse, 4),
-                ssp: golden_profile("stage-golden", ProfileKind::Ssp, 5),
-            },
-        }),
     }
 }
 
