@@ -18,9 +18,10 @@
 //! store in its points, mean, filter and CSV.
 //!
 //! Usage: `perf [--out DIR]`. Writes `DIR/perf.json` (default
-//! `results/`) with every gate's ratio quartiles, threshold and verdict,
-//! and each path's median sample time as a report; exits 1 when any gate
-//! fails. Not part of `all`.
+//! `results/`) with the host (`nproc`, CPU model, build profile), every
+//! gate's ratio quartiles, threshold and verdict, and each path's median
+//! sample time as a report; exits 1 when any gate fails. Not part of
+//! `all`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -409,7 +410,7 @@ fn main() {
                 reformat_digits(csv.as_bytes())
             }),
             CSV_PAIRS,
-            1.28,
+            1.00,
         ),
     ];
     // Rounds spread every gate's pairs over the whole run, so each median
@@ -424,8 +425,21 @@ fn main() {
         println!("{} {object}", if gate.passes() { "ok  " } else { "FAIL" });
     }
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"store_bytes\": {},\n  \"csv_bytes\": {},\n  \
+        "{{\n  \"nproc\": {nproc},\n  \"cpu\": {cpu:?},\n  \"profile\": \"{profile}\",\n  \
+         \"store_bytes\": {},\n  \"csv_bytes\": {},\n  \
          \"gates\": [\n    {}\n  ],\n  \"pass\": {pass}\n}}\n",
         bytes.len(),
         csv.len(),

@@ -32,7 +32,8 @@ const CSV_ROW_BYTES: usize = 64;
 /// (`u32::MAX`) sentinel in the `exec_pos` field. `x` prints with one
 /// decimal and the five powers with three, byte-identical to
 /// `format!("{:.1}")` / `format!("{:.3}")`: each row is formatted into a
-/// fixed stack buffer eight digits at a time and appended in one copy,
+/// fixed stack buffer, three digits at a time from a table of the 1,000
+/// zero-padded 3-digit groups, and appended in one copy,
 /// and a row with a non-finite power or a value of magnitude `2^53` or
 /// more goes through [`write_u64`] / [`write_fixed`] instead. Both
 /// implementations of [`ProfileColumns`] drive the exact same formatting
@@ -77,46 +78,44 @@ pub fn columns_to_csv<C: ProfileColumns + ?Sized>(store: &C, axis: ProfileAxis) 
     String::from_utf8(out).expect("the CSV writer emits only ASCII")
 }
 
-/// `10^8`: the digit core converts eight decimal digits per step.
-const E8: u64 = 100_000_000;
-
-/// ASCII `'0'` in every byte of a word.
-const ZEROS: u64 = 0x3030_3030_3030_3030;
-
-/// The eight decimal digits of `n < 10^8`, leading zeros included, one
-/// per byte with the most significant digit in the lowest byte (so
-/// `to_le_bytes` yields them in print order). Each step halves the lane
-/// width with a multiply-shift division: `n` splits into two 4-digit
-/// lanes, each of those into two 2-digit lanes (`x / 100 = x·10486 >> 20`
-/// for `x < 10^4`), and each of those into two digits
-/// (`x / 10 = x·103 >> 10` for `x < 100`). No lane's product reaches the
-/// next lane, so one `u64` multiply divides all lanes at once.
-#[inline]
-fn digits8(n: u64) -> u64 {
-    let v = (n / 10_000) | ((n % 10_000) << 32);
-    let hi = ((v * 10_486) >> 20) & 0x0000_007F_0000_007F;
-    let v = hi | ((v - hi * 100) << 16);
-    let hi = ((v * 103) >> 10) & 0x000F_000F_000F_000F;
-    hi | ((v - hi * 10) << 8)
-}
+/// `GROUPS[n]` for `n < 1000`: the three digits of `n`, zero-padded, in
+/// print order (lowest byte first), then in the fourth byte how many of
+/// them are leading zeros (`0` counts two: it prints as one `0`).
+static GROUPS: [u32; 1000] = {
+    let mut groups = [0; 1000];
+    let mut n = 0;
+    while n < 1000 {
+        let zeros = (n < 100) as u8 + (n < 10) as u8;
+        groups[n] = u32::from_le_bytes([
+            b'0' + (n / 100) as u8,
+            b'0' + (n / 10 % 10) as u8,
+            b'0' + (n % 10) as u8,
+            zeros,
+        ]);
+        n += 1;
+    }
+    groups
+};
 
 /// The longest row [`Row::fill`] formats is 152 bytes: two 10-digit
 /// integers and their two commas, `x` as sign, 16 integer digits, point
 /// and one decimal, five powers as comma, sign, 16 integer digits, point
-/// and three decimals, and the newline. A word store keeps at least its
-/// first byte, so it starts by byte 151 and ends within the 160.
+/// and three decimals, and the newline. A 4-byte store keeps at least its
+/// first byte, so it starts by byte 151 and ends by byte 155, within
+/// the 160.
 const ROW_CAP: usize = 160;
 
 /// A fixed stack buffer one CSV row (or one number) is formatted into.
-/// Digits go in eight at a time: each store writes a whole word and then
-/// advances by the real digit count, so the next store overwrites the
-/// spare bytes.
+/// Digits go in three at a time from [`GROUPS`]: each store writes a
+/// whole 4-byte word and then advances by the real digit count, so the
+/// next store overwrites the spare bytes.
 struct Row {
     buf: [u8; ROW_CAP],
     len: usize,
 }
 
 impl Row {
+    #[inline(always)]
     fn new() -> Self {
         Row {
             buf: [0; ROW_CAP],
@@ -124,52 +123,47 @@ impl Row {
         }
     }
 
+    #[inline(always)]
     fn bytes(&self) -> &[u8] {
         &self.buf[..self.len]
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, b: u8) {
         self.buf[self.len] = b;
         self.len += 1;
     }
 
-    /// Stores the eight bytes of `word` and keeps the first `n` of them.
-    #[inline]
-    fn put8(&mut self, word: u64, n: usize) {
-        self.buf[self.len..self.len + 8].copy_from_slice(&word.to_le_bytes());
+    /// Stores the four bytes of `word` and keeps the first `n` of them.
+    #[inline(always)]
+    fn put4(&mut self, word: u32, n: usize) {
+        self.buf[self.len..self.len + 4].copy_from_slice(&word.to_le_bytes());
         self.len += n;
     }
 
-    /// The digits of `n < 10^8` without leading zeros (`0` prints `0`).
-    #[inline]
-    fn put_short(&mut self, n: u64) {
-        let digits = digits8(n);
-        let zeros = (digits.trailing_zeros() / 8).min(7);
-        self.put8((digits | ZEROS) >> (8 * zeros), 8 - zeros as usize);
-    }
-
-    /// The digits of `n`: the leading chunk without leading zeros, every
-    /// further chunk of eight with them.
-    #[inline]
-    fn put_u64(&mut self, n: u64) {
-        if n < E8 {
-            self.put_short(n);
-        } else if n < E8 * E8 {
-            self.put_short(n / E8);
-            self.put8(digits8(n % E8) | ZEROS, 8);
-        } else {
-            self.put_short(n / (E8 * E8));
-            self.put8(digits8(n / E8 % E8) | ZEROS, 8);
-            self.put8(digits8(n % E8) | ZEROS, 8);
+    /// The digits of `n`: the leading group without its leading zeros
+    /// (`0` prints `0`), every further group of three with them.
+    #[inline(always)]
+    fn put_u64(&mut self, mut n: u64) {
+        // `u64::MAX` has six groups below its leading one.
+        let (mut rest, mut k) = ([0u16; 6], 0);
+        while n >= 1000 {
+            rest[k] = (n % 1000) as u16;
+            n /= 1000;
+            k += 1;
+        }
+        let lead = GROUPS[n as usize];
+        let zeros = lead >> 24;
+        self.put4(lead >> (8 * zeros), 3 - zeros as usize);
+        for &group in rest[..k].iter().rev() {
+            self.put4(GROUPS[usize::from(group)], 3);
         }
     }
 
     /// Formats `x` with `P ≤ 3` decimals as [`write_fixed`] does;
     /// `false` (with a partial row) outside [`fixed_point`]'s domain.
     /// `P` is a constant so that every division here is by a constant.
-    /// Below `10^8`, one word holds the integer and the fraction digits.
-    #[inline]
+    #[inline(always)]
     fn put_fixed<const P: usize>(&mut self, x: f64) -> bool {
         let scale = 10u64.pow(P as u32);
         let Some(q) = fixed_point(x, scale) else {
@@ -178,29 +172,18 @@ impl Row {
         if x.is_sign_negative() {
             self.push(b'-');
         }
-        if P == 0 {
-            self.put_u64(q);
-            return true;
+        self.put_u64(q / scale);
+        if P > 0 {
+            // The point, then the last `P` of the fraction's three digits.
+            let fraction = GROUPS[(q % scale) as usize] >> (8 * (3 - P)) << 8;
+            self.put4(fraction | u32::from(b'.'), P + 1);
         }
-        let word = if q < E8 {
-            let digits = digits8(q);
-            let zeros = (digits.trailing_zeros() as usize / 8).min(7 - P);
-            let word = digits | ZEROS;
-            self.put8(word >> (8 * zeros), 8 - P - zeros);
-            word
-        } else {
-            self.put_u64(q / scale);
-            digits8(q % scale) | ZEROS
-        };
-        // The fraction is the last `P` digits of either word.
-        self.push(b'.');
-        self.put8(word >> (8 * (8 - P)), P);
         true
     }
 
     /// Formats one whole CSV row; `false` when a value needs the
     /// [`write_fixed`] fallback.
-    #[inline]
+    #[inline(always)]
     fn fill(&mut self, run: u64, exec_pos: u64, x: f64, powers: [f64; 5]) -> bool {
         self.len = 0;
         self.put_u64(run);
@@ -237,7 +220,7 @@ pub fn write_u64(out: &mut Vec<u8>, n: u64) {
 /// and rounding the remainder half to even yields the correctly rounded
 /// decimal of the exact binary value — what std's formatter prints. A
 /// shift of 64 or more leaves less than half a unit, i.e. zero.
-#[inline]
+#[inline(always)]
 fn fixed_point(x: f64, scale: u64) -> Option<u64> {
     let bits = x.to_bits();
     let biased = ((bits >> 52) & 0x7ff) as i32;

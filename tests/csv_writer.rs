@@ -169,6 +169,28 @@ fn digit_writer_covers_every_length() {
     assert_eq!(out, u64::MAX.to_string().as_bytes());
 }
 
+#[test]
+fn digit_writer_matches_std_across_every_group_boundary() {
+    let powers = (0..=19).map(|k| 10u64.pow(k));
+    let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+    let mut out = Vec::new();
+    for n in (0..2_000_000).chain(edges).chain([4_294_967_295, u64::MAX]) {
+        out.clear();
+        write_u64(&mut out, n);
+        assert_eq!(out, n.to_string().as_bytes(), "n = {n}");
+    }
+}
+
+#[test]
+fn rounding_carries_across_a_group_boundary() {
+    // Each rounds up to a power of ten at some precision, so the carry
+    // moves into a new leading group of the integer part.
+    for x in [999.9995, 999_999.95, 999_999_999.95] {
+        check(x);
+        check(-x);
+    }
+}
+
 /// The render the CSV writer replaced: rows in argsort order, finite keys
 /// only, every field through `format!`.
 fn reference_csv<C: ProfileColumns + ?Sized>(
