@@ -18,10 +18,10 @@
 //! store in its points, mean, filter and CSV.
 //!
 //! Usage: `perf [--out DIR]`. Writes `DIR/perf.json` (default
-//! `results/`) with the host (`nproc`, CPU model, build profile), every
-//! gate's ratio quartiles, threshold and verdict, and each path's median
-//! sample time as a report; exits 1 when any gate fails. Not part of
-//! `all`.
+//! `results/`) with the host (`nproc`, CPU model, build profile, rustc
+//! version), every gate's ratio quartiles, threshold and verdict, and each
+//! path's median sample time as a report; exits 1 when any gate fails. Not
+//! part of `all`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -437,8 +437,10 @@ fn main() {
     } else {
         "release"
     };
+    let rustc = env!("FINGRAV_RUSTC_VERSION");
     let json = format!(
         "{{\n  \"nproc\": {nproc},\n  \"cpu\": {cpu:?},\n  \"profile\": \"{profile}\",\n  \
+         \"rustc\": {rustc:?},\n  \
          \"store_bytes\": {},\n  \"csv_bytes\": {},\n  \
          \"gates\": [\n    {}\n  ],\n  \"pass\": {pass}\n}}\n",
         bytes.len(),

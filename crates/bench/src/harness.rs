@@ -9,8 +9,10 @@ use std::time::Instant;
 
 use fingrav_core::backend::FnBackendFactory;
 use fingrav_core::campaign::Campaign;
-use fingrav_core::checkpoint::campaign_digest;
-use fingrav_core::executor::{CampaignExecutor, CampaignObserver, CampaignTally};
+use fingrav_core::checkpoint::{campaign_digest, MANIFEST_FILE};
+use fingrav_core::executor::{
+    CampaignExecutor, CampaignObserver, CampaignOutcome, CampaignTally, CheckpointMode, RunOptions,
+};
 use fingrav_core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav_core::transport::CampaignService;
 use fingrav_sim::config::SimConfig;
@@ -406,6 +408,14 @@ impl RunContext {
         let sequence = self.sequence;
         self.sequence += 1;
         let workers = self.workers();
+        let run_locally = |checkpoint| {
+            let options = RunOptions {
+                observer: &*progress,
+                cancel: cancel.clone(),
+                checkpoint,
+            };
+            CampaignExecutor::new(workers).run(campaign, &factory, options)
+        };
 
         let outcome = match self.transport.clone() {
             Transport::Connect(addr) => {
@@ -413,9 +423,8 @@ impl RunContext {
                 // fetch the complete report set so rendering proceeds unchanged.
                 let local_fallback = |why: &str| {
                     eprintln!("  campaign #{sequence}: {why}; measuring locally");
-                    CampaignExecutor::new(workers)
-                        .execute_observed(campaign, &factory, &*progress, &cancel)
-                        .into_report()
+                    run_locally(CheckpointMode::None)
+                        .and_then(CampaignOutcome::into_report)
                         .expect("experiment kernels profile cleanly")
                         .reports
                 };
@@ -641,22 +650,15 @@ impl RunContext {
                 outcome
             }
             Transport::Local => {
-                let executor = CampaignExecutor::new(workers);
-                match &self.checkpoint_dir {
-                    Some(root) => {
-                        let dir = root.join(key);
-                        let manifest = dir.join(fingrav_core::checkpoint::MANIFEST_FILE);
-                        if self.resume && manifest.is_file() {
-                            executor.resume_observed(campaign, &factory, &dir, &*progress, &cancel)
-                        } else {
-                            executor.execute_sharded_observed(
-                                campaign, &factory, &dir, &*progress, &cancel,
-                            )
-                        }
-                        .expect("campaign checkpoint is writable and consistent")
+                let dir = self.checkpoint_dir.as_ref().map(|root| root.join(key));
+                let checkpoint = match &dir {
+                    Some(dir) if self.resume && dir.join(MANIFEST_FILE).is_file() => {
+                        CheckpointMode::Resume(dir)
                     }
-                    None => executor.execute_observed(campaign, &factory, &*progress, &cancel),
-                }
+                    Some(dir) => CheckpointMode::Fresh(dir),
+                    None => CheckpointMode::None,
+                };
+                run_locally(checkpoint).expect("campaign checkpoint is writable and consistent")
             }
         };
         outcome
@@ -677,7 +679,8 @@ pub fn profile_kernel(exp: &str, desc: &KernelDesc, runs: Option<u32>) -> Kernel
             .map_err(|e| fingrav_core::error::MethodologyError::Backend(e.to_string()))
     });
     let mut report = CampaignExecutor::serial()
-        .run(&campaign, &factory)
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiling a suite kernel succeeds");
     report.reports.pop().expect("one kernel, one report")
 }

@@ -8,16 +8,13 @@
 //! parameter sweeps are campaigns too), a shared default config, one fresh
 //! backend per kernel, and a combined report with comparative analysis.
 //!
-//! [`Campaign::run`] measures serially with a caller-supplied backend
-//! closure; [`crate::executor::CampaignExecutor`] shards the same campaign
-//! across worker threads with bit-identical results.
+//! [`crate::executor::CampaignExecutor::run`] measures a campaign, serially
+//! or sharded across worker threads with bit-identical results.
 
 use fingrav_sim::kernel::KernelDesc;
 
-use crate::backend::PowerBackend;
-use crate::error::MethodologyResult;
 use crate::insights::{ComponentBreakdown, ProportionalityPoint};
-use crate::runner::{FingravRunner, KernelPowerReport, RunnerConfig};
+use crate::runner::{KernelPowerReport, RunnerConfig};
 
 /// One planned measurement: a kernel, plus an optional config override for
 /// sweep-style campaigns (omitted → the campaign default applies).
@@ -103,33 +100,6 @@ impl Campaign {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Runs every measurement serially, obtaining a fresh backend per
-    /// kernel from `make_backend` (index-tagged so backends can be
-    /// independently seeded). Isolated sessions per kernel implement the
-    /// paper's measurement guidance #2.
-    ///
-    /// This is the in-place serial path; use
-    /// [`crate::executor::CampaignExecutor`] with a
-    /// [`crate::backend::BackendFactory`] to shard the same campaign
-    /// across worker threads with bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and propagates the first failing measurement.
-    pub fn run<B, F>(&self, mut make_backend: F) -> MethodologyResult<CampaignReport>
-    where
-        B: PowerBackend,
-        F: FnMut(usize) -> B,
-    {
-        let mut reports = Vec::with_capacity(self.entries.len());
-        for (i, entry) in self.entries.iter().enumerate() {
-            let mut backend = make_backend(i);
-            let mut runner = FingravRunner::new(&mut backend, entry.effective_config(&self.config));
-            reports.push(runner.profile(&entry.desc)?);
-        }
-        Ok(CampaignReport { reports })
-    }
 }
 
 /// The combined result of a campaign.
@@ -198,6 +168,9 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FnBackendFactory;
+    use crate::error::MethodologyError;
+    use crate::executor::{CampaignExecutor, RunOptions};
     use fingrav_sim::config::SimConfig;
     use fingrav_sim::engine::Simulation;
     use fingrav_sim::power::Activity;
@@ -217,14 +190,23 @@ mod tests {
         }
     }
 
+    fn run_serially(campaign: &Campaign, seed: u64) -> CampaignReport {
+        let factory = FnBackendFactory(|i: usize| {
+            Simulation::new(SimConfig::default(), seed + i as u64)
+                .map_err(|e| MethodologyError::Backend(e.to_string()))
+        });
+        CampaignExecutor::serial()
+            .run(campaign, &factory, RunOptions::default())
+            .and_then(|outcome| outcome.into_report())
+            .expect("campaign runs")
+    }
+
     fn run_campaign() -> CampaignReport {
         let mut campaign = Campaign::new(RunnerConfig::quick(12));
         campaign
             .add(kernel("hot", 300, 0.9))
             .add(kernel("cool", 300, 0.3));
-        campaign
-            .run(|i| Simulation::new(SimConfig::default(), 9000 + i as u64).expect("valid"))
-            .expect("campaign runs")
+        run_serially(&campaign, 9000)
     }
 
     #[test]
@@ -266,9 +248,7 @@ mod tests {
         let campaign = Campaign::with_defaults();
         assert!(campaign.is_empty());
         assert_eq!(campaign.len(), 0);
-        let report = campaign
-            .run(|i| Simulation::new(SimConfig::default(), i as u64).expect("valid"))
-            .expect("empty campaign is fine");
+        let report = run_serially(&campaign, 0);
         assert!(report.reports.is_empty());
         assert!(report.hottest().is_none());
     }

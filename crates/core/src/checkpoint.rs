@@ -1882,11 +1882,11 @@ fn read_copies<T>(
 
 /// How [`Ledger::open`] treats the checkpoint directory it opens.
 pub(crate) enum Opening {
-    /// A fresh durable run (`CampaignExecutor::execute_sharded`): a
+    /// A fresh durable run (`CheckpointMode::Fresh`): a
     /// directory that checkpoints a different campaign is refused, then
     /// this plan replaces its manifest and every entry is measured.
     Fresh(CampaignManifest),
-    /// A local resume (`CampaignExecutor::resume`): the manifest must
+    /// A local resume (`CheckpointMode::Resume`): the manifest must
     /// exist; its `Done` entries are restored and the rest are re-planned
     /// round-robin across `workers`.
     Resume {

@@ -20,37 +20,38 @@
 //! claiming new kernels at the first error (and
 //! [`CampaignOutcome::into_report`] surfaces the lowest-index error, which
 //! is deterministic — see the policy docs), while `CollectAll` profiles
-//! everything and reports every error alongside the successful reports,
-//! which the pre-refactor serial loop could not do.
+//! everything and reports every error alongside the successful reports.
 //!
-//! Campaigns are also *observable and cancellable*:
-//! [`CampaignExecutor::execute_observed`] streams per-entry lifecycle and
-//! device events into a [`CampaignObserver`] while workers run, and a
-//! [`CancellationToken`] stops the campaign early under **both** error
-//! policies — pending entries are skipped and in-flight script sessions
-//! abort cooperatively at their next host boundary (surfacing as
+//! Campaigns are also *observable and cancellable*: the
+//! [`RunOptions::observer`] of [`CampaignExecutor::run`] hears per-entry
+//! lifecycle and device events while workers run, and its
+//! [`RunOptions::cancel`] token stops the campaign early under **both**
+//! error policies — pending entries are skipped and in-flight script
+//! sessions abort cooperatively at their next host boundary (surfacing as
 //! [`MethodologyError::Aborted`] on their slots). Each slot's event stream
 //! is deterministic regardless of worker count; only the interleaving
 //! *between* slots depends on scheduling.
 //!
-//! Campaigns are also *durable*:
-//! [`CampaignExecutor::execute_sharded`] persists every finished entry
-//! into a [`crate::checkpoint`] directory as it completes, and
-//! [`CampaignExecutor::resume`] finishes a cancelled/crashed campaign from
-//! that checkpoint — re-measuring only the unfinished entries — with
-//! final artifacts byte-identical to an uninterrupted run. Both persist
-//! through the same checkpoint ledger as a served campaign
-//! ([`crate::transport::Coordinator::serve`]): an entry is durable before
-//! [`CampaignObserver::entry_finished`] fires, a re-measured entry must
-//! match any copy an earlier run left on disk, and the first persistence
-//! failure stops the run from claiming further entries.
+//! Campaigns are also *durable*: under [`CheckpointMode::Fresh`] every
+//! finished entry is persisted into a [`crate::checkpoint`] directory as
+//! it completes, and [`CheckpointMode::Resume`] finishes a
+//! cancelled/crashed campaign from that checkpoint — re-measuring only the
+//! unfinished entries — with final artifacts byte-identical to an
+//! uninterrupted run. Both persist through the same checkpoint ledger as a
+//! served campaign ([`crate::transport::Coordinator::serve`]): an entry is
+//! durable before [`CampaignObserver::entry_finished`] fires, a
+//! re-measured entry must match any copy an earlier run left on disk, and
+//! the first persistence failure stops the run from claiming further
+//! entries.
 //!
 //! # Example: cancel a sharded campaign, resume it byte-identically
 //!
 //! ```
 //! use fingrav_core::backend::SimulationFactory;
 //! use fingrav_core::campaign::Campaign;
-//! use fingrav_core::executor::{CampaignExecutor, CampaignObserver, CancellationToken};
+//! use fingrav_core::executor::{
+//!     CampaignExecutor, CampaignObserver, CancellationToken, CheckpointMode, RunOptions,
+//! };
 //! use fingrav_core::runner::{KernelPowerReport, RunnerConfig};
 //! use fingrav_sim::config::SimConfig;
 //! use fingrav_workloads::suite;
@@ -70,16 +71,29 @@
 //!     }
 //! }
 //! let observer = CancelAfterOne(CancellationToken::new());
-//! let partial = CampaignExecutor::serial()
-//!     .execute_sharded_observed(&campaign, &factory, &dir, &observer, &observer.0)?;
+//! let partial = CampaignExecutor::serial().run(
+//!     &campaign,
+//!     &factory,
+//!     RunOptions {
+//!         observer: &observer,
+//!         cancel: observer.0.clone(),
+//!         checkpoint: CheckpointMode::Fresh(&dir),
+//!     },
+//! )?;
 //! assert!(!partial.is_complete(), "cancellation left work undone");
 //!
 //! // Resume re-measures only the unfinished entries; the result is
 //! // byte-identical to an uninterrupted run of the same campaign.
+//! let resume = RunOptions {
+//!     checkpoint: CheckpointMode::Resume(&dir),
+//!     ..RunOptions::default()
+//! };
 //! let resumed = CampaignExecutor::serial()
-//!     .resume(&campaign, &factory, &dir)?
+//!     .run(&campaign, &factory, resume)?
 //!     .into_report()?;
-//! let direct = CampaignExecutor::serial().run(&campaign, &factory)?;
+//! let direct = CampaignExecutor::serial()
+//!     .run(&campaign, &factory, RunOptions::default())?
+//!     .into_report()?;
 //! assert_eq!(resumed, direct);
 //! std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
@@ -104,7 +118,7 @@ use fingrav_sim::session::TelemetryEvent;
 /// the campaign starts.
 pub type CancellationToken = fingrav_sim::session::AbortHandle;
 
-/// Live observer of a sharded campaign.
+/// Live observer of a campaign, set as [`RunOptions::observer`].
 ///
 /// Methods take `&self` and may be called concurrently from worker
 /// threads (the trait requires `Sync`); all default to no-ops so
@@ -238,6 +252,48 @@ impl CampaignObserver for CampaignTally {
     }
 }
 
+/// Where [`CampaignExecutor::run`] keeps the campaign's checkpoint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum CheckpointMode<'a> {
+    /// Nothing is persisted.
+    #[default]
+    None,
+    /// A fresh durable run: the campaign is planned into this directory
+    /// (manifest with per-entry statuses, entries sharded round-robin
+    /// across the worker count) and every entry's full report is persisted
+    /// under its shard the moment it finishes. A directory that
+    /// checkpoints a different campaign is refused.
+    Fresh(&'a Path),
+    /// Completes the campaign checkpointed in this directory: entries the
+    /// manifest records as done are restored from their persisted
+    /// artifacts (no re-measurement); pending, failed and aborted entries
+    /// are re-planned across the executor's workers and measured exactly
+    /// as an uninterrupted run would have, because every slot's backend
+    /// derives solely from its campaign index.
+    Resume(&'a Path),
+}
+
+/// How [`CampaignExecutor::run`] runs a campaign. The default observes
+/// nothing, is never cancelled and persists nothing.
+pub struct RunOptions<'a> {
+    /// Hears every entry's lifecycle and events while workers run.
+    pub observer: &'a dyn CampaignObserver,
+    /// Stops the campaign early once it fires.
+    pub cancel: CancellationToken,
+    /// Where the campaign is checkpointed, if anywhere.
+    pub checkpoint: CheckpointMode<'a>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            observer: &NoopCampaignObserver,
+            cancel: CancellationToken::new(),
+            checkpoint: CheckpointMode::None,
+        }
+    }
+}
+
 /// What the executor does when a kernel's measurement fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorPolicy {
@@ -249,9 +305,8 @@ pub enum ErrorPolicy {
     /// deterministic.
     #[default]
     FailFast,
-    /// Measure every kernel regardless of failures and collect all errors;
-    /// the serial runner's behaviour of silently stopping at the first
-    /// failure becomes an explicit per-kernel record instead.
+    /// Measure every kernel regardless of failures and collect all errors,
+    /// each recorded against its slot.
     CollectAll,
 }
 
@@ -302,66 +357,75 @@ impl CampaignExecutor {
         self.policy
     }
 
-    /// Measures every campaign entry, sharded across the configured
-    /// workers, and returns the per-slot outcome (campaign order).
-    pub fn execute<F: BackendFactory>(&self, campaign: &Campaign, factory: &F) -> CampaignOutcome {
-        self.execute_observed(
-            campaign,
-            factory,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
-    }
-
-    /// Like [`CampaignExecutor::execute`], streaming per-entry lifecycle
-    /// and device events into `observer` while workers run and honoring
-    /// `cancel`: once the token fires, no new entry starts (they are
-    /// reported skipped, under both error policies) and every in-flight
-    /// script session aborts at its next host boundary, surfacing
-    /// [`MethodologyError::Aborted`] on its slot.
+    /// Runs `campaign`, sharded across the configured workers, and
+    /// returns the per-slot outcome (campaign order). `options` choose the
+    /// observer, the cancellation token and the checkpoint; with
+    /// [`RunOptions::default`] nothing is observed or persisted. Neither
+    /// the observer, the checkpoint nor the worker count changes a slot's
+    /// backend call sequence, so results are bit-identical across them.
     ///
-    /// With a no-op observer and an unfired token this is exactly
-    /// [`CampaignExecutor::execute`] — same backend call sequence, same
-    /// bit-identical results.
-    pub fn execute_observed<F: BackendFactory>(
+    /// Once the token fires, no new entry starts (they are reported
+    /// skipped, under both error policies) and every in-flight script
+    /// session aborts at its next host boundary, surfacing
+    /// [`MethodologyError::Aborted`] on its slot. Measurement errors stay
+    /// inside the outcome; [`CampaignOutcome::into_report`] surfaces the
+    /// lowest-index one.
+    ///
+    /// # Errors
+    ///
+    /// Only with a checkpoint: [`MethodologyError::Checkpoint`] when the
+    /// directory cannot be created, a resumed checkpoint is missing,
+    /// damaged (typed causes in [`crate::checkpoint::CheckpointError`]) or
+    /// was taken under a different campaign configuration, or a
+    /// persistence write fails. After a persistence failure no further
+    /// entry starts.
+    pub fn run<F: BackendFactory>(
         &self,
         campaign: &Campaign,
         factory: &F,
-        observer: &dyn CampaignObserver,
-        cancel: &CancellationToken,
-    ) -> CampaignOutcome {
-        let plan: Vec<usize> = (0..campaign.len()).collect();
-        self.execute_plan(
-            campaign,
-            factory,
-            &plan,
-            observer,
-            cancel,
-            None,
-            CampaignOutcome::empty(campaign.len()),
-        )
+        options: RunOptions<'_>,
+    ) -> MethodologyResult<CampaignOutcome> {
+        let (n, workers) = (campaign.len(), self.workers);
+        let opening = match options.checkpoint {
+            CheckpointMode::None => None,
+            CheckpointMode::Fresh(dir) => Some((
+                dir,
+                Opening::Fresh(CampaignManifest::plan(campaign, factory, workers)),
+            )),
+            CheckpointMode::Resume(dir) => Some((dir, Opening::Resume { workers })),
+        };
+        let (ledger, mut outcome, plan) = match opening {
+            Some((dir, opening)) => {
+                let (ledger, restored, plan) = Ledger::open(dir, campaign, opening)?;
+                (Some(ledger), restored, plan)
+            }
+            None => (None, CampaignOutcome::empty(n), (0..n).collect()),
+        };
+        let (observer, cancel) = (options.observer, options.cancel);
+        let halted = || cancel.is_aborted() || ledger.as_ref().is_some_and(Ledger::failed);
+        let profile =
+            |index| profile_slot(campaign, factory, index, observer, &cancel, ledger.as_ref());
+        self.claim(&plan, &halted, &profile, &mut outcome);
+        outcome.settle(&plan, observer);
+        if let Some(ledger) = ledger {
+            ledger.close()?;
+        }
+        Ok(outcome)
     }
 
-    /// Runs the claim loop over an explicit plan of campaign indices,
-    /// merging the results into `outcome` (whose slots outside the plan —
-    /// e.g. entries restored from a checkpoint — are left untouched), then
-    /// settles the skipped slots. Shared by the plain, sharded, and resumed
-    /// execution paths, so all three issue identical per-slot backend call
-    /// sequences. With a `ledger` every finished entry is durable before
-    /// the observer hears of it, and after a persistence failure no new
-    /// entry is claimed (entries in flight finish).
-    #[allow(clippy::too_many_arguments)] // internal driver; args mirror run()'s knobs
-    fn execute_plan<F: BackendFactory>(
+    /// The claim loop: profiles the indices of `plan` in order until
+    /// `halted` (cancelled, or the ledger failed) or, under
+    /// [`ErrorPolicy::FailFast`], until an entry fails, and merges the
+    /// results into `outcome`, whose slots outside the plan (entries
+    /// restored from a checkpoint) are left untouched. One worker runs in
+    /// place; several claim positions from a shared counter.
+    fn claim(
         &self,
-        campaign: &Campaign,
-        factory: &F,
         plan: &[usize],
-        observer: &dyn CampaignObserver,
-        cancel: &CancellationToken,
-        ledger: Option<&Ledger>,
-        mut outcome: CampaignOutcome,
-    ) -> CampaignOutcome {
-        let halted = || cancel.is_aborted() || ledger.is_some_and(Ledger::failed);
+        halted: &(dyn Fn() -> bool + Sync),
+        profile: &(dyn Fn(usize) -> MethodologyResult<KernelPowerReport> + Sync),
+        outcome: &mut CampaignOutcome,
+    ) {
         let fail_fast = self.policy == ErrorPolicy::FailFast;
         if self.workers == 1 {
             // In-place serial path: no threads, same claim loop semantics.
@@ -369,7 +433,7 @@ impl CampaignExecutor {
                 if halted() {
                     break;
                 }
-                match profile_slot(campaign, factory, index, observer, cancel, ledger) {
+                match profile(index) {
                     Ok(report) => outcome.reports[index] = Some(report),
                     Err(e) => {
                         outcome.errors.push((index, e));
@@ -379,8 +443,7 @@ impl CampaignExecutor {
                     }
                 }
             }
-            outcome.settle(plan, observer);
-            return outcome;
+            return;
         }
 
         let n = plan.len();
@@ -393,7 +456,6 @@ impl CampaignExecutor {
                 let tx = tx.clone();
                 let next = &next;
                 let cancelled = &cancelled;
-                let halted = &halted;
                 scope.spawn(move || loop {
                     if halted() || (fail_fast && cancelled.load(Ordering::Acquire)) {
                         return;
@@ -403,7 +465,7 @@ impl CampaignExecutor {
                         return;
                     }
                     let index = plan[pos];
-                    let result = profile_slot(campaign, factory, index, observer, cancel, ledger);
+                    let result = profile(index);
                     if result.is_err() && fail_fast {
                         cancelled.store(true, Ordering::Release);
                     }
@@ -423,47 +485,32 @@ impl CampaignExecutor {
                 }
             }
         });
-        outcome.settle(plan, observer);
-        outcome
     }
 
-    /// Like [`CampaignExecutor::execute`], but *durable*: the campaign is
-    /// planned into a checkpoint directory first (manifest with per-entry
-    /// statuses, entries sharded round-robin across the worker count), and
-    /// every entry's full report is persisted under its shard the moment
-    /// it finishes — so a cancelled or crashed campaign can later be
-    /// completed with [`CampaignExecutor::resume`] and yield artifacts
-    /// byte-identical to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MethodologyError::Checkpoint`] when the checkpoint
-    /// directory cannot be created or a persistence write fails
-    /// (measurement errors stay inside the returned outcome, as in
-    /// [`CampaignExecutor::execute`]). After a persistence failure no
-    /// further entry starts.
+    // The four aliases below stay only because campaign-bench calls them;
+    // its files change only together with the benchmark.
+
+    #[doc(hidden)]
+    pub fn execute<F: BackendFactory>(&self, campaign: &Campaign, factory: &F) -> CampaignOutcome {
+        self.run(campaign, factory, RunOptions::default())
+            .expect("without a checkpoint, run cannot fail")
+    }
+
+    #[doc(hidden)]
     pub fn execute_sharded<F: BackendFactory>(
         &self,
         campaign: &Campaign,
         factory: &F,
         dir: &Path,
     ) -> MethodologyResult<CampaignOutcome> {
-        self.execute_sharded_observed(
-            campaign,
-            factory,
-            dir,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
+        let options = RunOptions {
+            checkpoint: CheckpointMode::Fresh(dir),
+            ..RunOptions::default()
+        };
+        self.run(campaign, factory, options)
     }
 
-    /// [`CampaignExecutor::execute_sharded`] with a live observer and a
-    /// cancellation token (same contract as
-    /// [`CampaignExecutor::execute_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`CampaignExecutor::execute_sharded`].
+    #[doc(hidden)]
     pub fn execute_sharded_observed<F: BackendFactory>(
         &self,
         campaign: &Campaign,
@@ -472,104 +519,26 @@ impl CampaignExecutor {
         observer: &dyn CampaignObserver,
         cancel: &CancellationToken,
     ) -> MethodologyResult<CampaignOutcome> {
-        let plan = CampaignManifest::plan(campaign, factory, self.workers);
-        self.execute_durable(
-            campaign,
-            factory,
-            dir,
-            Opening::Fresh(plan),
+        let options = RunOptions {
             observer,
-            cancel,
-        )
+            cancel: cancel.clone(),
+            checkpoint: CheckpointMode::Fresh(dir),
+        };
+        self.run(campaign, factory, options)
     }
 
-    /// Completes a previously checkpointed campaign: entries the manifest
-    /// records as done are restored from their persisted artifacts (no
-    /// re-measurement), everything else — pending, failed, or aborted
-    /// entries — is re-planned across this executor's workers and measured
-    /// exactly as an uninterrupted run would have, because every slot's
-    /// backend derives solely from its campaign index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MethodologyError::Checkpoint`] when the checkpoint is
-    /// missing, damaged (typed causes in
-    /// [`crate::checkpoint::CheckpointError`]), or was taken under a
-    /// different campaign configuration (config-digest mismatch).
+    #[doc(hidden)]
     pub fn resume<F: BackendFactory>(
         &self,
         campaign: &Campaign,
         factory: &F,
         dir: &Path,
     ) -> MethodologyResult<CampaignOutcome> {
-        self.resume_observed(
-            campaign,
-            factory,
-            dir,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
-    }
-
-    /// [`CampaignExecutor::resume`] with a live observer and a
-    /// cancellation token.
-    ///
-    /// # Errors
-    ///
-    /// As [`CampaignExecutor::resume`].
-    pub fn resume_observed<F: BackendFactory>(
-        &self,
-        campaign: &Campaign,
-        factory: &F,
-        dir: &Path,
-        observer: &dyn CampaignObserver,
-        cancel: &CancellationToken,
-    ) -> MethodologyResult<CampaignOutcome> {
-        let opening = Opening::Resume {
-            workers: self.workers,
+        let options = RunOptions {
+            checkpoint: CheckpointMode::Resume(dir),
+            ..RunOptions::default()
         };
-        self.execute_durable(campaign, factory, dir, opening, observer, cancel)
-    }
-
-    /// The durable driver behind the sharded and resumed paths: opens the
-    /// checkpoint ledger, runs the plan it leaves over the restored
-    /// outcome, then surfaces the first persistence failure.
-    fn execute_durable<F: BackendFactory>(
-        &self,
-        campaign: &Campaign,
-        factory: &F,
-        dir: &Path,
-        opening: Opening,
-        observer: &dyn CampaignObserver,
-        cancel: &CancellationToken,
-    ) -> MethodologyResult<CampaignOutcome> {
-        let (ledger, restored, plan) = Ledger::open(dir, campaign, opening)?;
-        let outcome = self.execute_plan(
-            campaign,
-            factory,
-            &plan,
-            observer,
-            cancel,
-            Some(&ledger),
-            restored,
-        );
-        ledger.close()?;
-        Ok(outcome)
-    }
-
-    /// Measures every campaign entry and assembles the combined report
-    /// (convenience over [`CampaignExecutor::execute`] +
-    /// [`CampaignOutcome::into_report`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index measurement error, under either policy.
-    pub fn run<F: BackendFactory>(
-        &self,
-        campaign: &Campaign,
-        factory: &F,
-    ) -> MethodologyResult<CampaignReport> {
-        self.execute(campaign, factory).into_report()
+        self.run(campaign, factory, options)
     }
 }
 
@@ -750,6 +719,17 @@ mod tests {
         }
     }
 
+    /// The report of a plain (unobserved, uncheckpointed) run.
+    fn report_of<F: BackendFactory>(
+        executor: CampaignExecutor,
+        campaign: &Campaign,
+        factory: &F,
+    ) -> MethodologyResult<CampaignReport> {
+        executor
+            .run(campaign, factory, RunOptions::default())?
+            .into_report()
+    }
+
     fn campaign_of(n: usize) -> Campaign {
         let mut campaign = Campaign::new(RunnerConfig::quick(8));
         for i in 0..n {
@@ -766,13 +746,15 @@ mod tests {
     fn parallel_matches_serial_bit_for_bit() {
         let campaign = campaign_of(4);
         let factory = SimulationFactory::new(SimConfig::default(), 501);
-        let serial = CampaignExecutor::serial().run(&campaign, &factory).unwrap();
-        let parallel = CampaignExecutor::new(4).run(&campaign, &factory).unwrap();
+        let serial = report_of(CampaignExecutor::serial(), &campaign, &factory).unwrap();
+        let parallel = report_of(CampaignExecutor::new(4), &campaign, &factory).unwrap();
         assert_eq!(serial, parallel);
-        // And both match the legacy closure path given the same seeds.
-        let legacy = campaign
-            .run(|i| Simulation::new(SimConfig::default(), factory.slot_seed(i)).expect("valid"))
-            .unwrap();
+        // And both match a closure factory given the same seeds.
+        let closure = FnBackendFactory(|i: usize| {
+            Simulation::new(SimConfig::default(), factory.slot_seed(i))
+                .map_err(|e| MethodologyError::Backend(e.to_string()))
+        });
+        let legacy = report_of(CampaignExecutor::serial(), &campaign, &closure).unwrap();
         assert_eq!(serial, legacy);
     }
 
@@ -781,12 +763,13 @@ mod tests {
         let campaign = campaign_of(2);
         let factory = SimulationFactory::new(SimConfig::default(), 501);
         let tally = CampaignTally::new(2);
-        let outcome = CampaignExecutor::serial().execute_observed(
-            &campaign,
-            &factory,
-            &tally,
-            &CancellationToken::new(),
-        );
+        let observed = RunOptions {
+            observer: &tally,
+            ..RunOptions::default()
+        };
+        let outcome = CampaignExecutor::serial()
+            .run(&campaign, &factory, observed)
+            .unwrap();
         assert!(outcome.is_complete());
         assert!(
             tally.engine_events() > 1_000,
@@ -810,7 +793,7 @@ mod tests {
             .add(kernel("quick-a", 60, 0.3))
             .add(kernel("quick-b", 70, 0.4));
         let factory = SimulationFactory::new(SimConfig::default(), 502);
-        let report = CampaignExecutor::new(3).run(&campaign, &factory).unwrap();
+        let report = report_of(CampaignExecutor::new(3), &campaign, &factory).unwrap();
         let labels: Vec<&str> = report.reports.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, vec!["slowest", "quick-a", "quick-b"]);
     }
@@ -822,7 +805,7 @@ mod tests {
             .add(kernel("default", 150, 0.5))
             .add_with_config(kernel("more-runs", 150, 0.5), RunnerConfig::quick(16));
         let factory = SimulationFactory::new(SimConfig::default(), 503);
-        let report = CampaignExecutor::new(2).run(&campaign, &factory).unwrap();
+        let report = report_of(CampaignExecutor::new(2), &campaign, &factory).unwrap();
         assert!(report.reports[0].runs_executed >= 8);
         assert!(
             report.reports[1].runs_executed >= 16,
@@ -846,9 +829,7 @@ mod tests {
     #[test]
     fn fail_fast_surfaces_the_lowest_index_error() {
         let campaign = campaign_of(5);
-        let err = CampaignExecutor::new(3)
-            .run(&campaign, &failing_factory(1))
-            .unwrap_err();
+        let err = report_of(CampaignExecutor::new(3), &campaign, &failing_factory(1)).unwrap_err();
         assert!(matches!(err, MethodologyError::Backend(ref m) if m.contains("slot 1")));
     }
 
@@ -857,7 +838,8 @@ mod tests {
         let campaign = campaign_of(5);
         let outcome = CampaignExecutor::new(2)
             .error_policy(ErrorPolicy::CollectAll)
-            .execute(&campaign, &failing_factory(2));
+            .run(&campaign, &failing_factory(2), RunOptions::default())
+            .unwrap();
         assert!(!outcome.is_complete());
         assert!(outcome.skipped.is_empty(), "collect-all never skips");
         assert_eq!(outcome.errors.len(), 1);
@@ -871,7 +853,9 @@ mod tests {
     #[test]
     fn serial_fail_fast_skips_the_tail() {
         let campaign = campaign_of(4);
-        let outcome = CampaignExecutor::serial().execute(&campaign, &failing_factory(1));
+        let outcome = CampaignExecutor::serial()
+            .run(&campaign, &failing_factory(1), RunOptions::default())
+            .unwrap();
         assert_eq!(outcome.errors.len(), 1);
         assert_eq!(outcome.skipped, vec![2, 3]);
         assert!(outcome.reports[0].is_some());
@@ -881,7 +865,7 @@ mod tests {
     fn empty_campaign_yields_empty_report() {
         let campaign = Campaign::with_defaults();
         let factory = SimulationFactory::new(SimConfig::default(), 1);
-        let report = CampaignExecutor::new(4).run(&campaign, &factory).unwrap();
+        let report = report_of(CampaignExecutor::new(4), &campaign, &factory).unwrap();
         assert!(report.reports.is_empty());
     }
 
@@ -917,9 +901,13 @@ mod tests {
         let factory = SimulationFactory::new(SimConfig::default(), 808);
         let dir = std::env::temp_dir().join(format!("fingrav-exec-ckpt-{}", std::process::id()));
 
-        let direct = CampaignExecutor::new(2).run(&campaign, &factory).unwrap();
+        let direct = report_of(CampaignExecutor::new(2), &campaign, &factory).unwrap();
+        let fresh = RunOptions {
+            checkpoint: CheckpointMode::Fresh(&dir),
+            ..RunOptions::default()
+        };
         let sharded = CampaignExecutor::new(2)
-            .execute_sharded(&campaign, &factory, &dir)
+            .run(&campaign, &factory, fresh)
             .unwrap()
             .into_report()
             .unwrap();
@@ -932,8 +920,12 @@ mod tests {
             .unwrap();
         assert!(manifest.is_complete());
         assert_eq!(manifest.workers, 2);
+        let resume = RunOptions {
+            checkpoint: CheckpointMode::Resume(&dir),
+            ..RunOptions::default()
+        };
         let restored = CampaignExecutor::new(4)
-            .resume(&campaign, &factory, &dir)
+            .run(&campaign, &factory, resume)
             .unwrap()
             .into_report()
             .unwrap();
@@ -946,8 +938,12 @@ mod tests {
         let campaign = campaign_of(2);
         let factory = SimulationFactory::new(SimConfig::default(), 808);
         let missing = std::env::temp_dir().join("fingrav-no-such-checkpoint");
+        let resume = RunOptions {
+            checkpoint: CheckpointMode::Resume(&missing),
+            ..RunOptions::default()
+        };
         let err = CampaignExecutor::serial()
-            .resume(&campaign, &factory, &missing)
+            .run(&campaign, &factory, resume)
             .unwrap_err();
         assert!(matches!(err, MethodologyError::Checkpoint(_)));
     }

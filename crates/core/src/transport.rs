@@ -17,7 +17,7 @@
 //! * the coordinator persists every artifact into a normal
 //!   [`CheckpointDir`](crate::checkpoint::CheckpointDir), so
 //!   [`crate::checkpoint::gather`] and
-//!   [`crate::executor::CampaignExecutor::resume`] work on the result
+//!   a [`crate::executor::CheckpointMode::Resume`] run work on the result
 //!   unchanged, and a campaign cut short on the wire is finished the same
 //!   way a locally cancelled one is.
 //!
@@ -84,7 +84,9 @@
 //! ```
 //! use fingrav_core::backend::SimulationFactory;
 //! use fingrav_core::campaign::Campaign;
-//! use fingrav_core::executor::{CampaignExecutor, CancellationToken, NoopCampaignObserver};
+//! use fingrav_core::executor::{
+//!     CampaignExecutor, CancellationToken, NoopCampaignObserver, RunOptions,
+//! };
 //! use fingrav_core::runner::RunnerConfig;
 //! use fingrav_core::transport::{work, Coordinator, WorkerOptions};
 //! use fingrav_sim::config::SimConfig;
@@ -118,8 +120,8 @@
 //! })?;
 //!
 //! // Byte-identical to a purely local run of the same campaign.
-//! let local = CampaignExecutor::serial().run(&campaign, &factory)?;
-//! assert_eq!(outcome.into_report()?, local);
+//! let local = CampaignExecutor::serial().run(&campaign, &factory, RunOptions::default())?;
+//! assert_eq!(outcome.into_report()?, local.into_report()?);
 //! std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
 //! # }
@@ -1108,7 +1110,7 @@ impl Coordinator {
 
     /// Serves the campaign until every entry is measured (or the campaign
     /// fails/cancels), persisting into `dir` exactly as
-    /// [`crate::executor::CampaignExecutor::execute_sharded`] would: the
+    /// a [`crate::executor::CheckpointMode::Fresh`] run would: the
     /// returned outcome, the checkpoint directory, and everything
     /// [`crate::checkpoint::gather`] derives from it are byte-identical
     /// to a single-node run of the same campaign.
@@ -1116,7 +1118,7 @@ impl Coordinator {
     /// If `dir` already checkpoints this campaign (digest-verified), the
     /// persisted `Done` entries are restored without re-measurement and
     /// only the rest are served — the cross-node analogue of
-    /// [`crate::executor::CampaignExecutor::resume`].
+    /// [`crate::executor::CheckpointMode::Resume`].
     ///
     /// Blocks until done; workers may connect, leave, and reconnect at
     /// any time (at least one must eventually connect to make progress).

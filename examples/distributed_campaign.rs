@@ -8,7 +8,7 @@
 //!
 //! Demonstrates the cross-node transport end to end:
 //!
-//! 1. a reference campaign runs serially under `execute_sharded`,
+//! 1. a reference campaign runs serially under `CheckpointMode::Fresh`,
 //!    checkpointing into a normal `FGRVCKPT` directory;
 //! 2. a `Coordinator` serves the same campaign on `127.0.0.1`; worker 1
 //!    and worker 2 connect concurrently and pull entries;
@@ -35,7 +35,8 @@ use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
 use fingrav::core::checkpoint::{gather, CheckpointDir};
 use fingrav::core::executor::{
-    CampaignExecutor, CampaignObserver, CancellationToken, NoopCampaignObserver,
+    CampaignExecutor, CampaignObserver, CancellationToken, CheckpointMode, NoopCampaignObserver,
+    RunOptions,
 };
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::profile_to_csv;
@@ -87,8 +88,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Single-node serial reference, checkpointed as it runs.
     // ------------------------------------------------------------------
     println!("reference: profiling all {total} kernels serially on one node");
+    let fresh = RunOptions {
+        checkpoint: CheckpointMode::Fresh(&ref_dir),
+        ..RunOptions::default()
+    };
     let reference = CampaignExecutor::serial()
-        .execute_sharded(&campaign, &factory, &ref_dir)?
+        .run(&campaign, &factory, fresh)?
         .into_report()?;
 
     // ------------------------------------------------------------------

@@ -9,7 +9,10 @@
 //! per-component SSP power table and the power-proportionality analysis
 //! behind the paper's takeaways #2-#4.
 
+use fingrav::core::backend::FnBackendFactory;
 use fingrav::core::campaign::Campaign;
+use fingrav::core::error::MethodologyError;
+use fingrav::core::executor::{CampaignExecutor, RunOptions};
 use fingrav::core::runner::RunnerConfig;
 use fingrav::sim::{SimConfig, Simulation};
 use fingrav::workloads::suite;
@@ -22,8 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the paper's measurement guidance #2 requires for short kernels).
     let mut campaign = Campaign::new(RunnerConfig::quick(50));
     campaign.add_all(kernels.iter().map(|sk| sk.desc.clone()));
-    let result = campaign
-        .run(|i| Simulation::new(SimConfig::default(), 100 + i as u64).expect("valid config"))?;
+    let factory = FnBackendFactory(|i: usize| {
+        Simulation::new(SimConfig::default(), 100 + i as u64)
+            .map_err(|e| MethodologyError::Backend(e.to_string()))
+    });
+    let result = CampaignExecutor::serial()
+        .run(&campaign, &factory, RunOptions::default())?
+        .into_report()?;
 
     println!("{}", result.summary_markdown());
 

@@ -9,9 +9,10 @@
 //! 1. a single script session streams `TelemetryEvent`s through a bounded
 //!    channel while the device runs, and an `AbortHandle` stops it
 //!    mid-script — the partial trace comes back well-formed and tagged;
-//! 2. a sharded campaign streams per-entry lifecycle and device events
-//!    into a `CampaignObserver`, and a `CancellationToken` fired after the
-//!    first few kernels finish skips the pending entries and aborts the
+//! 2. a sharded campaign run with a `CampaignObserver` and a
+//!    `CancellationToken` in its `RunOptions` streams per-entry lifecycle
+//!    and device events to the observer; the token, fired after the first
+//!    few kernels finish, skips the pending entries and aborts the
 //!    in-flight sessions.
 
 use std::sync::mpsc;
@@ -21,7 +22,7 @@ use fingrav::core::backend::{PowerBackend, SimulationFactory};
 use fingrav::core::campaign::Campaign;
 use fingrav::core::error::MethodologyError;
 use fingrav::core::executor::{
-    CampaignExecutor, CampaignObserver, CampaignTally, CancellationToken,
+    CampaignExecutor, CampaignObserver, CampaignTally, CancellationToken, RunOptions,
 };
 use fingrav::core::observe::ProfilingEvent;
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
@@ -176,11 +177,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
         });
-        let outcome = executor.execute_observed(&campaign, &factory, &watcher, &cancel);
+        let watched = RunOptions {
+            observer: &watcher,
+            cancel: cancel.clone(),
+            ..RunOptions::default()
+        };
+        let outcome = executor.run(&campaign, &factory, watched);
         drop(watcher);
         printer.join().expect("printer thread");
         outcome
-    });
+    })?;
 
     let completed = outcome.reports.iter().filter(|r| r.is_some()).count();
     let aborted = outcome

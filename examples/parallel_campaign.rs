@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
-use fingrav::core::executor::CampaignExecutor;
+use fingrav::core::executor::{CampaignExecutor, RunOptions};
 use fingrav::core::runner::RunnerConfig;
 use fingrav::sim::SimConfig;
 use fingrav::workloads::suite;
@@ -24,12 +24,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factory = SimulationFactory::new(SimConfig::default(), 42);
 
     let t0 = Instant::now();
-    let serial = CampaignExecutor::serial().run(&campaign, &factory)?;
+    let serial = CampaignExecutor::serial()
+        .run(&campaign, &factory, RunOptions::default())?
+        .into_report()?;
     let serial_s = t0.elapsed().as_secs_f64();
 
     let executor = CampaignExecutor::with_available_parallelism();
     let t0 = Instant::now();
-    let parallel = executor.run(&campaign, &factory)?;
+    let parallel = executor
+        .run(&campaign, &factory, RunOptions::default())?
+        .into_report()?;
     let parallel_s = t0.elapsed().as_secs_f64();
 
     assert_eq!(serial, parallel, "sharding must not change a single bit");

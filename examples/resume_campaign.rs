@@ -8,13 +8,14 @@
 //!
 //! Demonstrates the campaign checkpoint subsystem end to end:
 //!
-//! 1. a reference campaign runs to completion under `execute_sharded`,
-//!    writing a `FGRVCKPT` manifest plus per-shard entry artifacts;
+//! 1. a reference campaign runs to completion under
+//!    `CheckpointMode::Fresh`, writing a `FGRVCKPT` manifest plus per-shard entry artifacts;
 //! 2. a second, identically-seeded campaign is cancelled via its
 //!    `CancellationToken` after two entries finish — the in-flight
 //!    session aborts cooperatively, pending entries are skipped, and the
 //!    checkpoint records every status;
-//! 3. `resume` re-plans only the unfinished entries and completes them;
+//! 3. a `CheckpointMode::Resume` run re-plans only the unfinished entries
+//!    and completes them;
 //! 4. `gather` merges both checkpoints and the final profile stores (and
 //!    the campaign reports, as their `FGRVCKPT` entry bytes) are compared
 //!    byte for byte.
@@ -25,7 +26,9 @@ use std::sync::Mutex;
 use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
 use fingrav::core::checkpoint::{gather, CheckpointDir, EntryStatus};
-use fingrav::core::executor::{CampaignExecutor, CampaignObserver, CancellationToken};
+use fingrav::core::executor::{
+    CampaignExecutor, CampaignObserver, CancellationToken, CheckpointMode, RunOptions,
+};
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav::sim::SimConfig;
 use fingrav::workloads::suite;
@@ -92,9 +95,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The uninterrupted reference, checkpointed as it runs.
     // ------------------------------------------------------------------
     println!("reference: running all {total} kernels to completion");
-    let reference = executor
-        .execute_sharded(&campaign, &factory, &ref_dir)?
-        .into_report()?;
+    let fresh = RunOptions {
+        checkpoint: CheckpointMode::Fresh(&ref_dir),
+        ..RunOptions::default()
+    };
+    let reference = executor.run(&campaign, &factory, fresh)?.into_report()?;
 
     // ------------------------------------------------------------------
     // 2. The same campaign, cancelled after two entries finish.
@@ -106,13 +111,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         finished: AtomicUsize::new(0),
         log: Mutex::new(Vec::new()),
     };
-    let partial = executor.execute_sharded_observed(
-        &campaign,
-        &factory,
-        &cut_dir,
-        &observer,
-        &observer.cancel,
-    )?;
+    let cancellable = RunOptions {
+        observer: &observer,
+        cancel: observer.cancel.clone(),
+        checkpoint: CheckpointMode::Fresh(&cut_dir),
+    };
+    let partial = executor.run(&campaign, &factory, cancellable)?;
     for line in observer.log.lock().unwrap().iter() {
         println!("{line}");
     }
@@ -136,9 +140,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Resume: only the unfinished entries are measured.
     // ------------------------------------------------------------------
     println!("\nresume: completing the cancelled campaign from its checkpoint");
-    let resumed = executor
-        .resume(&campaign, &factory, &cut_dir)?
-        .into_report()?;
+    let resume = RunOptions {
+        checkpoint: CheckpointMode::Resume(&cut_dir),
+        ..RunOptions::default()
+    };
+    let resumed = executor.run(&campaign, &factory, resume)?.into_report()?;
     assert!(CheckpointDir::open(&cut_dir)?
         .read_manifest()?
         .is_complete());

@@ -13,11 +13,13 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use fingrav::core::backend::{PowerBackend, SimulationFactory};
+use fingrav::core::backend::{FnBackendFactory, PowerBackend, SimulationFactory};
 use fingrav::core::campaign::Campaign;
 use fingrav::core::checkpoint::EntryArtifact;
 use fingrav::core::error::MethodologyError;
-use fingrav::core::executor::{CampaignExecutor, CampaignObserver, CancellationToken, ErrorPolicy};
+use fingrav::core::executor::{
+    CampaignExecutor, CampaignObserver, CampaignOutcome, CancellationToken, ErrorPolicy, RunOptions,
+};
 use fingrav::core::observe::ProfilingEvent;
 use fingrav::core::runner::RunnerConfig;
 use fingrav::sim::session::{ChannelSink, TelemetryEvent};
@@ -46,10 +48,12 @@ fn parallel_campaign_serializes_byte_identical_to_serial() {
     let factory = SimulationFactory::new(SimConfig::default(), 4242);
 
     let serial = CampaignExecutor::serial()
-        .run(&campaign, &factory)
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("serial campaign profiles");
     let parallel = CampaignExecutor::new(4)
-        .run(&campaign, &factory)
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("parallel campaign profiles");
 
     // Structural equality first (clearer failure on a mismatch)...
@@ -77,10 +81,16 @@ fn legacy_closure_path_matches_the_executor() {
     let campaign = suite_campaign();
     let factory = SimulationFactory::new(SimConfig::default(), 4242);
     let via_executor = CampaignExecutor::new(3)
-        .run(&campaign, &factory)
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiles");
-    let via_closure = campaign
-        .run(|i| Simulation::new(SimConfig::default(), factory.slot_seed(i)).expect("valid"))
+    let closure = FnBackendFactory(|i: usize| {
+        Simulation::new(SimConfig::default(), factory.slot_seed(i))
+            .map_err(|e| MethodologyError::Backend(e.to_string()))
+    });
+    let via_closure = CampaignExecutor::serial()
+        .run(&campaign, &closure, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiles");
     assert_eq!(via_executor, via_closure);
 }
@@ -95,11 +105,13 @@ fn worker_count_never_changes_results() {
     let factory = SimulationFactory::new(SimConfig::default(), 77);
 
     let reference = CampaignExecutor::serial()
-        .run(&campaign, &factory)
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiles");
     for workers in [2, 5, 32] {
         let sharded = CampaignExecutor::new(workers)
-            .run(&campaign, &factory)
+            .run(&campaign, &factory, RunOptions::default())
+            .and_then(CampaignOutcome::into_report)
             .expect("profiles");
         assert_eq!(
             entry_bytes(&reference.reports),
@@ -285,18 +297,20 @@ fn per_slot_event_streams_are_identical_across_worker_counts() {
 
     // The unobserved plain run is the report reference.
     let plain = CampaignExecutor::serial()
-        .run(&campaign, &factory)
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiles");
 
     let mut streams: Vec<Vec<(u64, usize)>> = Vec::new();
     for workers in [1usize, 2, 8] {
         let recorder = Recorder::new(campaign.len());
-        let outcome = CampaignExecutor::new(workers).execute_observed(
-            &campaign,
-            &factory,
-            &recorder,
-            &CancellationToken::new(),
-        );
+        let observed = RunOptions {
+            observer: &recorder,
+            ..RunOptions::default()
+        };
+        let outcome = CampaignExecutor::new(workers)
+            .run(&campaign, &factory, observed)
+            .expect("no checkpoint");
         let report = outcome.into_report().expect("profiles");
         assert_eq!(
             entry_bytes(&report.reports),
@@ -344,12 +358,15 @@ fn cancellation_token_stops_pending_entries_under_both_policies() {
         cancel.abort();
         let outcome = CampaignExecutor::new(3)
             .error_policy(policy)
-            .execute_observed(
+            .run(
                 &campaign,
                 &factory,
-                &fingrav::core::executor::NoopCampaignObserver,
-                &cancel,
-            );
+                RunOptions {
+                    cancel,
+                    ..RunOptions::default()
+                },
+            )
+            .expect("no checkpoint");
         assert!(outcome.reports.iter().all(Option::is_none));
         assert!(outcome.errors.is_empty());
         assert_eq!(outcome.skipped, (0..campaign.len()).collect::<Vec<_>>());
@@ -363,7 +380,16 @@ fn cancellation_token_stops_pending_entries_under_both_policies() {
         };
         let outcome = CampaignExecutor::serial()
             .error_policy(policy)
-            .execute_observed(&campaign, &factory, &observer, &observer.cancel);
+            .run(
+                &campaign,
+                &factory,
+                RunOptions {
+                    observer: &observer,
+                    cancel: observer.cancel.clone(),
+                    ..RunOptions::default()
+                },
+            )
+            .expect("no checkpoint");
         assert_eq!(outcome.reports.iter().filter(|r| r.is_some()).count(), 1);
         assert_eq!(*observer.finished.lock().unwrap(), vec![0]);
         assert_eq!(outcome.skipped, (1..campaign.len()).collect::<Vec<_>>());
@@ -399,7 +425,16 @@ fn cancellation_aborts_the_in_flight_session() {
     };
     let outcome = CampaignExecutor::serial()
         .error_policy(ErrorPolicy::CollectAll)
-        .execute_observed(&campaign, &factory, &observer, &observer.cancel);
+        .run(
+            &campaign,
+            &factory,
+            RunOptions {
+                observer: &observer,
+                cancel: observer.cancel.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .expect("no checkpoint");
     // Slot 0 was cut mid-measurement: it surfaces as Aborted, not as a
     // report; everything after it never starts.
     assert!(outcome.reports.iter().all(Option::is_none));
@@ -429,7 +464,8 @@ fn collect_all_reports_partial_results_deterministically() {
     let factory = SimulationFactory::new(SimConfig::default(), 909);
     let outcome = CampaignExecutor::new(3)
         .error_policy(ErrorPolicy::CollectAll)
-        .execute(&campaign, &factory);
+        .run(&campaign, &factory, RunOptions::default())
+        .expect("no checkpoint");
     assert!(!outcome.is_complete());
     assert_eq!(outcome.errors.len(), 1);
     assert_eq!(outcome.errors[0].0, 4, "the broken slot is the fifth");
@@ -444,7 +480,8 @@ fn collect_all_reports_partial_results_deterministically() {
     let mut healthy = Campaign::new(RunnerConfig::quick(6));
     healthy.add_all(kernels);
     let healthy_report = CampaignExecutor::new(3)
-        .run(&healthy, &factory)
+        .run(&healthy, &factory, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiles");
     for (slot, report) in healthy_report.reports.iter().enumerate() {
         assert_eq!(

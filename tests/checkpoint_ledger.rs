@@ -8,6 +8,9 @@
 //! shard and the first differing column, leaves that copy untouched, and
 //! stops every front end from starting another entry: the unstarted ones
 //! are reported skipped.
+//!
+//! On the threaded local path, a fresh run and a resume of a cut checkpoint
+//! both make every entry durable before its `entry_finished` fires.
 
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -16,18 +19,22 @@ use std::sync::Mutex;
 
 use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
-use fingrav::core::checkpoint::{CampaignManifest, CheckpointDir};
+use fingrav::core::checkpoint::{CampaignManifest, CheckpointDir, EntryArtifactView, EntryStatus};
 use fingrav::core::error::{MethodologyError, MethodologyResult};
 use fingrav::core::executor::{
-    CampaignExecutor, CampaignObserver, CampaignOutcome, CancellationToken, NoopCampaignObserver,
+    CampaignExecutor, CampaignObserver, CampaignOutcome, CancellationToken, CheckpointMode,
+    NoopCampaignObserver, RunOptions,
 };
-use fingrav::core::runner::RunnerConfig;
+use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav::core::store::ProfileStore;
 use fingrav::core::transport::{work, Coordinator, WorkerOptions};
 use fingrav::sim::kernel::KernelDesc;
 use fingrav::sim::power::Activity;
 use fingrav::sim::time::SimDuration;
 use fingrav::sim::SimConfig;
+
+mod common;
+use common::fresh;
 
 fn kernel(name: &str, us: u64, xcd: f64) -> KernelDesc {
     KernelDesc {
@@ -114,21 +121,17 @@ fn run_front_end(
     observer: &dyn CampaignObserver,
 ) -> MethodologyResult<CampaignOutcome> {
     let cancel = CancellationToken::new();
+    let local = |checkpoint| {
+        let options = RunOptions {
+            observer,
+            cancel: cancel.clone(),
+            checkpoint,
+        };
+        CampaignExecutor::serial().run(campaign, &factory(), options)
+    };
     match front_end {
-        FrontEnd::ExecuteSharded => CampaignExecutor::serial().execute_sharded_observed(
-            campaign,
-            &factory(),
-            root,
-            observer,
-            &cancel,
-        ),
-        FrontEnd::Resume => CampaignExecutor::serial().resume_observed(
-            campaign,
-            &factory(),
-            root,
-            observer,
-            &cancel,
-        ),
+        FrontEnd::ExecuteSharded => local(CheckpointMode::Fresh(root)),
+        FrontEnd::Resume => local(CheckpointMode::Resume(root)),
         FrontEnd::Serve => {
             let coordinator = Coordinator::bind("127.0.0.1:0").expect("loopback bind");
             let addr = coordinator.local_addr().expect("bound address");
@@ -161,7 +164,7 @@ fn a_crash_window_disagreement_halts_every_front_end() {
         let root = scratch_root(&format!("crash-{front_end:?}"));
         let _ = std::fs::remove_dir_all(&root);
         CampaignExecutor::serial()
-            .execute_sharded(&campaign, &factory(), &root)
+            .run(&campaign, &factory(), fresh(&root))
             .expect("reference checkpoint")
             .into_report()
             .expect("complete");
@@ -205,4 +208,100 @@ fn a_crash_window_disagreement_halts_every_front_end() {
         }
         std::fs::remove_dir_all(&root).expect("scratch cleanup");
     }
+}
+
+/// Checks, as each entry finishes, that it is already durable: its
+/// manifest row reads `Done` and its entry file restores to the report the
+/// observer is handed. Cancels the campaign after `cancel_after` entries.
+struct DurableBeforeFinished<'a> {
+    root: &'a Path,
+    cancel: CancellationToken,
+    cancel_after: usize,
+    finished: AtomicUsize,
+    checked: Mutex<Vec<usize>>,
+    violations: Mutex<Vec<String>>,
+}
+
+impl<'a> DurableBeforeFinished<'a> {
+    fn new(root: &'a Path, cancel_after: usize) -> Self {
+        DurableBeforeFinished {
+            root,
+            cancel: CancellationToken::new(),
+            cancel_after,
+            finished: AtomicUsize::new(0),
+            checked: Mutex::new(Vec::new()),
+            violations: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn durable(&self, index: usize, report: &KernelPowerReport) -> Result<(), String> {
+        let ckdir = CheckpointDir::open(self.root).map_err(|e| e.to_string())?;
+        let manifest = ckdir.read_manifest().map_err(|e| e.to_string())?;
+        let row = &manifest.entries[index];
+        if row.status != EntryStatus::Done {
+            return Err(format!("entry {index}: manifest reads {}", row.status));
+        }
+        let bytes = std::fs::read(ckdir.entry_path(row.shard, index))
+            .map_err(|e| format!("entry {index}: {e}"))?;
+        let view = EntryArtifactView::parse(&bytes).map_err(|e| e.to_string())?;
+        if view.to_report() != *report {
+            return Err(format!(
+                "entry {index}: the file restores to another report"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl CampaignObserver for DurableBeforeFinished<'_> {
+    fn entry_finished(&self, index: usize, report: &KernelPowerReport) {
+        match self.durable(index, report) {
+            Ok(()) => self.checked.lock().unwrap().push(index),
+            Err(violation) => self.violations.lock().unwrap().push(violation),
+        }
+        if self.finished.fetch_add(1, Ordering::SeqCst) + 1 == self.cancel_after {
+            self.cancel.abort();
+        }
+    }
+}
+
+#[test]
+fn threaded_runs_make_entries_durable_before_entry_finished() {
+    let campaign = campaign4();
+    let root = scratch_root("durable-threaded");
+    let _ = std::fs::remove_dir_all(&root);
+    let executor = CampaignExecutor::new(2);
+
+    // A fresh 2-worker run, cut after two entries finish.
+    let cut = DurableBeforeFinished::new(&root, 2);
+    let options = RunOptions {
+        observer: &cut,
+        cancel: cut.cancel.clone(),
+        checkpoint: CheckpointMode::Fresh(&root),
+    };
+    let partial = executor
+        .run(&campaign, &factory(), options)
+        .expect("fresh run persists");
+    assert!(!partial.is_complete(), "the cut left entries to resume");
+
+    // A 2-worker resume of the cut checkpoint measures the rest.
+    let resumed = DurableBeforeFinished::new(&root, usize::MAX);
+    let options = RunOptions {
+        observer: &resumed,
+        checkpoint: CheckpointMode::Resume(&root),
+        ..RunOptions::default()
+    };
+    let outcome = executor
+        .run(&campaign, &factory(), options)
+        .expect("resume persists");
+    assert!(outcome.is_complete());
+
+    for observer in [&cut, &resumed] {
+        assert_eq!(*observer.violations.lock().unwrap(), Vec::<String>::new());
+    }
+    let mut checked = cut.checked.into_inner().unwrap();
+    checked.extend(resumed.checked.into_inner().unwrap());
+    checked.sort_unstable();
+    assert_eq!(checked, vec![0, 1, 2, 3], "every entry was checked once");
+    std::fs::remove_dir_all(&root).expect("scratch cleanup");
 }

@@ -14,7 +14,7 @@ use fingrav::core::campaign::{Campaign, CampaignReport};
 use fingrav::core::checkpoint::{gather, CheckpointDir, EntryStatus};
 use fingrav::core::error::{MethodologyError, MethodologyResult};
 use fingrav::core::executor::{
-    CampaignExecutor, CancellationToken, ErrorPolicy, NoopCampaignObserver,
+    CampaignExecutor, CampaignOutcome, CancellationToken, ErrorPolicy, RunOptions,
 };
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::profile_to_csv;
@@ -30,7 +30,7 @@ use fingrav::sim::{SimConfig, Simulation};
 use fingrav::workloads::suite;
 
 mod common;
-use common::entry_bytes;
+use common::{entry_bytes, fresh, resume};
 
 // ---------------------------------------------------------------------
 // Fault injection plumbing
@@ -188,7 +188,8 @@ fn every_cut_point_resumes_byte_identical() {
     let campaign = campaign6();
     let clean = clean_factory();
     let reference = CampaignExecutor::serial()
-        .run(&campaign, &clean)
+        .run(&campaign, &clean, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("uninterrupted campaign profiles");
     let ref_bytes = entry_bytes(&reference.reports);
     let ref_csvs = csvs_of(&reference);
@@ -208,12 +209,13 @@ fn every_cut_point_resumes_byte_identical() {
                 };
                 let executor = CampaignExecutor::new(workers).error_policy(policy);
                 let outcome = executor
-                    .execute_sharded_observed(
+                    .run(
                         &campaign,
                         &faulty,
-                        &dir,
-                        &NoopCampaignObserver,
-                        &cancel,
+                        RunOptions {
+                            cancel: cancel.clone(),
+                            ..fresh(&dir)
+                        },
                     )
                     .expect("checkpointing itself succeeds");
                 assert!(
@@ -236,7 +238,7 @@ fn every_cut_point_resumes_byte_identical() {
                 // are re-measured, on the same per-index seeds.
                 let resumed = CampaignExecutor::new(workers)
                     .error_policy(policy)
-                    .resume(&campaign, &clean, &dir)
+                    .run(&campaign, &clean, resume(&dir))
                     .expect("resume completes");
                 assert!(resumed.is_complete(), "cut {cut} {mode:?} {policy:?}");
                 let report = resumed.into_report().expect("all entries report");
@@ -274,7 +276,8 @@ fn resume_with_a_different_worker_count_is_identical() {
     let campaign = campaign6();
     let clean = clean_factory();
     let reference = CampaignExecutor::serial()
-        .run(&campaign, &clean)
+        .run(&campaign, &clean, RunOptions::default())
+        .and_then(CampaignOutcome::into_report)
         .expect("profiles");
     let root = scratch_root("workers");
 
@@ -286,12 +289,19 @@ fn resume_with_a_different_worker_count_is_identical() {
         cancel: cancel.clone(),
     };
     let outcome = CampaignExecutor::new(2)
-        .execute_sharded_observed(&campaign, &faulty, &root, &NoopCampaignObserver, &cancel)
+        .run(
+            &campaign,
+            &faulty,
+            RunOptions {
+                cancel: cancel.clone(),
+                ..fresh(&root)
+            },
+        )
         .expect("checkpointing succeeds");
     assert!(!outcome.is_complete());
 
     let resumed = CampaignExecutor::new(8)
-        .resume(&campaign, &clean, &root)
+        .run(&campaign, &clean, resume(&root))
         .expect("resume completes")
         .into_report()
         .expect("complete");
@@ -311,7 +321,7 @@ fn resume_of_a_complete_checkpoint_never_remeasures() {
     let clean = clean_factory();
     let root = scratch_root("noremeasure");
     let full = CampaignExecutor::new(2)
-        .execute_sharded(&campaign, &clean, &root)
+        .run(&campaign, &clean, fresh(&root))
         .expect("checkpointing succeeds")
         .into_report()
         .expect("complete");
@@ -331,7 +341,7 @@ fn resume_of_a_complete_checkpoint_never_remeasures() {
     let manifest_before = std::fs::read(&manifest_path).expect("manifest readable");
     let listing_before = listing(&root);
     let restored = CampaignExecutor::new(2)
-        .resume(&campaign, &PoisonFactory, &root)
+        .run(&campaign, &PoisonFactory, resume(&root))
         .expect("pure restore")
         .into_report()
         .expect("complete");
@@ -384,7 +394,7 @@ fn corrupted_checkpoints_are_rejected_with_typed_errors() {
     let clean = clean_factory();
     let root = scratch_root("corrupt");
     CampaignExecutor::new(2)
-        .execute_sharded(&campaign, &clean, &root)
+        .run(&campaign, &clean, fresh(&root))
         .expect("checkpointing succeeds");
 
     // A flipped manifest magic byte: resume fails with a Checkpoint error
@@ -392,7 +402,7 @@ fn corrupted_checkpoints_are_rejected_with_typed_errors() {
     let ckdir = CheckpointDir::open(&root).expect("open");
     flip_byte(&ckdir.manifest_path(), 0);
     let err = CampaignExecutor::new(2)
-        .resume(&campaign, &clean, &root)
+        .run(&campaign, &clean, resume(&root))
         .expect_err("corrupt manifest must be rejected");
     match &err {
         MethodologyError::Checkpoint(msg) => {
@@ -407,7 +417,7 @@ fn corrupted_checkpoints_are_rejected_with_typed_errors() {
     let full = std::fs::read(&first_entry).unwrap();
     std::fs::write(&first_entry, &full[..full.len() / 2]).unwrap();
     let err = CampaignExecutor::new(2)
-        .resume(&campaign, &clean, &root)
+        .run(&campaign, &clean, resume(&root))
         .expect_err("truncated entry must be rejected");
     assert!(matches!(err, MethodologyError::Checkpoint(_)));
     let err = gather(&ckdir, &campaign).expect_err("gather rejects it too");
@@ -416,7 +426,7 @@ fn corrupted_checkpoints_are_rejected_with_typed_errors() {
 
     // Restored to health, everything works again.
     assert!(CampaignExecutor::new(2)
-        .resume(&campaign, &clean, &root)
+        .run(&campaign, &clean, resume(&root))
         .is_ok());
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
 }
@@ -427,7 +437,7 @@ fn config_drift_is_rejected_by_digest() {
     let clean = clean_factory();
     let root = scratch_root("digest");
     CampaignExecutor::new(2)
-        .execute_sharded(&campaign, &clean, &root)
+        .run(&campaign, &clean, fresh(&root))
         .expect("checkpointing succeeds");
 
     // Same kernels, different methodology settings: the digest differs and
@@ -437,7 +447,7 @@ fn config_drift_is_rejected_by_digest() {
         drifted.add(entry.desc.clone());
     }
     let err = CampaignExecutor::new(2)
-        .resume(&drifted, &clean, &root)
+        .run(&drifted, &clean, resume(&root))
         .expect_err("config drift must be rejected");
     match &err {
         MethodologyError::Checkpoint(msg) => {
@@ -452,19 +462,19 @@ fn config_drift_is_rejected_by_digest() {
         reordered.add(entry.desc.clone());
     }
     assert!(CampaignExecutor::new(2)
-        .resume(&reordered, &clean, &root)
+        .run(&reordered, &clean, resume(&root))
         .is_err());
 
-    // A fresh execute_sharded must refuse to repurpose the directory for
+    // A fresh checkpointed run must refuse to repurpose the directory for
     // a different campaign (its stale entry files would poison the run)...
     let err = CampaignExecutor::new(2)
-        .execute_sharded(&drifted, &clean, &root)
+        .run(&drifted, &clean, fresh(&root))
         .expect_err("a foreign checkpoint directory must be refused");
     assert!(matches!(err, MethodologyError::Checkpoint(_)));
     // ...while the *same* campaign may re-run over its own checkpoint
     // (the persisted entries are re-verified against the fresh results).
     assert!(CampaignExecutor::new(2)
-        .execute_sharded(&campaign, &clean, &root)
+        .run(&campaign, &clean, fresh(&root))
         .is_ok());
     std::fs::remove_dir_all(&root).expect("scratch cleanup");
 }
@@ -479,7 +489,7 @@ fn gather_verifies_duplicates_and_names_shard_and_column() {
     let clean = clean_factory();
     let root = scratch_root("dup");
     CampaignExecutor::new(2)
-        .execute_sharded(&campaign, &clean, &root)
+        .run(&campaign, &clean, fresh(&root))
         .expect("checkpointing succeeds");
     let ckdir = CheckpointDir::open(&root).expect("open");
 
@@ -516,7 +526,7 @@ fn gather_verifies_duplicates_and_names_shard_and_column() {
     // Resume performs the same duplicate verification before trusting any
     // copy — the diverged duplicate must not silently win the restore.
     let err = CampaignExecutor::new(2)
-        .resume(&campaign, &clean, &root)
+        .run(&campaign, &clean, resume(&root))
         .expect_err("resume rejects diverged duplicates too");
     let msg = err.to_string();
     assert!(msg.contains("column `xcd`"), "{msg}");
@@ -581,10 +591,10 @@ fn suite_campaign_checkpoint_bytes_are_pinned() {
     let root = scratch_root("byte-pin");
     let _ = std::fs::remove_dir_all(&root);
     CampaignExecutor::new(2)
-        .execute_sharded(
+        .run(
             &campaign,
             &SimulationFactory::new(SimConfig::default(), 7),
-            &root,
+            fresh(&root),
         )
         .expect("campaign runs")
         .into_report()

@@ -12,7 +12,8 @@
 //! holds the heap reference the engine's `HybridQueue` is checked against
 //! (`event_queue.rs`, `proptests.rs`). [`entry_bytes`] is the
 //! bit-exact report comparison the determinism tests and the resume and
-//! distributed examples share.
+//! distributed examples share; [`fresh`] and [`resume`] are the
+//! checkpointing run options of the campaign tests.
 //!
 //! Each integration test (and each example including this module) is its
 //! own crate, so this module is compiled per binary; not every binary
@@ -23,8 +24,10 @@ pub mod axis_order;
 pub mod event_queue;
 
 use std::collections::VecDeque;
+use std::path::Path;
 
 use fingrav::core::checkpoint::{CampaignManifest, EntryArtifact, EntryStatus, ManifestEntry};
+use fingrav::core::executor::{CheckpointMode, RunOptions};
 use fingrav::core::guidance::GuidanceEntry;
 use fingrav::core::profile::{PlacedLog, PowerProfile, ProfileKind, ProfilePoint};
 use fingrav::core::runner::KernelPowerReport;
@@ -294,6 +297,22 @@ pub fn entry_bytes(reports: &[KernelPowerReport]) -> Vec<Vec<u8>> {
             .to_bytes()
         })
         .collect()
+}
+
+/// Run options that checkpoint a fresh run of a campaign into `dir`.
+pub fn fresh(dir: &Path) -> RunOptions<'_> {
+    RunOptions {
+        checkpoint: CheckpointMode::Fresh(dir),
+        ..RunOptions::default()
+    }
+}
+
+/// Run options that resume the campaign checkpointed in `dir`.
+pub fn resume(dir: &Path) -> RunOptions<'_> {
+    RunOptions {
+        checkpoint: CheckpointMode::Resume(dir),
+        ..RunOptions::default()
+    }
 }
 
 /// The golden v1 entry artifact (`tests/data/golden_entry.fgrvckpt`).

@@ -89,7 +89,10 @@ fn many_window_giant_profiles() {
 #[test]
 fn back_to_back_campaign_of_extremes() {
     // Both extremes through the campaign API, sharing one configuration.
+    use fingrav::core::backend::FnBackendFactory;
     use fingrav::core::campaign::Campaign;
+    use fingrav::core::error::MethodologyError;
+    use fingrav::core::executor::{CampaignExecutor, RunOptions};
     let mut campaign = Campaign::new(RunnerConfig {
         tail_executions_cap: 32,
         ..RunnerConfig::quick(12)
@@ -97,8 +100,13 @@ fn back_to_back_campaign_of_extremes() {
     campaign
         .add(kernel("blip-2us", SimDuration::from_micros(2)))
         .add(kernel("giant-20ms", SimDuration::from_millis(20)));
-    let result = campaign
-        .run(|i| Simulation::new(SimConfig::default(), 410 + i as u64).expect("valid"))
+    let factory = FnBackendFactory(|i: usize| {
+        Simulation::new(SimConfig::default(), 410 + i as u64)
+            .map_err(|e| MethodologyError::Backend(e.to_string()))
+    });
+    let result = CampaignExecutor::serial()
+        .run(&campaign, &factory, RunOptions::default())
+        .and_then(|outcome| outcome.into_report())
         .expect("campaign over extremes");
     assert_eq!(result.reports.len(), 2);
     assert_eq!(result.hottest().expect("hottest").label, "giant-20ms");

@@ -8,7 +8,7 @@ use fingrav::baselines::common::BaselineConfig;
 use fingrav::baselines::unsynchronized;
 use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
-use fingrav::core::executor::CampaignExecutor;
+use fingrav::core::executor::{CampaignExecutor, CampaignOutcome, RunOptions};
 use fingrav::core::profile::{place_logs, push_loi_points, push_run_profile_points, ProfileAxis};
 use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::{FingravRunner, RunnerConfig};
@@ -192,7 +192,8 @@ fn store_binary_artifact_identical_across_worker_counts() {
 
     let encode = |executor: CampaignExecutor| -> Vec<Vec<u8>> {
         executor
-            .run(&campaign, &factory)
+            .run(&campaign, &factory, RunOptions::default())
+            .and_then(CampaignOutcome::into_report)
             .expect("campaign profiles")
             .reports
             .iter()

@@ -14,7 +14,8 @@ use fingrav::core::campaign::{Campaign, CampaignReport};
 use fingrav::core::checkpoint::{gather, CheckpointDir};
 use fingrav::core::error::MethodologyError;
 use fingrav::core::executor::{
-    CampaignExecutor, CampaignObserver, CancellationToken, ErrorPolicy, NoopCampaignObserver,
+    CampaignExecutor, CampaignObserver, CancellationToken, CheckpointMode, ErrorPolicy,
+    NoopCampaignObserver, RunOptions,
 };
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::profile_to_csv;
@@ -29,6 +30,9 @@ use fingrav::sim::engine::Simulation;
 use fingrav::sim::kernel::KernelDesc;
 use fingrav::sim::power::Activity;
 use fingrav::sim::time::SimDuration;
+
+mod common;
+use common::{fresh, resume};
 
 fn kernel(name: &str, us: u64, xcd: f64) -> KernelDesc {
     KernelDesc {
@@ -85,7 +89,7 @@ fn reference(
     dir: &std::path::Path,
 ) -> (CampaignReport, Vec<Vec<u8>>, Vec<String>) {
     let report = CampaignExecutor::serial()
-        .execute_sharded(campaign, &factory(), dir)
+        .run(campaign, &factory(), fresh(dir))
         .unwrap()
         .into_report()
         .unwrap();
@@ -464,7 +468,7 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
         assert!(!outcome.is_complete(), "cancellation left work undone");
 
         let report = CampaignExecutor::new(2)
-            .resume(&campaign, &factory(), &dir)
+            .run(&campaign, &factory(), resume(&dir))
             .unwrap()
             .into_report()
             .unwrap();
@@ -501,7 +505,15 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
             finished: AtomicUsize::new(0),
         };
         let partial = CampaignExecutor::serial()
-            .execute_sharded_observed(&campaign, &factory(), &dir, &observer, &observer.cancel)
+            .run(
+                &campaign,
+                &factory(),
+                RunOptions {
+                    observer: &observer,
+                    cancel: observer.cancel.clone(),
+                    checkpoint: CheckpointMode::Fresh(&dir),
+                },
+            )
             .unwrap();
         assert!(!partial.is_complete(), "cancellation left work undone");
 
@@ -690,7 +702,7 @@ fn cancelling_a_workerless_serve_returns() {
     assert_eq!(outcome.skipped, vec![0, 1], "every entry is skipped");
     // The checkpoint is a normal pending manifest; a local run completes it.
     let report = CampaignExecutor::serial()
-        .resume(&campaign, &factory(), &dir)
+        .run(&campaign, &factory(), resume(&dir))
         .unwrap()
         .into_report()
         .unwrap();
