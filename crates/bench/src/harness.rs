@@ -539,7 +539,7 @@ impl RunContext {
                 }
             }
             Transport::Serve(addr) => {
-                // Coordinator mode: remote workers measure; persistence lands in
+                // Serve mode: remote workers measure; persistence lands in
                 // the usual digest-keyed checkpoint layout so `--resume` (or a
                 // plain executor resume) completes an interrupted serve. Without
                 // an explicit `--checkpoint-dir` the checkpoints go to a
@@ -556,7 +556,7 @@ impl RunContext {
                 // Mirror the local path's `--resume` semantics: without the flag
                 // an existing checkpoint at this key is discarded and the
                 // campaign is measured afresh by the workers, instead of
-                // Coordinator::serve silently restoring a previous (possibly
+                // the service silently restoring a previous (possibly
                 // different-build) run's artifacts.
                 if !self.resume && dir.exists() {
                     std::fs::remove_dir_all(&dir).expect("stale serve checkpoint removes");

@@ -1893,7 +1893,7 @@ pub(crate) enum Opening {
         /// Worker count of the resuming executor.
         workers: usize,
     },
-    /// A served campaign (`Coordinator::serve`): restored like `Resume`
+    /// A served campaign (`CampaignService::submit`): restored like `Resume`
     /// when the directory already holds a manifest, else started from
     /// this plan. The manifest then plans one worker, and each entry
     /// moves to the shard of the worker that completes it.

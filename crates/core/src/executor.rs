@@ -38,7 +38,7 @@
 //! cancelled/crashed campaign from that checkpoint — re-measuring only the
 //! unfinished entries — with final artifacts byte-identical to an
 //! uninterrupted run. Both persist through the same checkpoint ledger as a
-//! served campaign ([`crate::transport::Coordinator::serve`]): an entry is
+//! served campaign ([`crate::transport::CampaignService::submit`]): an entry is
 //! durable before [`CampaignObserver::entry_finished`] fires, a
 //! re-measured entry must match any copy an earlier run left on disk, and
 //! the first persistence failure stops the run from claiming further
@@ -156,9 +156,10 @@ pub trait CampaignObserver: Sync {
         let _ = index;
     }
     /// A distributed worker holding entry `index` went byte-silent past
-    /// its idle deadline; the coordinator abandoned the connection and
-    /// re-queued the entry to the front of the plan. Only emitted by
-    /// [`crate::transport::Coordinator`] — local executors never evict.
+    /// its idle deadline; the service abandoned the connection and
+    /// re-queued the entry to the front of the plan. Only emitted for
+    /// campaigns served by [`crate::transport::CampaignService`] — local
+    /// executors never evict.
     /// The entry will be `entry_started` again when another worker (or
     /// the same one, reconnected) claims it.
     fn entry_evicted(&self, index: usize) {

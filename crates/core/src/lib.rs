@@ -91,6 +91,4 @@ pub use store::{
     ProfileColumns, ProfilePointRef, ProfileStore, ProfileStoreView, StoreCodecError, StoreDiff,
 };
 pub use sync::{ReadDelayCalibration, TimeSync};
-pub use transport::{
-    connect_with_retry, work, Coordinator, TransportError, WorkerOptions, WorkerSummary,
-};
+pub use transport::{connect_with_retry, work, TransportError, WorkerOptions, WorkerSummary};

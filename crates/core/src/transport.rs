@@ -6,15 +6,15 @@
 //! finished entry as a self-contained `FGRVCKPT` block. This module ships
 //! those same blocks over a socket instead of (only) a filesystem:
 //!
-//! * a [`Coordinator`] binds a `TcpListener`, plans the campaign, and
-//!   hands out entry indices to whichever workers connect;
+//! * a [`CampaignService`] binds a `TcpListener`, plans each submitted
+//!   campaign, and hands out entry indices to whichever workers connect;
 //! * a worker ([`work`]) measures each assigned entry through the exact
 //!   per-slot path a local executor uses
 //!   (`crate::executor`'s claim loop), streaming scoped
 //!   [`ProfilingEvent`]s back as it runs and the finished
 //!   [`EntryArtifact`](crate::checkpoint::EntryArtifact) — byte-for-byte the on-disk `FGRVCKPT` entry
 //!   section — when it completes;
-//! * the coordinator persists every artifact into a normal
+//! * the service persists every artifact into a normal
 //!   [`CheckpointDir`](crate::checkpoint::CheckpointDir), so
 //!   [`crate::checkpoint::gather`] and
 //!   a [`crate::executor::CheckpointMode::Resume`] run work on the result
@@ -28,45 +28,44 @@
 //! [`MethodologyError::Aborted`]) simply returns its in-flight entry to
 //! the queue; any later worker — including the same machine reconnecting —
 //! re-measures it and, because slots derive solely from their campaign
-//! index, produces a bit-identical artifact. The coordinator verifies
+//! index, produces a bit-identical artifact. The service verifies
 //! that: a re-measured entry is diffed column-by-column against any copy
 //! already on disk before it is trusted (same
 //! [`ProfileStore::diff`](crate::store::ProfileStore::diff)-based check
-//! `gather` applies). The coordinator persists through the checkpoint
+//! `gather` applies). The service persists through the checkpoint
 //! ledger a local executor uses, so the two cannot drift apart.
 //!
 //! Silence is a fault too, not just observed drops: every stream carries
 //! read/write deadlines, workers pump [`Frame::Heartbeat`] frames (a
 //! dedicated thread, so a long-running measurement still proves
-//! liveness), the coordinator heartbeats back while it deliberates an
+//! liveness), the service heartbeats back while it deliberates an
 //! assignment, and a peer that stays byte-silent past the configured
-//! idle deadline ([`Coordinator::idle_timeout`],
-//! [`WorkerOptions::io_timeout`]) is presumed wedged: its connection is
-//! abandoned with [`TransportError::DeadlineLapsed`] and any in-flight
-//! assignment is evicted — re-queued to the *front* of the queue,
-//! exactly like the dropped-connection path, so byte-identity is
-//! preserved. Each in-flight assignment is tracked as an
-//! [`AssignmentLease`], renewed by
-//! every frame (heartbeats included) its worker delivers.
+//! idle deadline ([`ServiceConfig::idle_timeout`],
+//! [`WorkerOptions::io_timeout`]) is presumed wedged: the budgeted read
+//! fails with [`TransportError::DeadlineLapsed`], the connection is
+//! abandoned, and any in-flight assignment is evicted — re-queued to the
+//! *front* of the queue, exactly like the dropped-connection path, so
+//! byte-identity is preserved. Every frame a worker delivers (heartbeats
+//! included) restarts its silence budget.
 //!
 //! ## Campaign service
 //!
-//! [`CampaignService`] promotes the one-shot [`Coordinator`] into an
-//! always-on daemon: one listener accepts many campaigns back to back
-//! through a submission queue ([`CampaignService::submit`] returns a
-//! [`CampaignTicket`]), each submission advancing the
-//! sequence-negotiated handshake, with a graceful drain on
-//! [`CampaignService::shutdown`]. Workers dial the same address for
-//! every campaign and ride [`connect_with_retry`]'s exponential backoff
-//! across `ConnectionRefused` gaps instead of dying.
+//! [`CampaignService`] is an always-on daemon: one listener serves many
+//! campaigns back to back through a submission queue
+//! ([`CampaignService::submit`] returns a [`CampaignTicket`]), with a
+//! graceful drain on [`CampaignService::shutdown`]. A submission's index
+//! is its wire sequence number, which the handshake checks so that every
+//! worker reaches the campaign it asked for. Workers dial the same
+//! address for every campaign and ride [`connect_with_retry`]'s
+//! exponential backoff across `ConnectionRefused` gaps instead of dying.
 //!
 //! Lifecycle note: because an entry can be attempted more than once, a
 //! [`CampaignObserver`] watching a served campaign may see
 //! `entry_started` (and a trailing `entry_failed`) again for a slot that
 //! was re-planned; exactly one `entry_finished` still arrives per
 //! completed slot. Remote cancellation is *entry-granular*: a fired
-//! [`CancellationToken`] stops new assignments immediately (workers are
-//! told to abort when they next ask for work), but an entry already
+//! [`CampaignTicket::cancel`] stops new assignments immediately (workers
+//! are told to abort when they next ask for work), but an entry already
 //! running on a remote worker finishes before its worker notices.
 //!
 //! ## Wire format
@@ -88,7 +87,7 @@
 //!     CampaignExecutor, CancellationToken, NoopCampaignObserver, RunOptions,
 //! };
 //! use fingrav_core::runner::RunnerConfig;
-//! use fingrav_core::transport::{work, Coordinator, WorkerOptions};
+//! use fingrav_core::transport::{work, CampaignService, ServiceConfig, WorkerOptions};
 //! use fingrav_sim::config::SimConfig;
 //! use fingrav_workloads::suite;
 //!
@@ -98,26 +97,21 @@
 //! campaign.add_all(suite::gemm_suite(&machine).into_iter().take(2).map(|k| k.desc));
 //! let factory = SimulationFactory::new(SimConfig::default(), 7);
 //!
-//! let coordinator = Coordinator::bind("127.0.0.1:0")?;
-//! let addr = coordinator.local_addr()?;
+//! let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default())?;
 //! let dir = std::env::temp_dir().join(format!("fingrav-doc-net-{}", std::process::id()));
+//! let ticket = service.submit(campaign.clone(), &dir);
 //!
-//! let outcome = std::thread::scope(|s| {
-//!     // One worker on the same machine; any number may connect.
-//!     s.spawn(|| {
-//!         let stream = std::net::TcpStream::connect(addr).expect("loopback connect");
-//!         work(
-//!             stream,
-//!             &campaign,
-//!             &factory,
-//!             &NoopCampaignObserver,
-//!             &CancellationToken::new(),
-//!             &WorkerOptions::default(),
-//!         )
-//!         .expect("worker runs to completion")
-//!     });
-//!     coordinator.serve(&campaign, &dir, &NoopCampaignObserver, &CancellationToken::new())
-//! })?;
+//! // One worker on the same machine; any number may connect.
+//! let stream = std::net::TcpStream::connect(service.local_addr()?)?;
+//! work(
+//!     stream,
+//!     &campaign,
+//!     &factory,
+//!     &NoopCampaignObserver,
+//!     &CancellationToken::new(),
+//!     &WorkerOptions::default(),
+//! )?;
+//! let outcome = ticket.wait()?;
 //!
 //! // Byte-identical to a purely local run of the same campaign.
 //! let local = CampaignExecutor::serial().run(&campaign, &factory, RunOptions::default())?;
@@ -131,7 +125,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -868,129 +862,8 @@ pub fn read_next_frame<R: Read>(r: &mut R, idle: Duration) -> Result<Frame, Tran
 }
 
 // ---------------------------------------------------------------------
-// Assignment leases
-// ---------------------------------------------------------------------
-
-/// In-memory lease on one in-flight distributed assignment.
-///
-/// The transport coordinator grants a lease when it assigns an entry to a
-/// worker shard and renews it on every frame (including heartbeats) that
-/// arrives from that worker. A lease whose renewal silence exceeds its
-/// deadline marks the assignment evictable: the coordinator abandons the
-/// connection and re-queues the entry to the front of the plan.
-///
-/// Leases are *not* part of any on-disk format — `FGRVCKPT` manifests are
-/// unchanged — because a coordinator restart already recovers in-flight
-/// entries through the ordinary pending-status re-plan. The lease only has
-/// to outlive the connection it guards.
-#[derive(Debug, Clone)]
-pub struct AssignmentLease {
-    /// Campaign index of the leased entry.
-    pub index: usize,
-    /// Worker shard holding the lease.
-    pub shard: u32,
-    /// When the lease was granted.
-    pub granted_at: Instant,
-    /// Last proof of life from the owning worker.
-    pub renewed_at: Instant,
-    /// Maximum renewal silence before the assignment is evictable.
-    pub deadline: Duration,
-}
-
-impl AssignmentLease {
-    /// Grants a fresh lease on `index` to worker `shard`.
-    pub fn grant(index: usize, shard: u32, deadline: Duration) -> Self {
-        let now = Instant::now();
-        AssignmentLease {
-            index,
-            shard,
-            granted_at: now,
-            renewed_at: now,
-            deadline,
-        }
-    }
-
-    /// Records proof of life from the owning worker.
-    pub fn renew(&mut self) {
-        self.renewed_at = Instant::now();
-    }
-
-    /// Time since the last renewal.
-    pub fn silence(&self) -> Duration {
-        self.renewed_at.elapsed()
-    }
-
-    /// True once renewal silence has met or exceeded the deadline.
-    pub fn lapsed(&self) -> bool {
-        self.silence() >= self.deadline
-    }
-}
-
-/// The coordinator's live set of [`AssignmentLease`]s, keyed by campaign
-/// index. Small (bounded by connected workers), so a flat `Vec` beats a
-/// map; entries are removed eagerly on release.
-#[derive(Debug, Default)]
-pub struct LeaseTable {
-    leases: Vec<AssignmentLease>,
-}
-
-impl LeaseTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        LeaseTable::default()
-    }
-
-    /// Grants (or re-grants, replacing any stale lease on the same index)
-    /// a lease on `index` to worker `shard`.
-    pub fn grant(&mut self, index: usize, shard: u32, deadline: Duration) {
-        self.release(index);
-        self.leases
-            .push(AssignmentLease::grant(index, shard, deadline));
-    }
-
-    /// Renews the lease on `index`, if one is held.
-    pub fn renew(&mut self, index: usize) {
-        if let Some(lease) = self.leases.iter_mut().find(|l| l.index == index) {
-            lease.renew();
-        }
-    }
-
-    /// Drops the lease on `index`, if one is held.
-    pub fn release(&mut self, index: usize) {
-        self.leases.retain(|l| l.index != index);
-    }
-
-    /// The lease on `index`, if one is held.
-    pub fn get(&self, index: usize) -> Option<&AssignmentLease> {
-        self.leases.iter().find(|l| l.index == index)
-    }
-
-    /// Number of live leases.
-    pub fn len(&self) -> usize {
-        self.leases.len()
-    }
-
-    /// True when no leases are held.
-    pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------
-
-/// The serving half of a cross-node campaign: binds a listener, plans (or
-/// resumes) the campaign into a
-/// [`CheckpointDir`](crate::checkpoint::CheckpointDir), hands entries to
-/// connecting workers, and persists every artifact they stream back.
-#[derive(Debug)]
-pub struct Coordinator {
-    listener: TcpListener,
-    policy: ErrorPolicy,
-    sequence: u64,
-    idle: Duration,
-}
 
 struct CoordState {
     queue: VecDeque<usize>,
@@ -1003,10 +876,6 @@ struct CoordState {
     halted: bool,
     next_shard: u32,
     connections: usize,
-    /// One live lease per in-flight assignment; granted on Assign,
-    /// renewed by every frame the owning worker delivers, released on
-    /// Done/Failed or eviction.
-    leases: LeaseTable,
 }
 
 impl CoordState {
@@ -1035,177 +904,88 @@ struct CoordShared<'a> {
     cond: Condvar,
 }
 
-impl Coordinator {
-    /// Binds the coordinator's listener.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<Coordinator> {
-        Ok(Coordinator::from_listener(TcpListener::bind(addr)?))
+/// Serves one submission on `listener` until every entry is measured (or
+/// the campaign fails/cancels), persisting into its directory exactly as
+/// a [`crate::executor::CheckpointMode::Fresh`] run would, with the
+/// submission index as the wire sequence number. A directory that already
+/// checkpoints the campaign has its `Done` entries restored and only the
+/// rest served. Per-connection faults re-plan instead of failing the
+/// serve; only the listener itself or the checkpoint can.
+fn serve(
+    listener: &TcpListener,
+    submission: &Submission,
+    idle: Duration,
+) -> MethodologyResult<CampaignOutcome> {
+    let campaign = &submission.campaign;
+    let observer: &dyn CampaignObserver = match &submission.observer {
+        Some(o) => o.as_ref(),
+        None => &NoopCampaignObserver,
+    };
+    let plan = CampaignManifest::plan_remote(campaign);
+    let (ledger, restored, plan) =
+        Ledger::open(&submission.dir, campaign, Opening::RestoreIfPresent(plan))?;
+    let shared = CoordShared {
+        campaign,
+        ledger: &ledger,
+        observer,
+        cancel: &submission.cancel,
+        policy: submission.policy,
+        digest: ledger.digest(),
+        sequence: submission.id,
+        idle,
+        heartbeat: (idle / 4).clamp(POLL_INTERVAL, DEFAULT_HEARTBEAT_INTERVAL),
+        state: Mutex::new(CoordState {
+            queue: plan.iter().copied().collect(),
+            in_flight: 0,
+            outcome: restored,
+            halted: false,
+            next_shard: 0,
+            connections: 0,
+        }),
+        cond: Condvar::new(),
+    };
+
+    if !plan.is_empty() {
+        accept_loop(listener, &shared).map_err(MethodologyError::from)?;
     }
 
-    /// Wraps an already-bound listener. Lets one listener host several
-    /// campaigns back to back (see [`Coordinator::sequence`]): rebinding
-    /// a fixed port per campaign can hit `EADDRINUSE` while the previous
-    /// campaign's closed connections sit in TIME_WAIT, so a
-    /// multi-campaign process binds once and passes
-    /// [`TcpListener::try_clone`]s here.
-    pub fn from_listener(listener: TcpListener) -> Coordinator {
-        Coordinator {
-            listener,
-            policy: ErrorPolicy::default(),
-            sequence: 0,
-            idle: DEFAULT_IDLE_TIMEOUT,
-        }
-    }
+    let state = shared.state.into_inner().expect("coordinator state");
+    let mut outcome = state.outcome;
+    outcome.settle(&plan, observer);
+    ledger.close()?;
+    Ok(outcome)
+}
 
-    /// The bound address (useful with port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Sets the error policy applied to worker-reported measurement
-    /// failures (transport faults are never errors — they re-plan).
-    #[must_use]
-    pub fn error_policy(mut self, policy: ErrorPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the idle deadline: a connected worker that stays byte-silent
-    /// this long (no frames, no heartbeats) is presumed wedged, its
-    /// connection is abandoned, and its in-flight assignment is evicted
-    /// and re-planned onto the front of the queue. Workers heartbeat
-    /// every [`DEFAULT_HEARTBEAT_INTERVAL`] by default, so the deadline
-    /// should sit well above that; the default is
-    /// [`DEFAULT_IDLE_TIMEOUT`].
-    #[must_use]
-    pub fn idle_timeout(mut self, idle: Duration) -> Self {
-        self.idle = idle;
-        self
-    }
-
-    /// Sets this campaign's position in a multi-campaign sequence.
-    ///
-    /// When one address hosts several campaigns back to back (the bench
-    /// harness's `--serve` mode), a worker can connect for campaign *n*
-    /// while the listener still belongs to campaign *n − 1* (draining)
-    /// or *n + 1* (the coordinator restored campaign *n* from a complete
-    /// checkpoint without needing a worker). The sequence number lets
-    /// the handshake tell those apart: an early worker is told to retry
-    /// ([`DENY_SEQUENCE_EARLY`]), a passed-over worker is told its
-    /// campaign is already done ([`DENY_SEQUENCE_PASSED`]), and only a
-    /// same-sequence digest disagreement is a real mismatch. Standalone
-    /// campaigns leave this at 0 on both sides.
-    #[must_use]
-    pub fn sequence(mut self, sequence: u64) -> Self {
-        self.sequence = sequence;
-        self
-    }
-
-    /// Serves the campaign until every entry is measured (or the campaign
-    /// fails/cancels), persisting into `dir` exactly as
-    /// a [`crate::executor::CheckpointMode::Fresh`] run would: the
-    /// returned outcome, the checkpoint directory, and everything
-    /// [`crate::checkpoint::gather`] derives from it are byte-identical
-    /// to a single-node run of the same campaign.
-    ///
-    /// If `dir` already checkpoints this campaign (digest-verified), the
-    /// persisted `Done` entries are restored without re-measurement and
-    /// only the rest are served — the cross-node analogue of
-    /// [`crate::executor::CheckpointMode::Resume`].
-    ///
-    /// Blocks until done; workers may connect, leave, and reconnect at
-    /// any time (at least one must eventually connect to make progress).
-    /// `cancel` stops new assignments immediately and the serve returns
-    /// once in-flight remote entries drain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MethodologyError::Checkpoint`] when the directory cannot
-    /// be created, verified, or written, and
-    /// [`MethodologyError::Transport`] when the listener itself fails
-    /// (per-connection faults re-plan instead of failing the serve).
-    /// Worker-reported measurement errors stay inside the outcome.
-    pub fn serve(
-        &self,
-        campaign: &Campaign,
-        dir: &Path,
-        observer: &dyn CampaignObserver,
-        cancel: &CancellationToken,
-    ) -> MethodologyResult<CampaignOutcome> {
-        let plan = CampaignManifest::plan_remote(campaign);
-        let (ledger, restored, plan) =
-            Ledger::open(dir, campaign, Opening::RestoreIfPresent(plan))?;
-        let shared = CoordShared {
-            campaign,
-            ledger: &ledger,
-            observer,
-            cancel,
-            policy: self.policy,
-            digest: ledger.digest(),
-            sequence: self.sequence,
-            idle: self.idle,
-            heartbeat: (self.idle / 4).clamp(POLL_INTERVAL, DEFAULT_HEARTBEAT_INTERVAL),
-            state: Mutex::new(CoordState {
-                queue: plan.iter().copied().collect(),
-                in_flight: 0,
-                outcome: restored,
-                halted: false,
-                next_shard: 0,
-                connections: 0,
-                leases: LeaseTable::new(),
-            }),
-            cond: Condvar::new(),
-        };
-
-        if !plan.is_empty() {
-            self.accept_loop(&shared).map_err(MethodologyError::from)?;
-        }
-
-        let state = shared.state.into_inner().expect("coordinator state");
-        let mut outcome = state.outcome;
-        outcome.settle(&plan, observer);
-        ledger.close()?;
-        Ok(outcome)
-    }
-
-    fn accept_loop(&self, shared: &CoordShared<'_>) -> Result<(), TransportError> {
-        self.listener.set_nonblocking(true).map_err(io_err)?;
-        std::thread::scope(|scope| -> Result<(), TransportError> {
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        stream.set_nonblocking(false).map_err(io_err)?;
-                        shared.lock().connections += 1;
-                        scope.spawn(move || serve_connection(shared, stream));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        {
-                            let mut state = shared.lock();
-                            // Cancellation and persistence failures must be
-                            // observed here too: with no worker connected
-                            // nothing else ever sets `halted`, and the serve
-                            // has to return even if entries are still queued.
-                            if shared.halting() {
-                                state.halted = true;
-                            }
-                            if state.over() && state.connections == 0 {
-                                return Ok(());
-                            }
-                        }
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(e) => return Err(TransportError::Io(e)),
+fn accept_loop(listener: &TcpListener, shared: &CoordShared<'_>) -> Result<(), TransportError> {
+    listener.set_nonblocking(true).map_err(io_err)?;
+    std::thread::scope(|scope| -> Result<(), TransportError> {
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    stream.set_nonblocking(false).map_err(io_err)?;
+                    shared.lock().connections += 1;
+                    scope.spawn(move || serve_connection(shared, stream));
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    {
+                        let mut state = shared.lock();
+                        // Cancellation and persistence failures must be
+                        // observed here too: with no worker connected
+                        // nothing else ever sets `halted`, and the serve
+                        // has to return even if entries are still queued.
+                        if shared.halting() {
+                            state.halted = true;
+                        }
+                        if state.over() && state.connections == 0 {
+                            return Ok(());
+                        }
+                    }
+                    std::thread::sleep(POLL_INTERVAL);
+                }
+                Err(e) => return Err(TransportError::Io(e)),
             }
-        })
-    }
+        }
+    })
 }
 
 fn io_err(e: io::Error) -> TransportError {
@@ -1237,7 +1017,6 @@ fn serve_connection(shared: &CoordShared<'_>, stream: TcpStream) {
         // of the queue so another worker picks it up promptly.
         state.queue.push_front(index);
         state.in_flight -= 1;
-        state.leases.release(index);
         if deadline_lapsed {
             state.outcome.evictions.push(index);
             evicted = Some(index);
@@ -1344,15 +1123,11 @@ fn handle_connection(
     writer.flush().map_err(io_err)?;
 
     loop {
-        let frame = read_frame_budgeted(&mut reader, shared.idle, &mut || Ok(()))?;
-        if let Some(index) = *current {
-            // Any frame from the owning worker — heartbeats included —
-            // proves the assignment is still alive.
-            shared.lock().leases.renew(index);
-        }
-        match frame {
+        // Any frame — heartbeats included — restarts the silence budget;
+        // a lapse surfaces as `DeadlineLapsed` and evicts the assignment.
+        match read_frame_budgeted(&mut reader, shared.idle, &mut || Ok(()))? {
             Frame::Request => loop {
-                match next_assignment_step(shared, current, shard, shared.heartbeat) {
+                match next_assignment_step(shared, current, shared.heartbeat) {
                     Some(reply) => {
                         reply.write_to(&mut writer).map_err(io_err)?;
                         writer.flush().map_err(io_err)?;
@@ -1378,14 +1153,12 @@ fn handle_connection(
             Frame::Done { index, artifact } => {
                 let index = expect_current(shared, *current, index)?;
                 entry_done(shared, shard, index, &artifact)?;
-                shared.lock().leases.release(index);
                 *current = None;
                 shared.cond.notify_all();
             }
             Frame::Failed { index, error } => {
                 let index = expect_current(shared, *current, index)?;
                 entry_failed(shared, index, error);
-                shared.lock().leases.release(index);
                 *current = None;
                 shared.cond.notify_all();
             }
@@ -1412,7 +1185,6 @@ fn handle_connection(
 fn next_assignment_step(
     shared: &CoordShared<'_>,
     current: &mut Option<usize>,
-    shard: u32,
     budget: Duration,
 ) -> Option<Frame> {
     let started = Instant::now();
@@ -1425,7 +1197,6 @@ fn next_assignment_step(
         if !state.halted {
             if let Some(index) = state.queue.pop_front() {
                 state.in_flight += 1;
-                state.leases.grant(index, shard, shared.idle);
                 *current = Some(index);
                 return Some(Frame::Assign {
                     index: index as u64,
@@ -1579,8 +1350,12 @@ pub struct WorkerOptions {
     /// set (what the bench harness uses to render identical artefacts on
     /// every node).
     pub fetch_reports: bool,
-    /// This campaign's position in a multi-campaign sequence (see
-    /// [`Coordinator::sequence`]); 0 for standalone campaigns.
+    /// The wire sequence number of the campaign to work: its
+    /// [`CampaignTicket::sequence`], i.e. its submission index on the
+    /// service (0 for a service's first campaign). A worker that asks for
+    /// a campaign the service has already finished is denied with
+    /// [`DENY_SEQUENCE_PASSED`]; one that asks ahead of the campaign now
+    /// serving, with [`DENY_SEQUENCE_EARLY`].
     pub sequence: u64,
     /// Maximum coordinator byte-silence (no reply frames, no heartbeats)
     /// before this worker abandons the connection with
@@ -1989,8 +1764,13 @@ pub fn work<F: crate::backend::BackendFactory>(
 /// Knobs for [`CampaignService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Idle deadline applied to every served campaign (see
-    /// [`Coordinator::idle_timeout`]).
+    /// Idle deadline applied to every served campaign: a connected
+    /// worker that stays byte-silent this long (no frames, no heartbeats)
+    /// is presumed wedged, its connection is abandoned, and its in-flight
+    /// assignment is evicted and re-planned onto the front of the queue.
+    /// Workers heartbeat every [`DEFAULT_HEARTBEAT_INTERVAL`] by default,
+    /// so the deadline should sit well above that; the default is
+    /// [`DEFAULT_IDLE_TIMEOUT`].
     pub idle_timeout: Duration,
 }
 
@@ -2077,19 +1857,25 @@ impl CampaignTicket {
 
     /// Cancels the campaign: a queued submission returns an
     /// all-skipped outcome once its turn comes; a serving one stops
-    /// assigning and drains exactly like [`Coordinator::serve`] under
-    /// cancellation.
+    /// assigning at once, and returns once the entries already running
+    /// on remote workers drain.
     pub fn cancel(&self) {
         self.shared.lock().records[self.id as usize].cancel.abort();
     }
 
-    /// Blocks until the campaign finishes and returns its outcome (the
-    /// same value [`Coordinator::serve`] would return, cloned so every
-    /// ticket holder can read it).
+    /// Blocks until the campaign finishes and returns its outcome,
+    /// cloned so every ticket holder can read it. The outcome, the
+    /// checkpoint directory and everything
+    /// [`crate::checkpoint::gather`] derives from it are byte-identical
+    /// to a single-node run of the same campaign. Worker-reported
+    /// measurement errors stay inside the outcome.
     ///
     /// # Errors
     ///
-    /// As [`Coordinator::serve`].
+    /// Returns [`MethodologyError::Checkpoint`] when the directory cannot
+    /// be created, verified, or written, and
+    /// [`MethodologyError::Transport`] when the listener itself fails
+    /// (per-connection faults re-plan instead of failing the campaign).
     pub fn wait(&self) -> MethodologyResult<CampaignOutcome> {
         let mut state = self.shared.lock();
         loop {
@@ -2110,14 +1896,14 @@ impl CampaignTicket {
 ///
 /// Each [`submit`](CampaignService::submit) enqueues a campaign and
 /// returns a [`CampaignTicket`]; the service thread pops submissions in
-/// order and serves each through [`Coordinator::serve`] with the
-/// submission index as its wire sequence number, so the existing
-/// sequence-negotiated handshake routes every worker to the right
-/// campaign without the listener ever rebinding. Per-connection faults,
-/// silent-worker evictions, and worker reconnects are all absorbed by
-/// the underlying coordinator — a wedged or vanished worker can stall
-/// one campaign for at most the configured idle deadline, never the
-/// service.
+/// order and serves each with the submission index as its wire sequence
+/// number, so the sequence-negotiated handshake routes every worker to
+/// the right campaign without the listener ever rebinding. Workers may
+/// connect, leave, and reconnect at any time (at least one must
+/// eventually connect for a campaign to make progress). Per-connection
+/// faults, silent-worker evictions, and worker reconnects are all
+/// absorbed per campaign — a wedged or vanished worker can stall one
+/// campaign for at most the configured idle deadline, never the service.
 ///
 /// [`shutdown`](CampaignService::shutdown) drains gracefully (queued
 /// campaigns still run); dropping the service instead cancels whatever
@@ -2189,9 +1975,14 @@ impl CampaignService {
     }
 
     /// Enqueues a campaign; the service thread will serve it (in
-    /// submission order) exactly as [`Coordinator::serve`] would with
-    /// this policy, observer, and the service's idle deadline,
-    /// persisting into `dir`. The returned ticket's
+    /// submission order) with this error policy (applied to
+    /// worker-reported measurement failures; transport faults never are
+    /// errors, they re-plan), this observer, and the service's idle
+    /// deadline, persisting into `dir` as a
+    /// [`crate::executor::CheckpointMode::Fresh`] run would. If `dir`
+    /// already checkpoints this campaign (digest-verified), its `Done`
+    /// entries are restored without re-measurement and only the rest
+    /// are served. The returned ticket's
     /// [`sequence`](CampaignTicket::sequence) is what workers must pass
     /// as [`WorkerOptions::sequence`].
     pub fn submit_with(
@@ -2278,25 +2069,7 @@ fn service_loop(shared: &ServiceShared) {
         shared.lock().records[id].phase = CampaignPhase::Serving;
         shared.cond.notify_all();
 
-        let result = match shared.listener.try_clone() {
-            Ok(listener) => {
-                let coordinator = Coordinator::from_listener(listener)
-                    .sequence(submission.id)
-                    .error_policy(submission.policy)
-                    .idle_timeout(shared.idle);
-                let observer: &dyn CampaignObserver = match &submission.observer {
-                    Some(o) => o.as_ref(),
-                    None => &NoopCampaignObserver,
-                };
-                coordinator.serve(
-                    &submission.campaign,
-                    &submission.dir,
-                    observer,
-                    &submission.cancel,
-                )
-            }
-            Err(e) => Err(MethodologyError::from(TransportError::Io(e))),
-        };
+        let result = serve(&shared.listener, &submission, shared.idle);
 
         let mut state = shared.lock();
         let record = &mut state.records[id];
@@ -2593,46 +2366,5 @@ mod tests {
             assert!(!e.to_string().is_empty());
             let _ = MethodologyError::from(e);
         }
-    }
-
-    #[test]
-    fn lease_table_grants_renews_and_releases() {
-        let deadline = Duration::from_secs(60);
-        let mut table = LeaseTable::new();
-        assert!(table.is_empty());
-
-        table.grant(3, 1, deadline);
-        table.grant(5, 2, deadline);
-        assert_eq!(table.len(), 2);
-        let lease = table.get(3).expect("lease on 3");
-        assert_eq!(lease.shard, 1);
-        assert!(!lease.lapsed(), "fresh lease must not have lapsed");
-        assert!(lease.silence() < deadline);
-
-        // Re-granting the same index (re-planned entry picked up by a new
-        // worker) replaces, not duplicates.
-        table.grant(3, 7, deadline);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get(3).expect("re-granted lease").shard, 7);
-
-        // Renewing moves the proof-of-life forward.
-        let before = table.get(5).expect("lease on 5").renewed_at;
-        table.renew(5);
-        assert!(table.get(5).expect("lease on 5").renewed_at >= before);
-        table.renew(99); // unknown index is a no-op
-
-        table.release(3);
-        assert!(table.get(3).is_none());
-        table.release(3); // double-release is a no-op
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn lease_lapses_after_deadline_silence() {
-        let lease = AssignmentLease::grant(0, 0, Duration::ZERO);
-        // A zero deadline lapses immediately: silence() >= ZERO always.
-        assert!(lease.lapsed());
-        let patient = AssignmentLease::grant(0, 0, Duration::from_secs(3600));
-        assert!(!patient.lapsed());
     }
 }

@@ -10,20 +10,21 @@
 //!
 //! 1. a reference campaign runs serially under `CheckpointMode::Fresh`,
 //!    checkpointing into a normal `FGRVCKPT` directory;
-//! 2. a `Coordinator` serves the same campaign on `127.0.0.1`; worker 1
-//!    and worker 2 connect concurrently and pull entries;
+//! 2. a `CampaignService` on `127.0.0.1` is submitted the same campaign;
+//!    worker 1 and worker 2 connect concurrently and pull entries;
 //! 3. worker 1 is killed mid-campaign: its local `CancellationToken`
 //!    fires while an entry is in flight, the measurement aborts
-//!    cooperatively, and the coordinator re-plans that entry;
+//!    cooperatively, and the service re-plans that entry;
 //! 4. worker 2 leaves cleanly after two entries (`max_entries`), and a
 //!    reconnecting worker 3 finishes everything that remains;
-//! 5. the coordinator's checkpoint directory `gather`s into profile
-//!    stores — and reports and CSVs — compared byte for byte against the
-//!    serial reference.
+//! 5. the campaign's ticket yields the outcome, and its checkpoint
+//!    directory `gather`s into profile stores — and reports and CSVs —
+//!    compared byte for byte against the serial reference.
 //!
 //! The transport here runs with the v2 deadline discipline: the
-//! coordinator enforces an idle byte-silence budget (`idle_timeout`) and
-//! evicts wedged assignments, workers pump `Heartbeat` frames while a
+//! service enforces an idle byte-silence budget
+//! (`ServiceConfig::idle_timeout`) and evicts wedged assignments,
+//! workers pump `Heartbeat` frames while a
 //! measurement makes no wire progress (`WorkerOptions::heartbeat`), and
 //! connections are established with `connect_with_retry`'s exponential
 //! backoff instead of dying on a transient `ConnectionRefused`.
@@ -41,7 +42,9 @@ use fingrav::core::executor::{
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::RunnerConfig;
-use fingrav::core::transport::{connect_with_retry, work, Coordinator, WorkerOptions};
+use fingrav::core::transport::{
+    connect_with_retry, work, CampaignService, ServiceConfig, WorkerOptions,
+};
 use fingrav::sim::SimConfig;
 use fingrav::workloads::suite;
 
@@ -103,8 +106,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 10 s byte-silence budget: generous for loopback, but it means a
     // wedged worker (open socket, no bytes) is evicted and its entry
     // re-planned instead of hanging the campaign forever.
-    let coordinator = Coordinator::bind("127.0.0.1:0")?.idle_timeout(Duration::from_secs(10));
-    let addr = coordinator.local_addr()?;
+    let service = CampaignService::bind(
+        "127.0.0.1:0",
+        ServiceConfig {
+            idle_timeout: Duration::from_secs(10),
+        },
+    )?;
+    let addr = service.local_addr()?;
+    let ticket = service.submit(campaign.clone(), &net_dir);
     // Workers heartbeat well inside that budget while measuring.
     let options = WorkerOptions {
         heartbeat: Duration::from_millis(500),
@@ -175,12 +184,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 summary.completed, summary.campaign_complete
             );
         });
-        coordinator.serve(
-            &campaign,
-            &net_dir,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
+        ticket.wait()
     })?;
     if outcome.evictions.is_empty() {
         println!("  no deadline evictions: every worker stayed live");

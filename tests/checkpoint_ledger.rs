@@ -15,7 +15,7 @@
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fingrav::core::backend::SimulationFactory;
 use fingrav::core::campaign::Campaign;
@@ -23,11 +23,11 @@ use fingrav::core::checkpoint::{CampaignManifest, CheckpointDir, EntryArtifactVi
 use fingrav::core::error::{MethodologyError, MethodologyResult};
 use fingrav::core::executor::{
     CampaignExecutor, CampaignObserver, CampaignOutcome, CancellationToken, CheckpointMode,
-    NoopCampaignObserver, RunOptions,
+    ErrorPolicy, NoopCampaignObserver, RunOptions,
 };
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav::core::store::ProfileStore;
-use fingrav::core::transport::{work, Coordinator, WorkerOptions};
+use fingrav::core::transport::{work, CampaignService, ServiceConfig, WorkerOptions};
 use fingrav::sim::kernel::KernelDesc;
 use fingrav::sim::power::Activity;
 use fingrav::sim::time::SimDuration;
@@ -118,14 +118,13 @@ fn run_front_end(
     front_end: FrontEnd,
     campaign: &Campaign,
     root: &Path,
-    observer: &dyn CampaignObserver,
+    counts: &Arc<Counts>,
 ) -> MethodologyResult<CampaignOutcome> {
-    let cancel = CancellationToken::new();
     let local = |checkpoint| {
         let options = RunOptions {
-            observer,
-            cancel: cancel.clone(),
+            observer: &**counts,
             checkpoint,
+            ..RunOptions::default()
         };
         CampaignExecutor::serial().run(campaign, &factory(), options)
     };
@@ -133,25 +132,28 @@ fn run_front_end(
         FrontEnd::ExecuteSharded => local(CheckpointMode::Fresh(root)),
         FrontEnd::Resume => local(CheckpointMode::Resume(root)),
         FrontEnd::Serve => {
-            let coordinator = Coordinator::bind("127.0.0.1:0").expect("loopback bind");
-            let addr = coordinator.local_addr().expect("bound address");
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let stream = TcpStream::connect(addr).expect("loopback connect");
-                    let summary = work(
-                        stream,
-                        campaign,
-                        &factory(),
-                        &NoopCampaignObserver,
-                        &CancellationToken::new(),
-                        &WorkerOptions::default(),
-                    )
-                    .expect("the worker is stopped cleanly");
-                    assert!(summary.aborted, "the coordinator must stop the worker");
-                    assert_eq!(summary.completed, vec![0], "only entry 0 was measured");
-                });
-                coordinator.serve(campaign, root, observer, &cancel)
-            })
+            let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default())
+                .expect("loopback bind");
+            let ticket = service.submit_with(
+                campaign.clone(),
+                root,
+                ErrorPolicy::default(),
+                Some(counts.clone()),
+            );
+            let stream = TcpStream::connect(service.local_addr().expect("bound address"))
+                .expect("loopback connect");
+            let summary = work(
+                stream,
+                campaign,
+                &factory(),
+                &NoopCampaignObserver,
+                &CancellationToken::new(),
+                &WorkerOptions::default(),
+            )
+            .expect("the worker is stopped cleanly");
+            assert!(summary.aborted, "the coordinator must stop the worker");
+            assert_eq!(summary.completed, vec![0], "only entry 0 was measured");
+            ticket.wait()
         }
     }
 }
@@ -178,7 +180,7 @@ fn a_crash_window_disagreement_halts_every_front_end() {
         let altered = alter_entry(&ckdir, 0, 0);
         let altered_bytes = std::fs::read(&altered).expect("readable");
 
-        let counts = Counts::default();
+        let counts = Arc::new(Counts::default());
         let result = run_front_end(front_end, &campaign, &root, &counts);
         assert_eq!(
             counts.started.load(Ordering::SeqCst),

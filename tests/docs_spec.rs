@@ -290,7 +290,7 @@ fn transport_hardening_sections_match_the_code() {
         "Campaign service",
         "CampaignService",
         "CampaignTicket",
-        "AssignmentLease",
+        "DeadlineLapsed",
         "Deadline discipline",
         "exponential backoff",
         "DENY_SEQUENCE_EARLY",

@@ -7,6 +7,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use fingrav::core::backend::{FnBackendFactory, SimulationFactory};
@@ -22,7 +23,7 @@ use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav::core::transport::{
     connect_with_retry, read_preamble, work, write_preamble, CampaignPhase, CampaignService,
-    Coordinator, Frame, ServiceConfig, TransportError, WorkerOptions, DENY_DIGEST_MISMATCH,
+    CampaignTicket, Frame, ServiceConfig, TransportError, WorkerOptions, DENY_DIGEST_MISMATCH,
     DENY_SEQUENCE_EARLY, DENY_SEQUENCE_PASSED, WIRE_MAGIC,
 };
 use fingrav::sim::config::SimConfig;
@@ -167,49 +168,39 @@ fn kill_and_reconnect_at_every_entry_boundary() {
     // covering the abort *inside* every entry as well as every boundary.
     for kill_at in 1..=campaign.len() {
         let dir = root.join(format!("kill-{kill_at}"));
-        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-        let addr = coordinator.local_addr().unwrap();
-        let outcome = std::thread::scope(|s| {
-            s.spawn(|| {
-                let killer = KillAtStart::new(kill_at);
-                let stream = TcpStream::connect(addr).unwrap();
-                let summary = work(
-                    stream,
-                    &campaign,
-                    &factory(),
-                    &killer,
-                    &killer.cancel,
-                    &WorkerOptions::default(),
-                )
-                .unwrap();
-                assert_eq!(
-                    summary.completed.len(),
-                    kill_at - 1,
-                    "worker must die inside entry {kill_at}"
-                );
-                // The replacement connects only after the first worker is
-                // gone, like a restarted machine would.
-                let stream = TcpStream::connect(addr).unwrap();
-                let summary = work(
-                    stream,
-                    &campaign,
-                    &factory(),
-                    &NoopCampaignObserver,
-                    &CancellationToken::new(),
-                    &WorkerOptions::default(),
-                )
-                .unwrap();
-                assert!(summary.campaign_complete);
-            });
-            coordinator.serve(
-                &campaign,
-                &dir,
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-            )
-        })
+        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let addr = service.local_addr().unwrap();
+        let ticket = service.submit(campaign.clone(), &dir);
+        let killer = KillAtStart::new(kill_at);
+        let stream = TcpStream::connect(addr).unwrap();
+        let summary = work(
+            stream,
+            &campaign,
+            &factory(),
+            &killer,
+            &killer.cancel,
+            &WorkerOptions::default(),
+        )
         .unwrap();
-        let report = outcome.into_report().unwrap();
+        assert_eq!(
+            summary.completed.len(),
+            kill_at - 1,
+            "worker must die inside entry {kill_at}"
+        );
+        // The replacement connects only after the first worker is
+        // gone, like a restarted machine would.
+        let stream = TcpStream::connect(addr).unwrap();
+        let summary = work(
+            stream,
+            &campaign,
+            &factory(),
+            &NoopCampaignObserver,
+            &CancellationToken::new(),
+            &WorkerOptions::default(),
+        )
+        .unwrap();
+        assert!(summary.campaign_complete);
+        let report = ticket.wait().unwrap().into_report().unwrap();
         assert_identical(
             &campaign,
             &dir,
@@ -231,111 +222,102 @@ fn abrupt_disconnects_and_corrupt_peers_replan() {
     let digest = fingrav::core::checkpoint::campaign_digest(&campaign);
 
     let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-    let addr = coordinator.local_addr().unwrap();
-    let outcome = std::thread::scope(|s| {
-        s.spawn(|| {
-            // Peer 1: valid handshake, takes an assignment, then vanishes
-            // without a single reply frame.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            write_preamble(&mut stream).unwrap();
-            Frame::Hello {
-                digest,
-                sequence: 0,
-            }
-            .write_to(&mut stream)
-            .unwrap();
-            read_preamble(&mut stream).unwrap();
-            assert!(matches!(
-                Frame::read_from(&mut stream).unwrap(),
-                Frame::Welcome { .. }
-            ));
-            Frame::Request.write_to(&mut stream).unwrap();
-            let assigned = match Frame::read_from(&mut stream).unwrap() {
-                Frame::Assign { index } => index,
-                other => panic!("expected an assignment, got {other:?}"),
-            };
-            drop(stream); // SIGKILL analogue: the entry must be re-planned.
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = service.local_addr().unwrap();
+    let ticket = service.submit(campaign.clone(), &dir);
 
-            // Peer 2: takes an assignment and dies inside a Done frame —
-            // a truncated artifact must never be trusted.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            write_preamble(&mut stream).unwrap();
-            Frame::Hello {
-                digest,
-                sequence: 0,
-            }
-            .write_to(&mut stream)
-            .unwrap();
-            read_preamble(&mut stream).unwrap();
-            let _ = Frame::read_from(&mut stream).unwrap();
-            Frame::Request.write_to(&mut stream).unwrap();
-            let index = match Frame::read_from(&mut stream).unwrap() {
-                Frame::Assign { index } => index,
-                other => panic!("expected an assignment, got {other:?}"),
-            };
-            let mut done = Vec::new();
-            Frame::Done {
-                index,
-                artifact: vec![0xAB; 1024],
-            }
-            .write_to(&mut done)
-            .unwrap();
-            stream.write_all(&done[..done.len() / 2]).unwrap();
-            drop(stream);
-
-            // Peer 3: delivers a *complete but corrupt* artifact; the
-            // coordinator must reject it and re-plan, not persist it.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            write_preamble(&mut stream).unwrap();
-            Frame::Hello {
-                digest,
-                sequence: 0,
-            }
-            .write_to(&mut stream)
-            .unwrap();
-            read_preamble(&mut stream).unwrap();
-            let _ = Frame::read_from(&mut stream).unwrap();
-            Frame::Request.write_to(&mut stream).unwrap();
-            let index = match Frame::read_from(&mut stream).unwrap() {
-                Frame::Assign { index } => index,
-                other => panic!("expected an assignment, got {other:?}"),
-            };
-            Frame::Done {
-                index,
-                artifact: vec![0xAB; 1024],
-            }
-            .write_to(&mut stream)
-            .unwrap();
-            // The coordinator drops the connection on the garbage.
-            let mut rest = Vec::new();
-            let _ = stream.read_to_end(&mut rest);
-            drop(stream);
-            let _ = assigned;
-
-            // A healthy worker finishes everything the saboteurs dropped.
-            let stream = TcpStream::connect(addr).unwrap();
-            let summary = work(
-                stream,
-                &campaign,
-                &factory(),
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-                &WorkerOptions::default(),
-            )
-            .unwrap();
-            assert!(summary.campaign_complete);
-            assert_eq!(summary.completed.len(), campaign.len());
-        });
-        coordinator.serve(
-            &campaign,
-            &dir,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
-    })
+    // Peer 1: valid handshake, takes an assignment, then vanishes
+    // without a single reply frame.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_preamble(&mut stream).unwrap();
+    Frame::Hello {
+        digest,
+        sequence: 0,
+    }
+    .write_to(&mut stream)
     .unwrap();
-    let report = outcome.into_report().unwrap();
+    read_preamble(&mut stream).unwrap();
+    assert!(matches!(
+        Frame::read_from(&mut stream).unwrap(),
+        Frame::Welcome { .. }
+    ));
+    Frame::Request.write_to(&mut stream).unwrap();
+    let assigned = match Frame::read_from(&mut stream).unwrap() {
+        Frame::Assign { index } => index,
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    drop(stream); // SIGKILL analogue: the entry must be re-planned.
+
+    // Peer 2: takes an assignment and dies inside a Done frame —
+    // a truncated artifact must never be trusted.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_preamble(&mut stream).unwrap();
+    Frame::Hello {
+        digest,
+        sequence: 0,
+    }
+    .write_to(&mut stream)
+    .unwrap();
+    read_preamble(&mut stream).unwrap();
+    let _ = Frame::read_from(&mut stream).unwrap();
+    Frame::Request.write_to(&mut stream).unwrap();
+    let index = match Frame::read_from(&mut stream).unwrap() {
+        Frame::Assign { index } => index,
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    let mut done = Vec::new();
+    Frame::Done {
+        index,
+        artifact: vec![0xAB; 1024],
+    }
+    .write_to(&mut done)
+    .unwrap();
+    stream.write_all(&done[..done.len() / 2]).unwrap();
+    drop(stream);
+
+    // Peer 3: delivers a *complete but corrupt* artifact; the
+    // coordinator must reject it and re-plan, not persist it.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_preamble(&mut stream).unwrap();
+    Frame::Hello {
+        digest,
+        sequence: 0,
+    }
+    .write_to(&mut stream)
+    .unwrap();
+    read_preamble(&mut stream).unwrap();
+    let _ = Frame::read_from(&mut stream).unwrap();
+    Frame::Request.write_to(&mut stream).unwrap();
+    let index = match Frame::read_from(&mut stream).unwrap() {
+        Frame::Assign { index } => index,
+        other => panic!("expected an assignment, got {other:?}"),
+    };
+    Frame::Done {
+        index,
+        artifact: vec![0xAB; 1024],
+    }
+    .write_to(&mut stream)
+    .unwrap();
+    // The coordinator drops the connection on the garbage.
+    let mut rest = Vec::new();
+    let _ = stream.read_to_end(&mut rest);
+    drop(stream);
+    let _ = assigned;
+
+    // A healthy worker finishes everything the saboteurs dropped.
+    let stream = TcpStream::connect(addr).unwrap();
+    let summary = work(
+        stream,
+        &campaign,
+        &factory(),
+        &NoopCampaignObserver,
+        &CancellationToken::new(),
+        &WorkerOptions::default(),
+    )
+    .unwrap();
+    assert!(summary.campaign_complete);
+    assert_eq!(summary.completed.len(), campaign.len());
+    let report = ticket.wait().unwrap().into_report().unwrap();
     assert_identical(
         &campaign,
         &dir,
@@ -353,69 +335,59 @@ fn handshake_rejects_foreign_versioned_and_mismatched_peers() {
     let campaign = campaign_of(2);
     let root = temp_root("handshake");
     let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-    let addr = coordinator.local_addr().unwrap();
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = service.local_addr().unwrap();
+    let ticket = service.submit(campaign.clone(), &dir);
 
-    let outcome = std::thread::scope(|s| {
-        s.spawn(|| {
-            // Foreign magic: the coordinator hangs up without a reply.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(b"HTTP/1.1 GET /\r\n").unwrap();
-            let mut buf = Vec::new();
-            let n = stream.read_to_end(&mut buf).unwrap();
-            assert_eq!(n, 0, "a foreign peer gets no bytes back");
+    // Foreign magic: the coordinator hangs up without a reply.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"HTTP/1.1 GET /\r\n").unwrap();
+    let mut buf = Vec::new();
+    let n = stream.read_to_end(&mut buf).unwrap();
+    assert_eq!(n, 0, "a foreign peer gets no bytes back");
 
-            // Future wire version: same treatment.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(&WIRE_MAGIC).unwrap();
-            stream.write_all(&99u32.to_le_bytes()).unwrap();
-            stream.write_all(&0u32.to_le_bytes()).unwrap();
-            let mut buf = Vec::new();
-            let n = stream.read_to_end(&mut buf).unwrap();
-            assert_eq!(n, 0, "a future-versioned peer gets no bytes back");
+    // Future wire version: same treatment.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&WIRE_MAGIC).unwrap();
+    stream.write_all(&99u32.to_le_bytes()).unwrap();
+    stream.write_all(&0u32.to_le_bytes()).unwrap();
+    let mut buf = Vec::new();
+    let n = stream.read_to_end(&mut buf).unwrap();
+    assert_eq!(n, 0, "a future-versioned peer gets no bytes back");
 
-            // A worker with a *different campaign* is denied with the
-            // digest mismatch spelled out.
-            let other = campaign_of(3);
-            let stream = TcpStream::connect(addr).unwrap();
-            let err = work(
-                stream,
-                &other,
-                &factory(),
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-                &WorkerOptions::default(),
-            )
-            .unwrap_err();
-            match err {
-                TransportError::Denied { code, detail } => {
-                    assert_eq!(code, DENY_DIGEST_MISMATCH);
-                    assert!(detail.contains("digest"), "detail: {detail}");
-                }
-                other => panic!("expected Denied, got {other}"),
-            }
+    // A worker with a *different campaign* is denied with the
+    // digest mismatch spelled out.
+    let other = campaign_of(3);
+    let stream = TcpStream::connect(addr).unwrap();
+    let err = work(
+        stream,
+        &other,
+        &factory(),
+        &NoopCampaignObserver,
+        &CancellationToken::new(),
+        &WorkerOptions::default(),
+    )
+    .unwrap_err();
+    match err {
+        TransportError::Denied { code, detail } => {
+            assert_eq!(code, DENY_DIGEST_MISMATCH);
+            assert!(detail.contains("digest"), "detail: {detail}");
+        }
+        other => panic!("expected Denied, got {other}"),
+    }
 
-            // The right campaign still completes afterwards.
-            let stream = TcpStream::connect(addr).unwrap();
-            work(
-                stream,
-                &campaign,
-                &factory(),
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-                &WorkerOptions::default(),
-            )
-            .unwrap();
-        });
-        coordinator.serve(
-            &campaign,
-            &dir,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
-    })
+    // The right campaign still completes afterwards.
+    let stream = TcpStream::connect(addr).unwrap();
+    work(
+        stream,
+        &campaign,
+        &factory(),
+        &NoopCampaignObserver,
+        &CancellationToken::new(),
+        &WorkerOptions::default(),
+    )
     .unwrap();
-    assert!(outcome.is_complete());
+    assert!(ticket.wait().unwrap().is_complete());
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -425,46 +397,50 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
     let root = temp_root("interop");
     let (ref_report, ref_stores, ref_csvs) = reference(&campaign, &root.join("reference"));
 
-    // Serve → cancel the coordinator after two entries → finish the same
+    // Serve → cancel the campaign after two entries → finish the same
     // directory with a plain local resume.
     let dir = root.join("serve-then-resume");
     {
+        /// Cancels its campaign's ticket at the `limit`-th finished entry.
+        /// The ticket is set right after submission, before any worker
+        /// connects, so it is always there when an entry finishes.
         struct CancelAfter {
-            cancel: CancellationToken,
+            ticket: OnceLock<CampaignTicket>,
             limit: usize,
             finished: AtomicUsize,
         }
         impl CampaignObserver for CancelAfter {
             fn entry_finished(&self, _index: usize, _report: &KernelPowerReport) {
                 if self.finished.fetch_add(1, Ordering::SeqCst) + 1 == self.limit {
-                    self.cancel.abort();
+                    self.ticket.get().expect("ticket set").cancel();
                 }
             }
         }
-        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-        let addr = coordinator.local_addr().unwrap();
-        let observer = CancelAfter {
-            cancel: CancellationToken::new(),
+        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let observer = Arc::new(CancelAfter {
+            ticket: OnceLock::new(),
             limit: 2,
             finished: AtomicUsize::new(0),
-        };
-        let outcome = std::thread::scope(|s| {
-            s.spawn(|| {
-                let stream = TcpStream::connect(addr).unwrap();
-                let summary = work(
-                    stream,
-                    &campaign,
-                    &factory(),
-                    &NoopCampaignObserver,
-                    &CancellationToken::new(),
-                    &WorkerOptions::default(),
-                )
-                .unwrap();
-                assert!(summary.aborted, "the worker must be told to stop");
-            });
-            coordinator.serve(&campaign, &dir, &observer, &observer.cancel)
-        })
+        });
+        let ticket = service.submit_with(
+            campaign.clone(),
+            &dir,
+            ErrorPolicy::default(),
+            Some(observer.clone()),
+        );
+        observer.ticket.set(ticket.clone()).ok();
+        let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
+        let summary = work(
+            stream,
+            &campaign,
+            &factory(),
+            &NoopCampaignObserver,
+            &CancellationToken::new(),
+            &WorkerOptions::default(),
+        )
         .unwrap();
+        assert!(summary.aborted, "the worker must be told to stop");
+        let outcome = ticket.wait().unwrap();
         assert!(!outcome.is_complete(), "cancellation left work undone");
 
         let report = CampaignExecutor::new(2)
@@ -517,30 +493,19 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
             .unwrap();
         assert!(!partial.is_complete(), "cancellation left work undone");
 
-        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-        let addr = coordinator.local_addr().unwrap();
-        let outcome = std::thread::scope(|s| {
-            s.spawn(|| {
-                let stream = TcpStream::connect(addr).unwrap();
-                work(
-                    stream,
-                    &campaign,
-                    &factory(),
-                    &NoopCampaignObserver,
-                    &CancellationToken::new(),
-                    &WorkerOptions::default(),
-                )
-                .unwrap();
-            });
-            coordinator.serve(
-                &campaign,
-                &dir,
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-            )
-        })
+        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let ticket = service.submit(campaign.clone(), &dir);
+        let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
+        work(
+            stream,
+            &campaign,
+            &factory(),
+            &NoopCampaignObserver,
+            &CancellationToken::new(),
+            &WorkerOptions::default(),
+        )
         .unwrap();
-        let report = outcome.into_report().unwrap();
+        let report = ticket.wait().unwrap().into_report().unwrap();
         assert_identical(
             &campaign,
             &dir,
@@ -566,37 +531,23 @@ fn measurement_failures_follow_the_error_policy() {
                 .map_err(|e| MethodologyError::Backend(e.to_string()))
         }
     });
-    let broken = &broken;
-    let campaign = &campaign;
 
     for policy in [ErrorPolicy::FailFast, ErrorPolicy::CollectAll] {
         let dir = root.join(format!("{policy:?}"));
-        let coordinator = Coordinator::bind("127.0.0.1:0")
-            .unwrap()
-            .error_policy(policy);
-        let addr = coordinator.local_addr().unwrap();
-        let outcome = std::thread::scope(|s| {
-            s.spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                let summary = work(
-                    stream,
-                    campaign,
-                    broken,
-                    &NoopCampaignObserver,
-                    &CancellationToken::new(),
-                    &WorkerOptions::default(),
-                )
-                .unwrap();
-                assert!(!summary.campaign_complete);
-            });
-            coordinator.serve(
-                campaign,
-                &dir,
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-            )
-        })
+        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let ticket = service.submit_with(campaign.clone(), &dir, policy, None);
+        let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
+        let summary = work(
+            stream,
+            &campaign,
+            &broken,
+            &NoopCampaignObserver,
+            &CancellationToken::new(),
+            &WorkerOptions::default(),
+        )
         .unwrap();
+        assert!(!summary.campaign_complete);
+        let outcome = ticket.wait().unwrap();
         assert_eq!(outcome.errors.len(), 1, "{policy:?}");
         assert_eq!(outcome.errors[0].0, 1);
         assert!(
@@ -621,83 +572,64 @@ fn measurement_failures_follow_the_error_policy() {
 }
 
 /// Multi-campaign sequence negotiation: a worker asking for an earlier
-/// or later campaign position than the coordinator is serving gets the
+/// or later campaign position than the service is serving gets the
 /// matching typed denial instead of a misleading digest mismatch.
 #[test]
 fn sequence_mismatches_get_typed_denials() {
     let campaign = campaign_of(2);
     let root = temp_root("sequence");
-    let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap().sequence(5);
-    let addr = coordinator.local_addr().unwrap();
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = service.local_addr().unwrap();
+    let ticket_a = service.submit(campaign.clone(), root.join("served-a"));
+    let ticket_b = service.submit(campaign.clone(), root.join("served-b"));
 
-    let outcome = std::thread::scope(|s| {
-        s.spawn(|| {
-            let ask = |sequence: u64| {
-                let stream = TcpStream::connect(addr).unwrap();
-                work(
-                    stream,
-                    &campaign,
-                    &factory(),
-                    &NoopCampaignObserver,
-                    &CancellationToken::new(),
-                    &WorkerOptions {
-                        sequence,
-                        ..WorkerOptions::default()
-                    },
-                )
-            };
-            // Behind the coordinator: that campaign is already gone.
-            match ask(4).unwrap_err() {
-                TransportError::Denied { code, .. } => assert_eq!(code, DENY_SEQUENCE_PASSED),
-                other => panic!("expected a typed denial, got {other}"),
-            }
-            // Ahead of the coordinator: told to come back.
-            match ask(6).unwrap_err() {
-                TransportError::Denied { code, .. } => assert_eq!(code, DENY_SEQUENCE_EARLY),
-                other => panic!("expected a typed denial, got {other}"),
-            }
-            // The matching sequence works the campaign to completion.
-            let summary = ask(5).unwrap();
-            assert!(summary.campaign_complete);
-        });
-        coordinator.serve(
+    let ask = |sequence: u64| {
+        let stream = TcpStream::connect(addr).unwrap();
+        work(
+            stream,
             &campaign,
-            &dir,
+            &factory(),
             &NoopCampaignObserver,
             &CancellationToken::new(),
+            &WorkerOptions {
+                sequence,
+                ..WorkerOptions::default()
+            },
         )
-    })
-    .unwrap();
-    assert!(outcome.is_complete());
+    };
+    // Ahead of the campaign being served: told to come back.
+    match ask(1).unwrap_err() {
+        TransportError::Denied { code, .. } => assert_eq!(code, DENY_SEQUENCE_EARLY),
+        other => panic!("expected a typed denial, got {other}"),
+    }
+    // The matching sequence works the first campaign to completion.
+    assert!(ask(0).unwrap().campaign_complete);
+    // Once the first campaign is done (and so no longer accepting), the
+    // service serves the second: campaign 0 is already gone.
+    assert!(ticket_a.wait().unwrap().is_complete());
+    match ask(0).unwrap_err() {
+        TransportError::Denied { code, .. } => assert_eq!(code, DENY_SEQUENCE_PASSED),
+        other => panic!("expected a typed denial, got {other}"),
+    }
+    let summary = ask(1).unwrap();
+    assert!(summary.campaign_complete);
+    assert!(ticket_b.wait().unwrap().is_complete());
     std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A cancelled serve must return even when no worker ever connected —
-/// the cancellation token is observed by the accept loop itself, not
-/// only by worker-driven assignment.
+/// the cancellation is observed by the accept loop itself, not only by
+/// worker-driven assignment.
 #[test]
 fn cancelling_a_workerless_serve_returns() {
     let campaign = campaign_of(2);
     let root = temp_root("workerless");
     let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-    let cancel = CancellationToken::new();
-
-    let outcome = std::thread::scope(|s| {
-        let canceller = {
-            let cancel = cancel.clone();
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                cancel.abort();
-            })
-        };
-        let outcome = coordinator
-            .serve(&campaign, &dir, &NoopCampaignObserver, &cancel)
-            .unwrap();
-        canceller.join().unwrap();
-        outcome
-    });
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let ticket = service.submit(campaign.clone(), &dir);
+    std::thread::sleep(Duration::from_millis(100));
+    ticket.cancel();
+    let outcome = ticket.wait().unwrap();
     assert!(!outcome.is_complete());
     assert_eq!(outcome.skipped, vec![0, 1], "every entry is skipped");
     // The checkpoint is a normal pending manifest; a local run completes it.
@@ -719,38 +651,25 @@ fn fetch_reports_downloads_the_full_campaign() {
     let (ref_report, _, _) = reference(&campaign, &root.join("reference"));
 
     let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-    let addr = coordinator.local_addr().unwrap();
-    let (outcome, fetched) = std::thread::scope(|s| {
-        let fetcher = s.spawn(|| {
-            let stream = TcpStream::connect(addr).unwrap();
-            let summary = work(
-                stream,
-                &campaign,
-                &factory(),
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-                &WorkerOptions {
-                    max_entries: None,
-                    fetch_reports: true,
-                    ..WorkerOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(summary.campaign_complete);
-            summary.reports.expect("complete campaigns are fetchable")
-        });
-        let outcome = coordinator
-            .serve(
-                &campaign,
-                &dir,
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-            )
-            .unwrap();
-        (outcome, fetcher.join().unwrap())
-    });
-    let report = outcome.into_report().unwrap();
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let ticket = service.submit(campaign.clone(), &dir);
+    let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
+    let summary = work(
+        stream,
+        &campaign,
+        &factory(),
+        &NoopCampaignObserver,
+        &CancellationToken::new(),
+        &WorkerOptions {
+            max_entries: None,
+            fetch_reports: true,
+            ..WorkerOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(summary.campaign_complete);
+    let fetched = summary.reports.expect("complete campaigns are fetchable");
+    let report = ticket.wait().unwrap().into_report().unwrap();
     assert_eq!(report, ref_report);
     assert_eq!(
         CampaignReport { reports: fetched },
@@ -760,10 +679,27 @@ fn fetch_reports_downloads_the_full_campaign() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Records which entries a served campaign's observer saw started and
+/// evicted, in arrival order.
+#[derive(Default)]
+struct Lifecycle {
+    started: Mutex<Vec<usize>>,
+    evicted: Mutex<Vec<usize>>,
+}
+
+impl CampaignObserver for Lifecycle {
+    fn entry_started(&self, index: usize, _label: &str) {
+        self.started.lock().unwrap().push(index);
+    }
+    fn entry_evicted(&self, index: usize) {
+        self.evicted.lock().unwrap().push(index);
+    }
+}
+
 /// The deadline-hardening tentpole: a worker that takes an assignment
 /// and then goes byte-silent *without closing its socket* (a wedged
 /// process, a dead NIC, a half-open connection) must not wedge the
-/// campaign. The coordinator's idle deadline evicts the lapsed
+/// campaign. The service's idle deadline evicts the lapsed
 /// assignment, re-queues the entry at the front of the plan, and a live
 /// worker finishes the campaign with byte-identical artifacts.
 #[test]
@@ -774,10 +710,21 @@ fn silent_unclosed_worker_is_evicted_and_replanned() {
     let digest = fingrav::core::checkpoint::campaign_digest(&campaign);
 
     let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0")
-        .unwrap()
-        .idle_timeout(Duration::from_millis(400));
-    let addr = coordinator.local_addr().unwrap();
+    let service = CampaignService::bind(
+        "127.0.0.1:0",
+        ServiceConfig {
+            idle_timeout: Duration::from_millis(400),
+        },
+    )
+    .unwrap();
+    let addr = service.local_addr().unwrap();
+    let lifecycle = Arc::new(Lifecycle::default());
+    let ticket = service.submit_with(
+        campaign.clone(),
+        &dir,
+        ErrorPolicy::default(),
+        Some(lifecycle.clone()),
+    );
 
     let assigned = AtomicUsize::new(usize::MAX);
     let served = AtomicBool::new(false);
@@ -818,40 +765,48 @@ fn silent_unclosed_worker_is_evicted_and_replanned() {
         });
         // The live worker starts only once the silent peer holds its
         // assignment, so the eviction path is guaranteed to run.
-        s.spawn(|| {
-            while assigned.load(Ordering::SeqCst) == usize::MAX {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let stream = TcpStream::connect(addr).unwrap();
-            let summary = work(
-                stream,
-                &campaign,
-                &factory(),
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-                &WorkerOptions {
-                    heartbeat: Duration::from_millis(50),
-                    ..WorkerOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(summary.campaign_complete);
-        });
-        let outcome = coordinator
-            .serve(
-                &campaign,
-                &dir,
-                &NoopCampaignObserver,
-                &CancellationToken::new(),
-            )
-            .unwrap();
+        while assigned.load(Ordering::SeqCst) == usize::MAX {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let stream = TcpStream::connect(addr).unwrap();
+        let summary = work(
+            stream,
+            &campaign,
+            &factory(),
+            &NoopCampaignObserver,
+            &CancellationToken::new(),
+            &WorkerOptions {
+                heartbeat: Duration::from_millis(50),
+                ..WorkerOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(summary.campaign_complete);
+        let outcome = ticket.wait().unwrap();
         served.store(true, Ordering::SeqCst);
         outcome
     });
+    let silent = assigned.load(Ordering::SeqCst);
     assert_eq!(
         outcome.evictions,
-        vec![assigned.load(Ordering::SeqCst)],
+        vec![silent],
         "exactly the silent peer's assignment is evicted"
+    );
+    assert_eq!(
+        *lifecycle.evicted.lock().unwrap(),
+        outcome.evictions,
+        "the observer is told of every eviction"
+    );
+    assert_eq!(
+        lifecycle
+            .started
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&i| i == silent)
+            .count(),
+        2,
+        "the evicted entry starts once on each worker"
     );
     assert!(outcome.is_complete());
     let report = outcome.into_report().unwrap();
@@ -868,7 +823,7 @@ fn silent_unclosed_worker_is_evicted_and_replanned() {
 }
 
 /// The liveness half of the deadline contract: a worker whose entry
-/// measurement makes no wire progress for longer than the coordinator's
+/// measurement makes no wire progress for longer than the service's
 /// idle budget must NOT be evicted — the background heartbeat pump
 /// proves the connection is alive while the measurement runs.
 struct SlowFirstEntry {
@@ -890,38 +845,32 @@ fn heartbeats_keep_slow_entries_alive() {
     let (ref_report, ref_stores, ref_csvs) = reference(&campaign, &root.join("reference"));
 
     let dir = root.join("served");
-    let coordinator = Coordinator::bind("127.0.0.1:0")
-        .unwrap()
-        .idle_timeout(Duration::from_millis(400));
-    let addr = coordinator.local_addr().unwrap();
-    let outcome = std::thread::scope(|s| {
-        s.spawn(|| {
-            let observer = SlowFirstEntry {
-                started: AtomicUsize::new(0),
-            };
-            let stream = TcpStream::connect(addr).unwrap();
-            let summary = work(
-                stream,
-                &campaign,
-                &factory(),
-                &observer,
-                &CancellationToken::new(),
-                &WorkerOptions {
-                    heartbeat: Duration::from_millis(40),
-                    ..WorkerOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(summary.campaign_complete);
-        });
-        coordinator.serve(
-            &campaign,
-            &dir,
-            &NoopCampaignObserver,
-            &CancellationToken::new(),
-        )
-    })
+    let service = CampaignService::bind(
+        "127.0.0.1:0",
+        ServiceConfig {
+            idle_timeout: Duration::from_millis(400),
+        },
+    )
     .unwrap();
+    let ticket = service.submit(campaign.clone(), &dir);
+    let observer = SlowFirstEntry {
+        started: AtomicUsize::new(0),
+    };
+    let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
+    let summary = work(
+        stream,
+        &campaign,
+        &factory(),
+        &observer,
+        &CancellationToken::new(),
+        &WorkerOptions {
+            heartbeat: Duration::from_millis(40),
+            ..WorkerOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(summary.campaign_complete);
+    let outcome = ticket.wait().unwrap();
     assert!(
         outcome.evictions.is_empty(),
         "heartbeats must prove liveness through a slow entry: {:?}",
@@ -1021,5 +970,42 @@ fn persistent_service_serves_campaigns_back_to_back() {
         &csvs_b,
         "second campaign through the service",
     );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Dropping the service is a hard stop: the campaign it is serving and
+/// the one still queued behind it (here also cancelled through its own
+/// ticket first) both end with every entry skipped, and each directory
+/// is a normal pending checkpoint that a local resume completes.
+#[test]
+fn dropping_the_service_cancels_queued_and_serving_campaigns() {
+    let campaign = campaign_of(2);
+    let root = temp_root("drop");
+    let (ref_report, _, _) = reference(&campaign, &root.join("reference"));
+    let dirs = [root.join("serving"), root.join("queued")];
+
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let serving = service.submit(campaign.clone(), &dirs[0]);
+    let queued = service.submit(campaign.clone(), &dirs[1]);
+    // No worker ever connects, so the first campaign serves until the
+    // drop and the second stays queued behind it.
+    while serving.phase() != CampaignPhase::Serving {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(queued.phase(), CampaignPhase::Queued);
+    queued.cancel();
+    drop(service);
+
+    for (ticket, dir) in [(&serving, &dirs[0]), (&queued, &dirs[1])] {
+        assert_eq!(ticket.phase(), CampaignPhase::Done);
+        let outcome = ticket.wait().unwrap();
+        assert_eq!(outcome.skipped, vec![0, 1], "every entry is skipped");
+        let report = CampaignExecutor::serial()
+            .run(&campaign, &factory(), resume(dir))
+            .unwrap()
+            .into_report()
+            .unwrap();
+        assert_eq!(report, ref_report);
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }
