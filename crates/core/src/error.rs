@@ -33,6 +33,11 @@ pub enum MethodologyError {
     /// causes; this variant carries its rendered message through the
     /// coordinator/worker APIs).
     Transport(String),
+    /// Code serving a campaign (an observer, say) panicked. The campaign
+    /// service contains the panic at the campaign's boundary and carries
+    /// its message here; the campaign's directory stays a resumable
+    /// checkpoint.
+    Panicked(String),
 }
 
 impl fmt::Display for MethodologyError {
@@ -50,6 +55,7 @@ impl fmt::Display for MethodologyError {
             MethodologyError::Aborted => f.write_str("measurement aborted mid-script"),
             MethodologyError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             MethodologyError::Transport(msg) => write!(f, "transport error: {msg}"),
+            MethodologyError::Panicked(msg) => write!(f, "campaign panicked: {msg}"),
         }
     }
 }
@@ -78,6 +84,7 @@ mod tests {
         assert!(format!("{}", MethodologyError::InvalidConfig("y".into())).contains('y'));
         assert!(format!("{}", MethodologyError::Aborted).contains("aborted"));
         assert!(format!("{}", MethodologyError::Checkpoint("z".into())).contains('z'));
+        assert!(format!("{}", MethodologyError::Panicked("boom".into())).contains("boom"));
     }
 
     #[test]

@@ -68,6 +68,12 @@
 //! are told to abort when they next ask for work), but an entry already
 //! running on a remote worker finishes before its worker notices.
 //!
+//! A panic inside one served campaign (an observer's, say) stays inside
+//! it: the campaign halts, its connections close, its ticket's outcome
+//! becomes [`MethodologyError::Panicked`] with the panic message, and its
+//! directory remains a checkpoint a local resume completes. The service
+//! moves on to the next submission.
+//!
 //! ## Wire format
 //!
 //! The connection opens with a fixed 16-byte preamble in each direction
@@ -121,10 +127,12 @@
 //! # }
 //! ```
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -364,6 +372,12 @@ impl Codec for MethodologyError {
                 7u8.encode(w)?;
                 m.encode(w)
             }
+            // Workers never report one: a contained panic is the
+            // coordinator's own verdict on a campaign.
+            MethodologyError::Panicked(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a contained panic has no wire encoding",
+            )),
         }
     }
     fn decode(r: &mut &[u8]) -> Result<Self, CheckpointError> {
@@ -876,6 +890,9 @@ struct CoordState {
     halted: bool,
     next_shard: u32,
     connections: usize,
+    /// The first panic a connection contained; it halts the serve and
+    /// becomes its error.
+    panic: Option<String>,
 }
 
 impl CoordState {
@@ -941,6 +958,7 @@ fn serve(
             halted: false,
             next_shard: 0,
             connections: 0,
+            panic: None,
         }),
         cond: Condvar::new(),
     };
@@ -950,6 +968,10 @@ fn serve(
     }
 
     let state = shared.state.into_inner().expect("coordinator state");
+    if let Some(message) = state.panic {
+        ledger.close()?;
+        return Err(MethodologyError::Panicked(message));
+    }
     let mut outcome = state.outcome;
     outcome.settle(&plan, observer);
     ledger.close()?;
@@ -997,6 +1019,22 @@ impl<'a> CoordShared<'a> {
         self.state.lock().expect("coordinator state lock")
     }
 
+    /// Runs `f` behind an unwind boundary. A panic halts the serve, and
+    /// its message becomes the serve's error once the connections drain.
+    /// No observer is ever called under the state lock, so a panicking
+    /// observer leaves the lock unpoisoned for the other handlers.
+    fn contain<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+        match panic::catch_unwind(AssertUnwindSafe(f)) {
+            Ok(r) => Some(r),
+            Err(payload) => {
+                let mut state = self.lock();
+                state.halted = true;
+                state.panic.get_or_insert_with(|| panic_message(&*payload));
+                None
+            }
+        }
+    }
+
     /// True once no further entry may be assigned: the campaign was
     /// cancelled or its checkpoint broke.
     fn halting(&self) -> bool {
@@ -1004,12 +1042,21 @@ impl<'a> CoordShared<'a> {
     }
 }
 
-/// Per-connection coordinator logic. Never returns an error to the accept
-/// loop: a faulty connection re-plans its in-flight entry and dies alone.
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let text = payload.downcast_ref::<&str>().copied();
+    text.or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic with a non-string payload")
+        .to_string()
+}
+
+/// Per-connection coordinator logic. Never returns an error or unwinds
+/// into the accept loop: a faulty connection re-plans its in-flight entry
+/// and dies alone, and a panicking one also halts the serve.
 fn serve_connection(shared: &CoordShared<'_>, stream: TcpStream) {
     let mut current: Option<usize> = None;
-    let result = handle_connection(shared, stream, &mut current);
-    let deadline_lapsed = matches!(result, Err(TransportError::DeadlineLapsed { .. }));
+    let result = shared.contain(|| handle_connection(shared, stream, &mut current));
+    let deadline_lapsed = matches!(result, Some(Err(TransportError::DeadlineLapsed { .. })));
     let mut state = shared.lock();
     let mut evicted = None;
     if let Some(index) = current.take() {
@@ -1025,7 +1072,7 @@ fn serve_connection(shared: &CoordShared<'_>, stream: TcpStream) {
     state.connections -= 1;
     drop(state);
     if let Some(index) = evicted {
-        shared.observer.entry_evicted(index);
+        shared.contain(|| shared.observer.entry_evicted(index));
     }
     shared.cond.notify_all();
 }
@@ -1158,8 +1205,10 @@ fn handle_connection(
             }
             Frame::Failed { index, error } => {
                 let index = expect_current(shared, *current, index)?;
-                entry_failed(shared, index, error);
+                // Settled before the observer hears of it, so a panicking
+                // observer cannot have the entry released twice.
                 *current = None;
+                entry_failed(shared, index, error);
                 shared.cond.notify_all();
             }
             Frame::Fetch { index } => {
@@ -1873,9 +1922,12 @@ impl CampaignTicket {
     /// # Errors
     ///
     /// Returns [`MethodologyError::Checkpoint`] when the directory cannot
-    /// be created, verified, or written, and
+    /// be created, verified, or written,
     /// [`MethodologyError::Transport`] when the listener itself fails
-    /// (per-connection faults re-plan instead of failing the campaign).
+    /// (per-connection faults re-plan instead of failing the campaign),
+    /// and [`MethodologyError::Panicked`] when code serving the campaign
+    /// (an observer, say) panicked. The directory is then a checkpoint
+    /// that a [`crate::executor::CheckpointMode::Resume`] run completes.
     pub fn wait(&self) -> MethodologyResult<CampaignOutcome> {
         let mut state = self.shared.lock();
         loop {
@@ -2024,7 +2076,8 @@ impl CampaignService {
         self.shared.lock().draining = true;
         self.shared.cond.notify_all();
         if let Some(thread) = self.thread.take() {
-            thread.join().expect("campaign service thread");
+            // Serves are contained, so the thread only ever returns.
+            thread.join().ok();
         }
     }
 }
@@ -2046,7 +2099,7 @@ impl Drop for CampaignService {
             }
         }
         self.shared.cond.notify_all();
-        thread.join().expect("campaign service thread");
+        thread.join().ok();
     }
 }
 
@@ -2069,7 +2122,12 @@ fn service_loop(shared: &ServiceShared) {
         shared.lock().records[id].phase = CampaignPhase::Serving;
         shared.cond.notify_all();
 
-        let result = serve(&shared.listener, &submission, shared.idle);
+        // A panic the connections did not contain (in the observer's
+        // final `entry_skipped` calls, say) ends this campaign only.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            serve(&shared.listener, &submission, shared.idle)
+        }))
+        .unwrap_or_else(|payload| Err(MethodologyError::Panicked(panic_message(&*payload))));
 
         let mut state = shared.lock();
         let record = &mut state.records[id];

@@ -20,7 +20,9 @@
 //! depends on machine speed.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
+#[allow(unsafe_code)] // a `GlobalAlloc` impl is unsafe by signature; it delegates to `System`
 pub mod alloc;
 pub mod corpus;
 pub mod exec;

@@ -11,6 +11,8 @@
 //! Exit codes: 0 clean, 1 findings, 2 usage error. See
 //! `docs/FUZZING.md`.
 
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -3,9 +3,10 @@
 //! SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a tiny, fast,
 //! well-mixed 64-bit generator whose entire state is one word, so a
 //! fuzzing schedule is reproducible from a single printed seed. The
-//! harness must not depend on the vendored `rand` shim (it fuzzes the
-//! code under test and nothing else), and cryptographic quality is
-//! irrelevant here — only determinism and reasonable dispersion are.
+//! harness does not borrow the simulator's `SimRng`, because its
+//! randomness must not depend on the code under test, and cryptographic
+//! quality is irrelevant here — only determinism and reasonable
+//! dispersion are.
 
 /// A SplitMix64 generator.
 #[derive(Debug, Clone)]

@@ -1,16 +1,15 @@
-//! The committed allowlist (`lint-allow.toml`) and unsafe registry
-//! (`unsafe-registry.toml`).
+//! The committed allowlist (`lint-allow.toml`).
 //!
-//! Both files use the same minimal TOML subset, parsed here by hand
-//! (no crates.io, like everything else in this tool): `#` comments,
+//! The file uses a minimal TOML subset, parsed here by hand (no
+//! crates.io, like everything else in this tool): `#` comments,
 //! `[[table]]` array-of-table headers, and `key = value` pairs where a
 //! value is a double-quoted string (with `\"`, `\\`, `\n`, `\t`
-//! escapes) or an unsigned integer. That subset is all the two formats
-//! need; anything else is a hard parse error so a typo cannot silently
-//! disable an entry.
+//! escapes) or an unsigned integer. That subset is all the format needs;
+//! anything else is a hard parse error so a typo cannot silently disable
+//! an entry.
 //!
 //! Every entry carries a mandatory, non-empty `justification` string —
-//! the point of the files is that suppressing a diagnostic is an
+//! the point of the file is that suppressing a diagnostic is an
 //! explicit, reviewed, *argued* decision.
 
 use std::fmt;
@@ -31,19 +30,6 @@ pub struct AllowEntry {
     /// unbounded). Findings beyond the cap are reported normally.
     pub max: Option<u64>,
     /// 1-indexed line of the entry's `[[allow]]` header.
-    pub line: usize,
-}
-
-/// One `[[unsafe]]` registry entry: a reviewed `unsafe` site.
-#[derive(Debug, Clone)]
-pub struct UnsafeEntry {
-    /// Repo-relative file holding the `unsafe` site.
-    pub file: String,
-    /// Substring of the source line containing the `unsafe` keyword.
-    pub contains: String,
-    /// Why the unsafe is sound. Required, non-empty.
-    pub justification: String,
-    /// 1-indexed line of the entry's `[[unsafe]]` header.
     pub line: usize,
 }
 
@@ -179,26 +165,16 @@ fn parse_value(s: &str, line: usize) -> Result<Value, ParseError> {
     }
 }
 
-fn take_str(table: &Table, key: &str) -> Result<Option<String>, ParseError> {
-    for (k, v) in &table.pairs {
-        if k == key {
-            return match v {
-                Value::Str(s) => Ok(Some(s.clone())),
-                Value::Int(_) => Err(ParseError {
-                    line: table.line,
-                    msg: format!("`{key}` must be a string"),
-                }),
-            };
-        }
-    }
-    Ok(None)
-}
-
 fn require_str(table: &Table, key: &str) -> Result<String, ParseError> {
-    take_str(table, key)?.ok_or_else(|| ParseError {
+    let error = |msg| ParseError {
         line: table.line,
-        msg: format!("entry is missing `{key}`"),
-    })
+        msg,
+    };
+    match table.pairs.iter().find(|(k, _)| k == key) {
+        Some((_, Value::Str(s))) => Ok(s.clone()),
+        Some((_, Value::Int(_))) => Err(error(format!("`{key}` must be a string"))),
+        None => Err(error(format!("entry is missing `{key}`"))),
+    }
 }
 
 /// Parses a `lint-allow.toml` body into `[[allow]]` entries.
@@ -237,26 +213,6 @@ pub fn parse_allowlist(src: &str) -> Result<Vec<AllowEntry>, ParseError> {
     Ok(out)
 }
 
-/// Parses an `unsafe-registry.toml` body into `[[unsafe]]` entries.
-pub fn parse_registry(src: &str) -> Result<Vec<UnsafeEntry>, ParseError> {
-    let mut out = Vec::new();
-    for t in parse_tables(src)? {
-        if t.name != "unsafe" {
-            return Err(ParseError {
-                line: t.line,
-                msg: format!("unknown table `[[{}]]` (expected `[[unsafe]]`)", t.name),
-            });
-        }
-        out.push(UnsafeEntry {
-            file: require_str(&t, "file")?,
-            contains: require_str(&t, "contains")?,
-            justification: require_str(&t, "justification")?,
-            line: t.line,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,14 +243,6 @@ max = 3
     #[test]
     fn unknown_table_rejected() {
         assert!(parse_allowlist("[[typo]]\n").is_err());
-        assert!(parse_registry("[[allow]]\n").is_err());
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let src = "[[unsafe]]\nfile = \"a.rs\"\ncontains = \"unsafe impl Send\"\njustification = \"immutable\"\n";
-        let r = parse_registry(src).unwrap();
-        assert_eq!(r[0].contains, "unsafe impl Send");
     }
 
     #[test]

@@ -2,29 +2,32 @@
 //!
 //! FinGraV's value is trustworthy fine-grain power data. The repo holds
 //! three versioned untrusted-input codecs (`FGRVPROF`/`FGRVCKPT`/
-//! `FGRVWIRE`), `unsafe` confined to the test and fuzz counting
-//! allocators, and lock-free cancellation flags spread across crates —
+//! `FGRVWIRE`), `unsafe` confined to the fuzz harness's counting
+//! allocator, and lock-free cancellation flags spread across crates —
 //! correctness that tests exercise but
 //! nothing *enforces*. This tool machine-checks those conventions as
 //! deny-by-default diagnostics:
 //!
 //! * **codec-hygiene** — decoder modules must be panic-free on
 //!   untrusted input;
-//! * **unsafe-audit** — every `unsafe` carries a `// SAFETY:` comment
-//!   and a reviewed `unsafe-registry.toml` entry;
+//! * **unsafe-audit** — `unsafe` appears only in
+//!   `crates/fgrv-fuzz/src/alloc.rs`, and always with a `// SAFETY:`
+//!   comment;
 //! * **atomics-discipline** — every `Ordering::` use documents its
 //!   happens-before argument in the allowlist;
 //! * **format-constants** — magics/versions/tags agree with
 //!   `docs/FORMATS.md` and the committed golden fixtures;
 //! * **annotation-hygiene** — `#[allow]`/`#[expect]`/`#[ignore]`
 //!   require a trailing justification comment;
-//! * **allowlist-integrity** — suppressions must parse, be justified,
-//!   and still match a live finding.
+//! * **allowlist-integrity** — allowlist entries must parse, be
+//!   justified, and still match a live finding.
 //!
 //! Everything is hand-rolled (lexer, parser, TOML subset, JSON
 //! output) — the tool takes no dependencies, vendored or otherwise, so
 //! it can never be broken by the code it checks. See
 //! `docs/ANALYSIS.md` for the full rule catalogue and workflow.
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,7 +36,7 @@ mod allow;
 mod lexer;
 mod rules;
 
-pub use allow::{parse_allowlist, parse_registry, AllowEntry, UnsafeEntry};
+pub use allow::{parse_allowlist, AllowEntry};
 pub use rules::{ConstVal, FormatConst};
 
 /// One registered rule, for documentation cross-checks.
@@ -61,8 +64,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "unsafe-audit",
-        summary: "every unsafe block/impl/fn carries an adjacent // SAFETY: comment and a \
-                  reviewed unsafe-registry.toml entry",
+        summary: "unsafe blocks/impls/fns appear only in crates/fgrv-fuzz/src/alloc.rs, and \
+                  each carries an adjacent // SAFETY: comment",
         suppressible: false,
     },
     RuleInfo {
@@ -85,8 +88,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "allowlist-integrity",
-        summary: "allowlist and registry entries parse, carry non-empty justifications, name \
-                  real rules, and still match at least one live finding",
+        summary: "allowlist entries parse, carry non-empty justifications, name suppressible \
+                  rules, and still match at least one live finding",
         suppressible: false,
     },
 ];
@@ -115,8 +118,6 @@ pub struct Config {
     pub root: PathBuf,
     /// The committed allowlist; missing file = empty allowlist.
     pub allowlist_path: PathBuf,
-    /// The committed unsafe registry; missing file = empty registry.
-    pub registry_path: PathBuf,
     /// The normative formats document for `format-constants`.
     pub formats_doc: PathBuf,
     /// Directory of committed golden fixtures (`*.fgrv`, `*.fgrvckpt`).
@@ -131,7 +132,6 @@ impl Config {
         let root = root.into();
         Config {
             allowlist_path: root.join("lint-allow.toml"),
-            registry_path: root.join("unsafe-registry.toml"),
             formats_doc: root.join("docs/FORMATS.md"),
             fixture_data: root.join("tests/data"),
             decoder_patterns: ["store/", "checkpoint.rs", "transport.rs", "mmap.rs"]
@@ -247,7 +247,7 @@ fn json_str(s: &str) -> String {
 pub(crate) struct FileCtx<'a> {
     /// Repo-relative path, forward slashes.
     pub rel_path: String,
-    /// Raw source lines (for snippets and registry matching).
+    /// Raw source lines (for snippets and allowlist matching).
     pub lines: Vec<&'a str>,
     /// Lexed tokens and comments.
     pub lexed: lexer::Lexed,
@@ -389,17 +389,12 @@ fn find_test_regions(lx: &lexer::Lexed) -> Vec<(usize, usize)> {
 /// Runs the full scan.
 pub fn run(cfg: &Config) -> Report {
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut unsafe_sites: Vec<rules::UnsafeSite> = Vec::new();
     let mut consts: Vec<rules::FormatConst> = Vec::new();
 
     let files = collect_rs_files(&cfg.root);
     let files_scanned = files.len();
     for path in &files {
-        let rel = path
-            .strip_prefix(&cfg.root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = rel_path(&cfg.root, path);
         let Ok(src) = std::fs::read_to_string(path) else {
             diagnostics.push(Diagnostic {
                 rule: "allowlist-integrity",
@@ -427,7 +422,7 @@ pub fn run(cfg: &Config) -> Report {
             is_test_file,
         };
         rules::codec_hygiene(&ctx, &mut diagnostics);
-        rules::unsafe_audit(&ctx, &mut diagnostics, &mut unsafe_sites);
+        rules::unsafe_audit(&ctx, &mut diagnostics);
         rules::atomics_discipline(&ctx, &mut diagnostics);
         rules::annotation_hygiene(&ctx, &mut diagnostics);
         rules::extract_format_consts(&ctx, &mut consts);
@@ -435,12 +430,7 @@ pub fn run(cfg: &Config) -> Report {
 
     // Rule 4 runs workspace-wide over the extracted constants.
     let doc = std::fs::read_to_string(&cfg.formats_doc).ok();
-    let doc_rel = cfg
-        .formats_doc
-        .strip_prefix(&cfg.root)
-        .unwrap_or(&cfg.formats_doc)
-        .to_string_lossy()
-        .replace('\\', "/");
+    let doc_rel = rel_path(&cfg.root, &cfg.formats_doc);
     let fixtures = read_fixtures(&cfg.fixture_data, &cfg.root);
     rules::check_format_consts(
         &consts,
@@ -453,7 +443,6 @@ pub fn run(cfg: &Config) -> Report {
     // Allowlist: suppress what a justified entry covers; everything
     // about the allowlist itself is a finding.
     apply_allowlist(cfg, &mut diagnostics);
-    apply_registry(cfg, &unsafe_sites, &mut diagnostics);
 
     diagnostics.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
@@ -463,6 +452,13 @@ pub fn run(cfg: &Config) -> Report {
         diagnostics,
         files_scanned,
     }
+}
+
+/// `path` relative to `root` (as given when outside it), with forward
+/// slashes.
+fn rel_path(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
 }
 
 fn read_fixtures(dir: &Path, root: &Path) -> Vec<(String, Vec<u8>)> {
@@ -480,28 +476,15 @@ fn read_fixtures(dir: &Path, root: &Path) -> Vec<(String, Vec<u8>)> {
             continue;
         }
         if let Ok(bytes) = std::fs::read(&path) {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push((rel, bytes));
+            out.push((rel_path(root, &path), bytes));
         }
     }
     out.sort();
     out
 }
 
-fn allowlist_rel(cfg: &Config) -> String {
-    cfg.allowlist_path
-        .strip_prefix(&cfg.root)
-        .unwrap_or(&cfg.allowlist_path)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
 fn apply_allowlist(cfg: &Config, diagnostics: &mut Vec<Diagnostic>) {
-    let rel = allowlist_rel(cfg);
+    let rel = rel_path(&cfg.root, &cfg.allowlist_path);
     let entries = match std::fs::read_to_string(&cfg.allowlist_path) {
         Ok(src) => match allow::parse_allowlist(&src) {
             Ok(entries) => entries,
@@ -573,84 +556,6 @@ fn apply_allowlist(cfg: &Config, diagnostics: &mut Vec<Diagnostic>) {
                 message: format!(
                     "stale allowlist entry: no `{}` finding in {} matches `{}` — delete it",
                     e.rule, e.file, e.pattern
-                ),
-            });
-        }
-    }
-}
-
-fn apply_registry(cfg: &Config, sites: &[rules::UnsafeSite], diagnostics: &mut Vec<Diagnostic>) {
-    let rel = cfg
-        .registry_path
-        .strip_prefix(&cfg.root)
-        .unwrap_or(&cfg.registry_path)
-        .to_string_lossy()
-        .replace('\\', "/");
-    let entries = match std::fs::read_to_string(&cfg.registry_path) {
-        Ok(src) => match allow::parse_registry(&src) {
-            Ok(entries) => entries,
-            Err(e) => {
-                diagnostics.push(Diagnostic {
-                    rule: "allowlist-integrity",
-                    file: rel,
-                    line: e.line,
-                    snippet: String::new(),
-                    message: format!("unsafe registry does not parse: {}", e.msg),
-                });
-                return;
-            }
-        },
-        Err(_) => Vec::new(),
-    };
-
-    for e in &entries {
-        if e.justification.trim().is_empty() {
-            diagnostics.push(Diagnostic {
-                rule: "allowlist-integrity",
-                file: rel.clone(),
-                line: e.line,
-                snippet: String::new(),
-                message: format!(
-                    "registry entry for `{}` in {} has an empty justification",
-                    e.contains, e.file
-                ),
-            });
-        }
-    }
-
-    let mut used = vec![false; entries.len()];
-    for site in sites {
-        let covered = entries.iter().enumerate().any(|(i, e)| {
-            let m = e.file == site.file
-                && site.snippet.contains(&e.contains)
-                && !e.justification.trim().is_empty();
-            if m {
-                used[i] = true;
-            }
-            m
-        });
-        if !covered {
-            diagnostics.push(Diagnostic {
-                rule: "unsafe-audit",
-                file: site.file.clone(),
-                line: site.line,
-                snippet: site.snippet.clone(),
-                message: "`unsafe` site is not in the committed unsafe-registry.toml: new \
-                          unsafe must be an explicit reviewed diff"
-                    .to_string(),
-            });
-        }
-    }
-    for (i, e) in entries.iter().enumerate() {
-        if !used[i] && !e.justification.trim().is_empty() {
-            diagnostics.push(Diagnostic {
-                rule: "allowlist-integrity",
-                file: rel.clone(),
-                line: e.line,
-                snippet: String::new(),
-                message: format!(
-                    "stale registry entry: no `unsafe` line in {} contains `{}` — delete it",
-                    e.file, e.contains
                 ),
             });
         }
@@ -735,22 +640,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn safety_comment_satisfies_unsafe_audit_locally() {
-        let src = "// SAFETY: region is immutable for 'static.\nunsafe impl Send for X {}\n";
-        let lexed = lexer::lex(src);
+    fn unsafe_audit(rel: &str, src: &str) -> Vec<Diagnostic> {
         let ctx = FileCtx {
-            rel_path: "crates/core/src/mmap.rs".to_string(),
+            rel_path: rel.to_string(),
             lines: src.lines().collect(),
-            lexed,
+            lexed: lexer::lex(src),
             test_regions: Vec::new(),
-            is_test_file: false,
-            is_decoder: true,
+            is_test_file: rel.starts_with("tests/"),
+            is_decoder: false,
         };
         let mut d = Vec::new();
-        let mut sites = Vec::new();
-        rules::unsafe_audit(&ctx, &mut d, &mut sites);
-        assert!(d.is_empty(), "{d:?}");
-        assert_eq!(sites.len(), 1);
+        rules::unsafe_audit(&ctx, &mut d);
+        d
+    }
+
+    #[test]
+    fn safety_comment_satisfies_unsafe_audit_locally() {
+        let bare = "unsafe impl Send for X {}\n";
+        let d = unsafe_audit(rules::UNSAFE_MODULE, bare);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("SAFETY"), "{d:?}");
+        let commented = format!("// SAFETY: region is immutable for 'static.\n{bare}");
+        assert!(unsafe_audit(rules::UNSAFE_MODULE, &commented).is_empty());
+    }
+
+    #[test]
+    fn unsafe_is_allowed_only_in_the_unsafe_module() {
+        let src = "// SAFETY: region is immutable for 'static.\nunsafe impl Send for X {}\n";
+        assert!(unsafe_audit(rules::UNSAFE_MODULE, src).is_empty());
+        for rel in ["crates/core/src/mmap.rs", "tests/csv_heap.rs"] {
+            let d = unsafe_audit(rel, src);
+            assert_eq!(d.len(), 1, "{rel}: {d:?}");
+            assert!(d[0].message.contains("outside"), "{rel}: {d:?}");
+            assert_eq!(d[0].line, 2);
+        }
     }
 }

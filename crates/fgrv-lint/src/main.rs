@@ -2,6 +2,8 @@
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,7 +19,6 @@ OPTIONS:
     --root DIR        directory to scan (default: the workspace root)
     --format FMT      `human` (default) or `json`
     --allow FILE      allowlist path (default: ROOT/lint-allow.toml)
-    --registry FILE   unsafe registry (default: ROOT/unsafe-registry.toml)
     --out FILE        also write the rendered report to FILE
     -h, --help        this help
 ";
@@ -26,7 +27,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = String::from("human");
     let mut allow: Option<PathBuf> = None;
-    let mut registry: Option<PathBuf> = None;
     let mut out_file: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -38,7 +38,6 @@ fn main() -> ExitCode {
             "--root" => take("--root").map(|v| root = Some(PathBuf::from(v))),
             "--format" => take("--format").map(|v| format = v),
             "--allow" => take("--allow").map(|v| allow = Some(PathBuf::from(v))),
-            "--registry" => take("--registry").map(|v| registry = Some(PathBuf::from(v))),
             "--out" => take("--out").map(|v| out_file = Some(PathBuf::from(v))),
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -64,9 +63,6 @@ fn main() -> ExitCode {
     let mut cfg = Config::for_root(root);
     if let Some(a) = allow {
         cfg.allowlist_path = a;
-    }
-    if let Some(r) = registry {
-        cfg.registry_path = r;
     }
 
     let report = run(&cfg);

@@ -3,7 +3,7 @@
 //! Each rule walks the token stream of [`crate::lexer::lex`] plus the
 //! per-line comment map; none of them needs a full AST. The rules are
 //! deliberately *deny-by-default*: anything they flag is a hard finding
-//! unless a committed allowlist / registry entry argues it away (see
+//! unless a committed allowlist entry argues it away (see
 //! `docs/ANALYSIS.md` for which rules are suppressible and why).
 
 use crate::lexer::{TokKind, Token};
@@ -178,30 +178,27 @@ fn truncating_cast_target(toks: &[Token], i: usize) -> Option<&'static str> {
 // Rule 2: unsafe audit
 // ---------------------------------------------------------------------
 
-/// An `unsafe` site found in a scanned file.
-#[derive(Debug)]
-pub struct UnsafeSite {
-    /// Repo-relative file.
-    pub file: String,
-    /// 1-indexed line of the `unsafe` keyword.
-    pub line: usize,
-    /// Trimmed text of that line (what registry entries match on).
-    pub snippet: String,
-}
+/// The one file allowed to hold `unsafe` code: the counting allocator
+/// the fuzz harness and the heap tests share. The library crates also
+/// forbid `unsafe_code` at compile time; this rule covers what those
+/// attributes do not reach (binaries, integration tests, examples).
+pub const UNSAFE_MODULE: &str = "crates/fgrv-fuzz/src/alloc.rs";
 
-/// Every `unsafe` keyword must carry an adjacent `// SAFETY:` comment
-/// (within the five lines above it) and is collected for the registry
-/// cross-check in [`crate::run`].
-pub fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>, sites: &mut Vec<UnsafeSite>) {
+/// Every `unsafe` keyword must sit in [`UNSAFE_MODULE`] and carry an
+/// adjacent `// SAFETY:` comment (within the five lines above it).
+pub fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     for t in &ctx.lexed.tokens {
         if !t.is_ident("unsafe") {
             continue;
         }
-        sites.push(UnsafeSite {
-            file: ctx.rel_path.clone(),
-            line: t.line,
-            snippet: ctx.line_text(t.line).trim().to_string(),
-        });
+        if ctx.rel_path != UNSAFE_MODULE {
+            out.push(diag(
+                ctx,
+                "unsafe-audit",
+                t.line,
+                format!("`unsafe` outside `{UNSAFE_MODULE}`, the one module allowed to hold it"),
+            ));
+        }
         let lo = t.line.saturating_sub(5);
         if !ctx.lexed.comment_in_lines_contains(lo, t.line, "SAFETY:") {
             out.push(diag(

@@ -1,4 +1,4 @@
-//! Fixture: unsafe with no SAFETY comment and no registry entry.
+//! Fixture: unsafe with no SAFETY comment, outside the one unsafe module.
 
 /// Two unsafe-audit findings on the same line.
 pub fn peek(p: *const u8) -> u8 {

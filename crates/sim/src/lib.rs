@@ -90,3 +90,52 @@ pub use session::{AbortHandle, ChannelSink, NoopSink, TelemetryEvent, TelemetryS
 pub use telemetry::PowerLog;
 pub use time::{CpuTime, GpuTicks, SimDuration, SimTime};
 pub use trace::{RunTrace, TimedExecution, TimestampRead};
+
+/// Tests of [`rng::SimRng`]'s raw generator: `uniform_u64(0, u64::MAX)` is
+/// the raw 64-bit draw and `uniform(0.0, 1.0)` the raw unit draw. (The
+/// distribution tests live in `rng.rs`.)
+#[cfg(test)]
+mod tests {
+    use super::rng::SimRng;
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = SimRng::from_seed_u64(7);
+        let mut b = SimRng::from_seed_u64(7);
+        for _ in 0..64 {
+            assert_eq!(a.uniform_u64(0, u64::MAX), b.uniform_u64(0, u64::MAX));
+        }
+        let mut c = SimRng::from_seed_u64(8);
+        assert_ne!(
+            SimRng::from_seed_u64(7).uniform_u64(0, u64::MAX),
+            c.uniform_u64(0, u64::MAX)
+        );
+    }
+
+    #[test]
+    fn unit_floats_in_range() {
+        let mut rng = SimRng::from_seed_u64(1);
+        for _ in 0..10_000 {
+            assert!((0.0..1.0).contains(&rng.uniform(0.0, 1.0)));
+        }
+    }
+
+    #[test]
+    fn ranges_respected() {
+        let mut rng = SimRng::from_seed_u64(2);
+        for _ in 0..10_000 {
+            let x = rng.uniform(3.0, 5.0);
+            assert!((3.0..5.0).contains(&x));
+            let y = rng.uniform_u64(10, 20);
+            assert!((10..=20).contains(&y));
+        }
+    }
+
+    #[test]
+    fn float_draws_cover_the_unit_interval() {
+        let mut rng = SimRng::from_seed_u64(3);
+        let n = 20_000;
+        let mean = (0..n).map(|_| rng.uniform(0.0, 1.0)).sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+}

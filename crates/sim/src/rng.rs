@@ -6,9 +6,10 @@
 //! experiments are bit-reproducible and individual runs can be re-derived
 //! in isolation (run *k* of an experiment always sees the same draws no
 //! matter what ran before it).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//!
+//! The generator is xoshiro256++ with SplitMix64 seed expansion. Every
+//! artefact byte the simulator produces is a function of its exact draw
+//! sequence, which the `draws_are_pinned_bit_for_bit` test fixes.
 
 /// Mixes a master seed and a stream id into an independent 64-bit seed.
 ///
@@ -44,14 +45,25 @@ pub fn mix_seed(master: u64, stream: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: StdRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
 }
 
 impl SimRng {
     /// Creates an RNG from a raw 64-bit seed.
     pub fn from_seed_u64(seed: u64) -> Self {
+        // SplitMix64 expansion of the seed into the xoshiro state, per the
+        // xoshiro authors' recommendation.
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
         SimRng {
-            inner: StdRng::seed_from_u64(seed),
+            s: [next(), next(), next(), next()],
         }
     }
 
@@ -61,12 +73,31 @@ impl SimRng {
         Self::from_seed_u64(mix_seed(master, stream))
     }
 
+    /// The next raw 64-bit draw (one xoshiro256++ step).
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
+    }
+
+    /// A uniform draw in `[0, 1)` with 53 bits of precision.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
     /// A uniform draw in `[lo, hi)` (returns `lo` when the range is empty).
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
             return lo;
         }
-        self.inner.gen_range(lo..hi)
+        lo + self.unit() * (hi - lo)
     }
 
     /// A uniform integer draw in `[lo, hi]`.
@@ -74,14 +105,18 @@ impl SimRng {
         if hi <= lo {
             return lo;
         }
-        self.inner.gen_range(lo..=hi)
+        let span = hi - lo;
+        if span == u64::MAX {
+            return lo + self.next_u64();
+        }
+        lo + self.next_u64() % (span + 1)
     }
 
     /// A standard-normal draw via the Box–Muller transform.
     pub fn standard_normal(&mut self) -> f64 {
         // Avoid ln(0) by sampling u1 from (0, 1].
-        let u1: f64 = 1.0 - self.inner.gen::<f64>();
-        let u2: f64 = self.inner.gen::<f64>();
+        let u1 = 1.0 - self.unit();
+        let u2 = self.unit();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
@@ -97,7 +132,7 @@ impl SimRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.unit() < p
         }
     }
 }
@@ -182,5 +217,107 @@ mod tests {
         let mut rng = SimRng::from_streams(3, 4);
         let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
         assert!((2_200..2_800).contains(&hits), "hits {hits}");
+    }
+
+    /// The first eight draws of every distribution, for three seeds, as
+    /// exact bits: the simulator's jitter, outliers and read-latency noise
+    /// (and with them every artefact tree and checkpoint byte) are a pure
+    /// function of these sequences. Draws run in order on one generator
+    /// per seed, one distribution after the other.
+    #[test]
+    fn draws_are_pinned_bit_for_bit() {
+        struct Pin {
+            seed: u64,
+            unit: [u64; 8],
+            range: [u64; 8],
+            small_int: [u64; 8],
+            full_int: [u64; 8],
+            normal: [u64; 8],
+            chance: [bool; 8],
+        }
+        const T: bool = true;
+        const F: bool = false;
+        #[rustfmt::skip]
+        let pins = [
+            Pin {
+                seed: 0,
+                unit: [
+                    0x3fd4c5d7585242c8, 0x3fd8769bcf70e034, 0x3fd703f7e47b269e, 0x3f8775fc61ddf2c0,
+                    0x3fdfb2813aebd296, 0x3f950f0ddd5fc220, 0x3feb6e9218eb56a0, 0x3feb0e687cc8c979,
+                ],
+                range: [
+                    0x4011aac250439c02, 0x4007dc3342070d77, 0x40122d756d14afaa, 0x40076f8978937697,
+                    0x40096b6951a9ba7a, 0x4008e0d3fc4f72f6, 0x40076bc96f1182f3, 0x401468b677fc7416,
+                ],
+                small_int: [18, 18, 19, 10, 13, 17, 11, 19],
+                full_int: [
+                    0x6f2fa9d01ba03887, 0x60c57eba69ed4e15, 0x22c65ce977dd39cb, 0xa5d1ce0c5a7c6abf,
+                    0xe8e26337cde13268, 0x0b4a575fdb6f8160, 0x400feb0bae786424, 0x633e0b621080bf50,
+                ],
+                normal: [
+                    0x3fe330896d298ca6, 0x3fe2a05a905d41c9, 0x3fe3ce0c271a527a, 0x3fe50d6a4d4f2632,
+                    0xbfd7f94604f0f345, 0x3feb97fd85c47271, 0x3fbba69051aa7a8c, 0x3fd65dd72768ae03,
+                ],
+                chance: [T, F, F, F, F, T, T, F],
+            },
+            Pin {
+                seed: 7,
+                unit: [
+                    0x3fac583400555d20, 0x3fc607e46efd274c, 0x3fe6f66236761a8b, 0x3fdb5767da98c600,
+                    0x3feed64c7e5eaf20, 0x3fddce16d89f08b0, 0x3fe72a3f366c43d4, 0x3fd51c16d6b70078,
+                ],
+                range: [
+                    0x4021c52b76e9feec, 0x4007cf8dc7903b37, 0x4009f0c783e1a5af, 0x400cf13d69552976,
+                    0x401d1454a6a0adb4, 0x4009e165d2fba58d, 0x4016dc4aa88dae5d, 0x40090ef0fdc1dd3e,
+                ],
+                small_int: [13, 14, 11, 15, 15, 10, 19, 10],
+                full_int: [
+                    0xd7c7fc5d5daafb0e, 0x017b70beb6f81a0c, 0x016319a0b87a7819, 0x1edc5ff1a2b08acd,
+                    0x62812fd26c706e7f, 0x492d307ed802cc43, 0xcd9910de6a7d1f80, 0x15442e144b8d2440,
+                ],
+                normal: [
+                    0x3fe2fc49218a864d, 0xbfe5a072e4940b6c, 0xbfe4de5532a487f3, 0xbfbdf175054d7349,
+                    0xbffff36e3da19d8d, 0xbfd23dc9c8c3c65d, 0xbfdf099ff09920ec, 0x3fe755651124e9fd,
+                ],
+                chance: [T, F, T, F, T, F, F, F],
+            },
+            Pin {
+                seed: u64::MAX,
+                unit: [
+                    0x3fd5b33e33a52388, 0x3fecd0b10865cb4b, 0x3fec7d36b4902339, 0x3fd183c652554caa,
+                    0x3fe4fac4081d524c, 0x3fd9bc7ecab2500a, 0x3fec48768fbd14e7, 0x3fdf24ff6ad31ece,
+                ],
+                range: [
+                    0x401a8194859900d1, 0x40201a41bbab663a, 0x4012e41b305cf89c, 0x401abc67437c06c7,
+                    0x4021035034690f22, 0x40070d9a16f8aa89, 0x4010f179a69fb423, 0x401280192e1f0060,
+                ],
+                small_int: [17, 10, 20, 18, 18, 11, 16, 18],
+                full_int: [
+                    0x0d0558fb1ed8fbf6, 0xbf6140c009d32a28, 0x363832457392cb36, 0xece17275d8bef338,
+                    0x46aca8e7c4caefc3, 0x60a5fd65d8c1d9ea, 0xed2b084f1f5e47fd, 0xd1d63815128a7b6a,
+                ],
+                normal: [
+                    0x3fe5125203cb46d4, 0x3fe2e29d3fcd5574, 0xbff2815fe0dd0128, 0xbfe3897d4e37bbf0,
+                    0x3fc1142222efe397, 0x3fe5d5d27afb9b04, 0xbfe827509d4f7803, 0xbfee368cf5fb0094,
+                ],
+                chance: [T, T, T, F, T, F, F, F],
+            },
+        ];
+        for pin in pins {
+            let mut rng = SimRng::from_seed_u64(pin.seed);
+            let unit = pin.unit.map(|_| rng.uniform(0.0, 1.0).to_bits());
+            let range = pin.range.map(|_| rng.uniform(2.5, 9.0).to_bits());
+            let small_int = pin.small_int.map(|_| rng.uniform_u64(10, 20));
+            let full_int = pin.full_int.map(|_| rng.uniform_u64(0, u64::MAX));
+            let normal = pin.normal.map(|_| rng.standard_normal().to_bits());
+            let chance = pin.chance.map(|_| rng.chance(0.3));
+            let seed = pin.seed;
+            assert_eq!(unit, pin.unit, "uniform(0, 1), seed {seed}");
+            assert_eq!(range, pin.range, "uniform(2.5, 9), seed {seed}");
+            assert_eq!(small_int, pin.small_int, "uniform_u64(10, 20), seed {seed}");
+            assert_eq!(full_int, pin.full_int, "uniform_u64(0, MAX), seed {seed}");
+            assert_eq!(normal, pin.normal, "standard_normal, seed {seed}");
+            assert_eq!(chance, pin.chance, "chance(0.3), seed {seed}");
+        }
     }
 }

@@ -46,6 +46,7 @@
 //! Runnable examples live in `examples/`; the paper's tables and figures
 //! are regenerated by the binaries in the `fingrav-bench` crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

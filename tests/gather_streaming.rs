@@ -1,20 +1,19 @@
 //! Streaming-gather memory guarantee: merging an 8-shard checkpoint with
 //! [`gather_stores`] peaks at roughly *one* shard's worth of transient
 //! heap beyond the exactly-sized output stores — not all eight resident
-//! at once — measured with a counting global allocator. The gathered
-//! stores are byte-identical to the decode-everything merge, the output
-//! columns are sized exactly (no growth reallocation), and a tampered
-//! crash-window duplicate is still rejected with the shard ids and the
-//! first differing column named.
+//! at once — measured with the counting allocator `fgrv-fuzz` installs.
+//! The gathered stores are byte-identical to the decode-everything merge,
+//! the output columns are sized exactly (no growth reallocation), and a
+//! tampered crash-window duplicate is still rejected with the shard ids
+//! and the first differing column named.
 //!
-//! This file intentionally holds a single `#[test]`: the allocator
-//! counters are process-global, so a second concurrently-running test
-//! would pollute the peak measurement.
+//! The allocator's counters are per-thread and `gather_stores` runs on
+//! the calling thread, so the peak is the gather's own, whatever other
+//! tests run alongside.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
+use fgrv_fuzz::alloc::{self, CountingAlloc};
 use fingrav::core::campaign::Campaign;
 use fingrav::core::checkpoint::{
     campaign_digest, gather, gather_stores, CampaignManifest, CheckpointDir, CheckpointError,
@@ -31,66 +30,8 @@ use fingrav::sim::time::SimDuration;
 mod common;
 use common::build_store;
 
-// ---------------------------------------------------------------------
-// Counting allocator
-// ---------------------------------------------------------------------
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-fn on_alloc(n: usize) {
-    let now = CURRENT.fetch_add(n, Ordering::SeqCst) + n;
-    PEAK.fetch_max(now, Ordering::SeqCst);
-}
-
-fn on_dealloc(n: usize) {
-    CURRENT.fetch_sub(n, Ordering::SeqCst);
-}
-
-// SAFETY: every method delegates verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the wrapper only adjusts counters around the
-// delegated calls and never fabricates or retains pointers.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: caller contract is forwarded unchanged to `System.alloc`.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            on_alloc(layout.size());
-        }
-        p
-    }
-
-    // SAFETY: same delegation argument as the impl-level comment.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from our `alloc`, which returned
-        // them from `System.alloc` with the same layout.
-        unsafe { System.dealloc(ptr, layout) };
-        on_dealloc(layout.size());
-    }
-
-    // SAFETY: same delegation argument as the impl-level comment.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: caller contract is forwarded unchanged to `System.realloc`.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            on_dealloc(layout.size());
-            on_alloc(new_size);
-        }
-        p
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Resets the peak to the current level and returns the current level.
-fn reset_peak() -> usize {
-    let now = CURRENT.load(Ordering::SeqCst);
-    PEAK.store(now, Ordering::SeqCst);
-    now
-}
 
 // ---------------------------------------------------------------------
 // Fixture: an 8-shard checkpoint with large per-entry profiles
@@ -183,10 +124,6 @@ fn scratch_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fingrav-gather-{tag}-{}", std::process::id()))
 }
 
-// ---------------------------------------------------------------------
-// The single test (see module docs on why it must stay single)
-// ---------------------------------------------------------------------
-
 #[test]
 fn gather_streams_one_shard_at_a_time() {
     // -- build the 8-shard checkpoint ----------------------------------
@@ -222,9 +159,11 @@ fn gather_streams_one_shard_at_a_time() {
     let output_heap = exact_store_heap(run_total) + 2 * exact_store_heap(loi_total);
 
     // -- probe: gather_stores peaks at output + ~one shard -------------
-    let before = reset_peak();
+    alloc::reset_peak();
+    let before = alloc::peak();
     let stores = gather_stores(&dir, &campaign).expect("gather_stores succeeds");
-    let peak_extra = PEAK.load(Ordering::SeqCst) - before;
+    let peak_extra = alloc::peak() - before;
+    assert!(alloc::active(), "the counting allocator must be installed");
 
     // The transient budget: the three exactly-sized outputs, at most two
     // entry files resident at once (a primary and a would-be duplicate,

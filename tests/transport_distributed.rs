@@ -1009,3 +1009,104 @@ fn dropping_the_service_cancels_queued_and_serving_campaigns() {
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// A panic inside one served campaign stays inside it. The campaigns
+/// before and after it are served byte-identically to the reference; the
+/// panicking one's ticket returns the typed error with the panic message,
+/// and its directory is a checkpoint that a local resume completes. The
+/// service still drops cleanly.
+#[test]
+fn a_panicking_observer_fails_only_its_own_campaign() {
+    struct PanicOnStart;
+    impl CampaignObserver for PanicOnStart {
+        fn entry_started(&self, _index: usize, _label: &str) {
+            panic!("observer gave up on entry");
+        }
+    }
+    let campaign = campaign_of(2);
+    let root = temp_root("panic");
+    let (ref_report, ref_stores, ref_csvs) = reference(&campaign, &root.join("reference"));
+    let dirs = [root.join("before"), root.join("panics"), root.join("after")];
+
+    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = service.local_addr().unwrap();
+    let tickets = [
+        service.submit(campaign.clone(), &dirs[0]),
+        service.submit_with(
+            campaign.clone(),
+            &dirs[1],
+            ErrorPolicy::default(),
+            Some(Arc::new(PanicOnStart)),
+        ),
+        service.submit(campaign.clone(), &dirs[2]),
+    ];
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for sequence in 0..3u64 {
+                loop {
+                    let stream = connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+                    let result = work(
+                        stream,
+                        &campaign,
+                        &factory(),
+                        &NoopCampaignObserver,
+                        &CancellationToken::new(),
+                        &WorkerOptions {
+                            sequence,
+                            ..WorkerOptions::default()
+                        },
+                    );
+                    match result {
+                        Err(TransportError::Denied { code, .. }) if code == DENY_SEQUENCE_EARLY => {
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        // The panicking campaign drops the connection.
+                        _ if sequence == 1 => break,
+                        Ok(summary) => {
+                            assert!(summary.campaign_complete);
+                            break;
+                        }
+                        Err(other) => panic!("worker failed on sequence {sequence}: {other}"),
+                    }
+                }
+            }
+        });
+    });
+
+    match tickets[1].wait() {
+        Err(MethodologyError::Panicked(message)) => {
+            assert!(message.contains("observer gave up"), "{message}");
+        }
+        other => panic!("expected the contained panic, got {other:?}"),
+    }
+    let resumed = CampaignExecutor::serial()
+        .run(&campaign, &factory(), resume(&dirs[1]))
+        .unwrap()
+        .into_report()
+        .unwrap();
+    for (dir, report, what) in [
+        (
+            &dirs[0],
+            tickets[0].wait().unwrap().into_report().unwrap(),
+            "before the panic",
+        ),
+        (&dirs[1], resumed, "panicked, then resumed locally"),
+        (
+            &dirs[2],
+            tickets[2].wait().unwrap().into_report().unwrap(),
+            "after the panic",
+        ),
+    ] {
+        assert_identical(
+            &campaign,
+            dir,
+            &report,
+            &ref_report,
+            &ref_stores,
+            &ref_csvs,
+            what,
+        );
+    }
+    drop(service);
+    std::fs::remove_dir_all(&root).unwrap();
+}
