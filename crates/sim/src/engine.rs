@@ -111,7 +111,9 @@ struct HotLoop {
     /// Thermal relaxation factor for one sensor period.
     sensor_decay: f64,
     completion_latency: SimDuration,
-    record_instant_trace: bool,
+    /// Record [`crate::trace::GroundTruth`]'s timelines (see
+    /// [`crate::telemetry::TelemetryConfig::record_instant_trace`]).
+    record_truth: bool,
 }
 
 /// A persistent simulated profiling session on one GPU.
@@ -217,7 +219,7 @@ impl Simulation {
             idle_fallback: SimDuration::from_millis(1_000_000),
             sensor_decay: thermal.decay_for(cfg.telemetry.sensor_period.as_secs_f64()),
             completion_latency: cfg.host.completion_latency,
-            record_instant_trace: cfg.telemetry.record_instant_trace,
+            record_truth: cfg.telemetry.record_instant_trace,
         };
         let f0 = device.f_mhz();
         let freq_cache = (f0.to_bits(), power_model.freq_factors(f0));
@@ -402,10 +404,12 @@ impl Simulation {
         ops.extend_from_slice(script.ops());
         let mut trace = RunTrace::default();
         trace.executions.reserve(expected_execs);
-        trace.truth.executions.reserve(expected_execs);
         trace.timestamp_reads.reserve(expected_reads);
-        // DVFS moves a few dozen times per run at most.
-        trace.truth.freq_changes.reserve(32);
+        if self.hot.record_truth {
+            trace.truth.executions.reserve(expected_execs);
+            // DVFS moves a few dozen times per run at most.
+            trace.truth.freq_changes.reserve(32);
+        }
 
         self.script = Some(ScriptState {
             ops,
@@ -425,9 +429,11 @@ impl Simulation {
         self.arm_on_grid(self.hot.coarse_period, SLOT_COARSE_EMIT);
 
         // Record the initial frequency so the truth timeline has an origin.
-        let f0 = self.device.f_mhz();
-        if let Some(s) = self.script.as_mut() {
-            s.trace.truth.freq_changes.push((self.now, f0));
+        if self.hot.record_truth {
+            let f0 = self.device.f_mhz();
+            if let Some(s) = self.script.as_mut() {
+                s.trace.truth.freq_changes.push((self.now, f0));
+            }
         }
 
         sink.on_event(TelemetryEvent::ScriptStarted {
@@ -535,7 +541,7 @@ impl Simulation {
             .step_decayed(self.hot.sensor_decay, power.total());
         self.samples.push(t, power);
 
-        if self.hot.record_instant_trace {
+        if self.hot.record_truth {
             if let Some(s) = self.script.as_mut() {
                 s.trace.truth.instant_power.push((t, power));
             }
@@ -570,8 +576,10 @@ impl Simulation {
             self.pm.tick_busy(PowerEstimate::exact(idle), || idle)
         };
         if (new_f - self.device.f_mhz()).abs() > f64::EPSILON {
-            if let Some(s) = self.script.as_mut() {
-                s.trace.truth.freq_changes.push((t, new_f));
+            if self.hot.record_truth {
+                if let Some(s) = self.script.as_mut() {
+                    s.trace.truth.freq_changes.push((t, new_f));
+                }
             }
             if let Some((generation, end)) = self.device.set_frequency(new_f, t) {
                 self.queue.schedule(end, Event::KernelEnd { generation });
@@ -600,16 +608,18 @@ impl Simulation {
         let t = self.now;
         if let Some(record) = self.device.complete(generation, t) {
             let completion = self.hot.completion_latency;
-            let s = self.script.as_mut().expect("script in progress");
-            let index = s.launch.as_ref().map(|l| l.completed).unwrap_or(u32::MAX);
-            s.trace.truth.executions.push(TrueExecution {
-                kernel: record.kernel,
-                start: record.start,
-                end: record.end,
-                index,
-                execs_since_cold: record.execs_since_cold,
-                outlier: record.outlier,
-            });
+            if self.hot.record_truth {
+                let s = self.script.as_mut().expect("script in progress");
+                let index = s.launch.as_ref().map(|l| l.completed).unwrap_or(u32::MAX);
+                s.trace.truth.executions.push(TrueExecution {
+                    kernel: record.kernel,
+                    start: record.start,
+                    end: record.end,
+                    index,
+                    execs_since_cold: record.execs_since_cold,
+                    outlier: record.outlier,
+                });
+            }
             self.queue
                 .schedule(t + completion, Event::HostResume(HostPhase::KernelComplete));
         }
@@ -850,10 +860,6 @@ mod tests {
         Simulation::new(SimConfig::default(), seed).unwrap()
     }
 
-    fn det_sim(seed: u64) -> Simulation {
-        Simulation::new(SimConfig::deterministic(), seed).unwrap()
-    }
-
     #[test]
     fn empty_script_is_a_noop() {
         let mut s = sim(1);
@@ -884,7 +890,9 @@ mod tests {
 
     #[test]
     fn executions_are_timed_and_counted() {
-        let mut s = det_sim(1);
+        let mut cfg = SimConfig::deterministic();
+        cfg.telemetry.record_instant_trace = true;
+        let mut s = Simulation::new(cfg, 1).unwrap();
         let k = s.register_kernel(light()).unwrap();
         let script = Script::builder().begin_run().launch_timed(k, 5).build();
         let trace = s.run_script(&script).unwrap();
@@ -971,10 +979,13 @@ mod tests {
 
     #[test]
     fn light_kernel_does_not_hit_deep_throttle() {
-        let mut s = sim(5);
+        let mut cfg = SimConfig::default();
+        cfg.telemetry.record_instant_trace = true;
+        let mut s = Simulation::new(cfg, 5).unwrap();
         let k = s.register_kernel(light()).unwrap();
         let script = Script::builder().launch_timed(k, 50).build();
         let trace = s.run_script(&script).unwrap();
+        assert!(!trace.truth.freq_changes.is_empty());
         let min_f = trace
             .truth
             .freq_changes
@@ -1009,7 +1020,9 @@ mod tests {
 
     #[test]
     fn warm_up_executions_are_slower() {
-        let mut s = sim(6);
+        let mut cfg = SimConfig::default();
+        cfg.telemetry.record_instant_trace = true;
+        let mut s = Simulation::new(cfg, 6).unwrap();
         let k = s.register_kernel(heavy()).unwrap();
         let script = Script::builder().begin_run().launch_timed(k, 8).build();
         let trace = s.run_script(&script).unwrap();
@@ -1151,7 +1164,9 @@ mod tests {
 
     #[test]
     fn zero_execution_launch_is_a_noop() {
-        let mut s = sim(15);
+        let mut cfg = SimConfig::default();
+        cfg.telemetry.record_instant_trace = true;
+        let mut s = Simulation::new(cfg, 15).unwrap();
         let k = s.register_kernel(light()).unwrap();
         let script = Script::builder().launch_timed(k, 0).build();
         let trace = s.run_script(&script).unwrap();

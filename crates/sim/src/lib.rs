@@ -18,7 +18,11 @@
 //!   clock against a socket power cap, coupled to an RC thermal model.
 //!
 //! The methodology itself lives in `fingrav-core` and only ever sees the
-//! observable half of a [`trace::RunTrace`].
+//! observable half of a [`trace::RunTrace`]. The ground-truth half is
+//! recorded only when a session asks for it through
+//! [`telemetry::TelemetryConfig::record_instant_trace`], which tests and
+//! accuracy checks do; a methodology session leaves it off and pays
+//! nothing for it.
 //!
 //! ## Quick start
 //!

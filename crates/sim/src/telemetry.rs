@@ -39,8 +39,10 @@ pub struct TelemetryConfig {
     pub coarse_period: SimDuration,
     /// Averaging window of the coarse logger.
     pub coarse_window: SimDuration,
-    /// If true, the full instantaneous power trace is recorded in the run
-    /// trace (ground truth for tests; expensive for long experiments).
+    /// If true, each run trace records ground truth: true executions, the
+    /// frequency timeline and instantaneous power (see
+    /// [`crate::trace::GroundTruth`]). For validating the methodology;
+    /// off by default, and expensive for long experiments.
     pub record_instant_trace: bool,
 }
 

@@ -7,6 +7,11 @@
 //! simulator's omniscient record, available for validating the methodology
 //! in tests — real hardware has no such oracle, which is the entire reason
 //! the FinGraV methodology exists.
+//!
+//! Ground truth is recorded only on request
+//! ([`crate::telemetry::TelemetryConfig::record_instant_trace`]). By
+//! default its timelines stay empty and never allocate, so a methodology
+//! session, which reads only the observable half, does not pay for it.
 
 use crate::kernel::KernelHandle;
 use crate::power::ComponentPower;
@@ -77,16 +82,21 @@ impl TrueExecution {
 }
 
 /// Simulator-omniscient information for validating the methodology.
+///
+/// The three timelines are filled only when
+/// [`crate::telemetry::TelemetryConfig::record_instant_trace`] is set;
+/// otherwise they are empty `Vec`s with no capacity. `final_temp_c` is
+/// always set.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroundTruth {
     /// True kernel execution intervals.
     pub executions: Vec<TrueExecution>,
-    /// Core-frequency changes: `(time, new MHz)`.
+    /// Core-frequency changes: `(time, new MHz)`, starting with the
+    /// frequency at script start.
     pub freq_changes: Vec<(SimTime, f64)>,
     /// Die temperature at the end of the script, °C.
     pub final_temp_c: f64,
-    /// Instantaneous power trace (only if
-    /// [`crate::telemetry::TelemetryConfig::record_instant_trace`] is set).
+    /// Instantaneous power at every sensor sample.
     pub instant_power: Vec<(SimTime, ComponentPower)>,
 }
 

@@ -10,11 +10,16 @@
 //!   divides none of the windows. The digests were taken from the
 //!   three-deque implementation the ring replaced.
 //! * The exact-fold fallback counter in `EngineStats`.
+//! * Ground truth on request: a session records it only when
+//!   `record_instant_trace` is set, and the observable bytes are the same
+//!   either way.
 
 mod common;
 
 use common::{DequeLogger, DequePmWindow};
+use fingrav::core::backend::{BackendFactory, PowerBackend, SimulationFactory};
 use fingrav::core::runner::{FingravRunner, LoggerChoice, RunnerConfig};
+use fingrav::core::stages::StagePipeline;
 use fingrav::sim::dvfs::{PmConfig, PmFirmware, PmInput};
 use fingrav::sim::script::Script;
 use fingrav::sim::telemetry::{AveragingPowerLogger, SampleRing};
@@ -192,9 +197,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Canonical little-endian bytes of a trace: every observable record and
-/// the ground-truth timeline, floats as raw bit patterns.
-fn trace_bytes(trace: &RunTrace, out: &mut Vec<u8>) {
+/// Canonical little-endian bytes of every observable record of a trace,
+/// floats as raw bit patterns.
+fn observable_bytes(trace: &RunTrace, out: &mut Vec<u8>) {
     let mut put = |v: u64| out.extend_from_slice(&v.to_le_bytes());
     put(trace.executions.len() as u64);
     for e in &trace.executions {
@@ -219,6 +224,12 @@ fn trace_bytes(trace: &RunTrace, out: &mut Vec<u8>) {
         }
     }
     put(u64::from(trace.aborted));
+}
+
+/// [`observable_bytes`] followed by the ground-truth timeline.
+fn trace_bytes(trace: &RunTrace, out: &mut Vec<u8>) {
+    observable_bytes(trace, out);
+    let mut put = |v: u64| out.extend_from_slice(&v.to_le_bytes());
     put(trace.truth.executions.len() as u64);
     for e in &trace.truth.executions {
         put(e.start.as_nanos());
@@ -249,7 +260,22 @@ fn odd_config() -> SimConfig {
     cfg.telemetry.coarse_window = SimDuration::from_millis(3);
     cfg.telemetry.coarse_period = SimDuration::from_millis(4);
     cfg.pm.power_window = SimDuration::from_millis(5);
+    cfg.telemetry.record_instant_trace = true;
     cfg
+}
+
+/// The `perf` binary's `run/noop` profiling script for `kernel`.
+fn run_noop_script(kernel: fingrav::sim::KernelHandle) -> Script {
+    Script::builder()
+        .begin_run()
+        .start_power_logger()
+        .read_gpu_timestamp()
+        .launch_timed(kernel, 24)
+        .sleep(SimDuration::from_millis(1))
+        .read_gpu_timestamp()
+        .stop_power_logger()
+        .sleep(SimDuration::from_millis(8))
+        .build()
 }
 
 #[test]
@@ -309,21 +335,13 @@ fn exact_pm_folds_are_rare_on_a_throttling_run_and_absent_when_idle() {
     // The `perf` binary's `run/noop` profiling run: CB-GEMM-4096 hits the
     // cap, so the firmware throttles.
     let machine = SimConfig::default().machine;
-    let mut sim = Simulation::new(SimConfig::default(), 7).expect("valid");
+    let mut cfg = SimConfig::default();
+    cfg.telemetry.record_instant_trace = true;
+    let mut sim = Simulation::new(cfg, 7).expect("valid");
     let k = sim
         .register_kernel(suite::cb_gemm(&machine, 4096))
         .expect("valid kernel");
-    let script = Script::builder()
-        .begin_run()
-        .start_power_logger()
-        .read_gpu_timestamp()
-        .launch_timed(k, 24)
-        .sleep(SimDuration::from_millis(1))
-        .read_gpu_timestamp()
-        .stop_power_logger()
-        .sleep(SimDuration::from_millis(8))
-        .build();
-    let trace = sim.run_script(&script).expect("runs");
+    let trace = sim.run_script(&run_noop_script(k)).expect("runs");
     let freqs: Vec<f64> = trace.truth.freq_changes.iter().map(|&(_, f)| f).collect();
     assert!(
         freqs.windows(2).any(|w| w[1] < w[0]),
@@ -355,4 +373,78 @@ fn exact_pm_folds_are_rare_on_a_throttling_run_and_absent_when_idle() {
     idle.advance_idle(SimDuration::from_millis(50))
         .expect("idle");
     assert_eq!(idle.engine_stats().pm_exact_folds, 0);
+}
+
+#[test]
+fn ground_truth_is_recorded_only_on_request_and_moves_no_observable_byte() {
+    let machine = SimConfig::default().machine;
+    let session = |record: bool| {
+        let mut cfg = SimConfig::default();
+        cfg.telemetry.record_instant_trace = record;
+        let mut sim = Simulation::new(cfg, 7).expect("valid");
+        let k = sim
+            .register_kernel(suite::cb_gemm(&machine, 4096))
+            .expect("valid kernel");
+        let traces: Vec<RunTrace> = (0..3)
+            .map(|_| sim.run_script(&run_noop_script(k)).expect("runs"))
+            .collect();
+        (traces, sim.engine_stats())
+    };
+    let (on, on_stats) = session(true);
+    let (off, off_stats) = session(false);
+    assert_eq!(on_stats, off_stats, "truth moves no event");
+    for (on, off) in on.iter().zip(&off) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        observable_bytes(on, &mut a);
+        observable_bytes(off, &mut b);
+        assert_eq!(a, b, "truth moves no observable byte");
+        assert_eq!(
+            on.truth.final_temp_c.to_bits(),
+            off.truth.final_temp_c.to_bits()
+        );
+        assert_eq!(on.truth.executions.len(), 24);
+        assert!(!on.truth.freq_changes.is_empty() && !on.truth.instant_power.is_empty());
+        let truth = &off.truth;
+        assert_eq!(
+            (
+                truth.executions.capacity(),
+                truth.freq_changes.capacity(),
+                truth.instant_power.capacity()
+            ),
+            (0, 0, 0),
+            "an unrequested truth never allocates"
+        );
+    }
+}
+
+#[test]
+fn collect_runs_on_the_default_factory_records_no_truth() {
+    let machine = SimConfig::default().machine;
+    let factory = SimulationFactory::new(SimConfig::default(), 11);
+    let mut sim = factory.create(0).expect("valid");
+    let desc = suite::cb_gemm(&machine, 4096);
+    let handle = PowerBackend::register_kernel(&mut sim, &desc).expect("valid kernel");
+    let mut pipeline = StagePipeline::new(&mut sim, RunnerConfig::quick(8)).expect("valid");
+    let calibration = pipeline.calibrate().expect("calibrates");
+    let timing = pipeline.timing_probe(handle, &calibration).expect("times");
+    let ssp = pipeline
+        .ssp_search(handle, &calibration, &timing)
+        .expect("finds the SSP");
+    let collection = pipeline
+        .collect_runs(handle, &desc.name, &calibration, &timing, &ssp)
+        .expect("collects");
+    assert!(!collection.collected.is_empty());
+    for run in &collection.collected {
+        let truth = &run.trace.truth;
+        assert!(!run.trace.executions.is_empty());
+        assert_eq!(
+            (
+                truth.executions.capacity(),
+                truth.freq_changes.capacity(),
+                truth.instant_power.capacity()
+            ),
+            (0, 0, 0),
+            "a methodology run pays for no truth"
+        );
+    }
 }

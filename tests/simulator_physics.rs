@@ -39,8 +39,10 @@ fn instantaneous_power_stays_in_physical_bounds() {
 
 #[test]
 fn frequency_stays_within_limits() {
-    let trace = heavy_run(SimConfig::default(), 92);
-    let cfg = SimConfig::default();
+    let mut cfg = SimConfig::default();
+    cfg.telemetry.record_instant_trace = true;
+    let trace = heavy_run(cfg.clone(), 92);
+    assert!(!trace.truth.freq_changes.is_empty());
     for &(_, f) in &trace.truth.freq_changes {
         assert!(
             f >= cfg.pm.f_min_mhz.min(cfg.pm.idle_f_mhz) - 1e-9,

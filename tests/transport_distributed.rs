@@ -5,26 +5,27 @@
 //! serial run.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fingrav::core::backend::{FnBackendFactory, SimulationFactory};
 use fingrav::core::campaign::{Campaign, CampaignReport};
 use fingrav::core::checkpoint::{gather, CheckpointDir};
-use fingrav::core::error::MethodologyError;
+use fingrav::core::error::{MethodologyError, MethodologyResult};
 use fingrav::core::executor::{
-    CampaignExecutor, CampaignObserver, CancellationToken, CheckpointMode, ErrorPolicy,
-    NoopCampaignObserver, RunOptions,
+    CampaignExecutor, CampaignObserver, CampaignOutcome, CancellationToken, CheckpointMode,
+    ErrorPolicy, NoopCampaignObserver, RunOptions,
 };
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
 use fingrav::core::transport::{
     connect_with_retry, read_preamble, work, write_preamble, CampaignPhase, CampaignService,
-    CampaignTicket, Frame, ServiceConfig, TransportError, WorkerOptions, DENY_DIGEST_MISMATCH,
-    DENY_SEQUENCE_EARLY, DENY_SEQUENCE_PASSED, WIRE_MAGIC,
+    CampaignTicket, Frame, ServiceConfig, TransportError, WorkerOptions, WorkerSummary,
+    DENY_DIGEST_MISMATCH, DENY_SEQUENCE_EARLY, DENY_SEQUENCE_PASSED, WIRE_MAGIC,
 };
 use fingrav::sim::config::SimConfig;
 use fingrav::sim::engine::Simulation;
@@ -34,6 +35,102 @@ use fingrav::sim::time::SimDuration;
 
 mod common;
 use common::{fresh, resume};
+
+/// How long any one served campaign may take here: far longer than the
+/// slowest test needs, so only a campaign that never finishes hits it.
+const WAIT_DEADLINE: Duration = Duration::from_secs(120);
+
+/// [`CampaignTicket::wait`] with a deadline: a served campaign that never
+/// finishes fails its test with the phase it is stuck in, instead of
+/// stalling the whole suite.
+fn wait_within(ticket: &CampaignTicket, deadline: Duration) -> MethodologyResult<CampaignOutcome> {
+    let (tx, rx) = mpsc::channel();
+    let waited = ticket.clone();
+    // Joined once it has sent; past the deadline it is left blocked.
+    let waiter = std::thread::spawn(move || {
+        tx.send(waited.wait()).ok();
+    });
+    match rx.recv_timeout(deadline) {
+        Ok(outcome) => {
+            waiter.join().expect("the waiting thread has sent");
+            outcome
+        }
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "campaign {} still {:?} after {deadline:?}",
+            ticket.sequence(),
+            ticket.phase()
+        ),
+        Err(RecvTimeoutError::Disconnected) => {
+            panic!("waiting on campaign {} panicked", ticket.sequence())
+        }
+    }
+}
+
+/// A test's [`CampaignService`] on a loopback port. Dropping a service
+/// joins its thread, so a test that fails while that thread is wedged
+/// would hang in the drop; this one leaves the thread behind instead and
+/// lets the failure show.
+struct TestService(Option<CampaignService>);
+
+fn serve(config: ServiceConfig) -> TestService {
+    TestService(Some(CampaignService::bind("127.0.0.1:0", config).unwrap()))
+}
+
+impl TestService {
+    fn shutdown(mut self) {
+        self.0.take().expect("service").shutdown();
+    }
+}
+
+impl std::ops::Deref for TestService {
+    type Target = CampaignService;
+
+    fn deref(&self) -> &CampaignService {
+        self.0.as_ref().expect("service")
+    }
+}
+
+impl Drop for TestService {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            std::mem::forget(self.0.take());
+        }
+    }
+}
+
+/// Works campaign `sequence` of the service at `addr` as one worker,
+/// retrying while the service is still on an earlier campaign. A campaign
+/// whose turn does not come within [`WAIT_DEADLINE`] fails the test.
+fn work_when_due(
+    addr: SocketAddr,
+    campaign: &Campaign,
+    sequence: u64,
+) -> Result<WorkerSummary, TransportError> {
+    let started = Instant::now();
+    loop {
+        let stream = connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+        match work(
+            stream,
+            campaign,
+            &factory(),
+            &NoopCampaignObserver,
+            &CancellationToken::new(),
+            &WorkerOptions {
+                sequence,
+                ..WorkerOptions::default()
+            },
+        ) {
+            Err(TransportError::Denied { code, .. }) if code == DENY_SEQUENCE_EARLY => {
+                assert!(
+                    started.elapsed() < WAIT_DEADLINE,
+                    "campaign {sequence} was not served within {WAIT_DEADLINE:?}"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            result => return result,
+        }
+    }
+}
 
 fn kernel(name: &str, us: u64, xcd: f64) -> KernelDesc {
     KernelDesc {
@@ -168,7 +265,7 @@ fn kill_and_reconnect_at_every_entry_boundary() {
     // covering the abort *inside* every entry as well as every boundary.
     for kill_at in 1..=campaign.len() {
         let dir = root.join(format!("kill-{kill_at}"));
-        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let service = serve(ServiceConfig::default());
         let addr = service.local_addr().unwrap();
         let ticket = service.submit(campaign.clone(), &dir);
         let killer = KillAtStart::new(kill_at);
@@ -200,7 +297,10 @@ fn kill_and_reconnect_at_every_entry_boundary() {
         )
         .unwrap();
         assert!(summary.campaign_complete);
-        let report = ticket.wait().unwrap().into_report().unwrap();
+        let report = wait_within(&ticket, WAIT_DEADLINE)
+            .unwrap()
+            .into_report()
+            .unwrap();
         assert_identical(
             &campaign,
             &dir,
@@ -222,7 +322,7 @@ fn abrupt_disconnects_and_corrupt_peers_replan() {
     let digest = fingrav::core::checkpoint::campaign_digest(&campaign);
 
     let dir = root.join("served");
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let addr = service.local_addr().unwrap();
     let ticket = service.submit(campaign.clone(), &dir);
 
@@ -317,7 +417,10 @@ fn abrupt_disconnects_and_corrupt_peers_replan() {
     .unwrap();
     assert!(summary.campaign_complete);
     assert_eq!(summary.completed.len(), campaign.len());
-    let report = ticket.wait().unwrap().into_report().unwrap();
+    let report = wait_within(&ticket, WAIT_DEADLINE)
+        .unwrap()
+        .into_report()
+        .unwrap();
     assert_identical(
         &campaign,
         &dir,
@@ -335,7 +438,7 @@ fn handshake_rejects_foreign_versioned_and_mismatched_peers() {
     let campaign = campaign_of(2);
     let root = temp_root("handshake");
     let dir = root.join("served");
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let addr = service.local_addr().unwrap();
     let ticket = service.submit(campaign.clone(), &dir);
 
@@ -387,7 +490,7 @@ fn handshake_rejects_foreign_versioned_and_mismatched_peers() {
         &WorkerOptions::default(),
     )
     .unwrap();
-    assert!(ticket.wait().unwrap().is_complete());
+    assert!(wait_within(&ticket, WAIT_DEADLINE).unwrap().is_complete());
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -416,7 +519,7 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
                 }
             }
         }
-        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let service = serve(ServiceConfig::default());
         let observer = Arc::new(CancelAfter {
             ticket: OnceLock::new(),
             limit: 2,
@@ -440,7 +543,7 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
         )
         .unwrap();
         assert!(summary.aborted, "the worker must be told to stop");
-        let outcome = ticket.wait().unwrap();
+        let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
         assert!(!outcome.is_complete(), "cancellation left work undone");
 
         let report = CampaignExecutor::new(2)
@@ -493,7 +596,7 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
             .unwrap();
         assert!(!partial.is_complete(), "cancellation left work undone");
 
-        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let service = serve(ServiceConfig::default());
         let ticket = service.submit(campaign.clone(), &dir);
         let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
         work(
@@ -505,7 +608,10 @@ fn served_checkpoint_resumes_locally_and_vice_versa() {
             &WorkerOptions::default(),
         )
         .unwrap();
-        let report = ticket.wait().unwrap().into_report().unwrap();
+        let report = wait_within(&ticket, WAIT_DEADLINE)
+            .unwrap()
+            .into_report()
+            .unwrap();
         assert_identical(
             &campaign,
             &dir,
@@ -534,7 +640,7 @@ fn measurement_failures_follow_the_error_policy() {
 
     for policy in [ErrorPolicy::FailFast, ErrorPolicy::CollectAll] {
         let dir = root.join(format!("{policy:?}"));
-        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let service = serve(ServiceConfig::default());
         let ticket = service.submit_with(campaign.clone(), &dir, policy, None);
         let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
         let summary = work(
@@ -547,7 +653,7 @@ fn measurement_failures_follow_the_error_policy() {
         )
         .unwrap();
         assert!(!summary.campaign_complete);
-        let outcome = ticket.wait().unwrap();
+        let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
         assert_eq!(outcome.errors.len(), 1, "{policy:?}");
         assert_eq!(outcome.errors[0].0, 1);
         assert!(
@@ -578,7 +684,7 @@ fn measurement_failures_follow_the_error_policy() {
 fn sequence_mismatches_get_typed_denials() {
     let campaign = campaign_of(2);
     let root = temp_root("sequence");
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let addr = service.local_addr().unwrap();
     let ticket_a = service.submit(campaign.clone(), root.join("served-a"));
     let ticket_b = service.submit(campaign.clone(), root.join("served-b"));
@@ -606,14 +712,14 @@ fn sequence_mismatches_get_typed_denials() {
     assert!(ask(0).unwrap().campaign_complete);
     // Once the first campaign is done (and so no longer accepting), the
     // service serves the second: campaign 0 is already gone.
-    assert!(ticket_a.wait().unwrap().is_complete());
+    assert!(wait_within(&ticket_a, WAIT_DEADLINE).unwrap().is_complete());
     match ask(0).unwrap_err() {
         TransportError::Denied { code, .. } => assert_eq!(code, DENY_SEQUENCE_PASSED),
         other => panic!("expected a typed denial, got {other}"),
     }
     let summary = ask(1).unwrap();
     assert!(summary.campaign_complete);
-    assert!(ticket_b.wait().unwrap().is_complete());
+    assert!(wait_within(&ticket_b, WAIT_DEADLINE).unwrap().is_complete());
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -625,11 +731,11 @@ fn cancelling_a_workerless_serve_returns() {
     let campaign = campaign_of(2);
     let root = temp_root("workerless");
     let dir = root.join("served");
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let ticket = service.submit(campaign.clone(), &dir);
     std::thread::sleep(Duration::from_millis(100));
     ticket.cancel();
-    let outcome = ticket.wait().unwrap();
+    let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
     assert!(!outcome.is_complete());
     assert_eq!(outcome.skipped, vec![0, 1], "every entry is skipped");
     // The checkpoint is a normal pending manifest; a local run completes it.
@@ -651,7 +757,7 @@ fn fetch_reports_downloads_the_full_campaign() {
     let (ref_report, _, _) = reference(&campaign, &root.join("reference"));
 
     let dir = root.join("served");
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let ticket = service.submit(campaign.clone(), &dir);
     let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
     let summary = work(
@@ -669,7 +775,10 @@ fn fetch_reports_downloads_the_full_campaign() {
     .unwrap();
     assert!(summary.campaign_complete);
     let fetched = summary.reports.expect("complete campaigns are fetchable");
-    let report = ticket.wait().unwrap().into_report().unwrap();
+    let report = wait_within(&ticket, WAIT_DEADLINE)
+        .unwrap()
+        .into_report()
+        .unwrap();
     assert_eq!(report, ref_report);
     assert_eq!(
         CampaignReport { reports: fetched },
@@ -710,13 +819,9 @@ fn silent_unclosed_worker_is_evicted_and_replanned() {
     let digest = fingrav::core::checkpoint::campaign_digest(&campaign);
 
     let dir = root.join("served");
-    let service = CampaignService::bind(
-        "127.0.0.1:0",
-        ServiceConfig {
-            idle_timeout: Duration::from_millis(400),
-        },
-    )
-    .unwrap();
+    let service = serve(ServiceConfig {
+        idle_timeout: Duration::from_millis(400),
+    });
     let addr = service.local_addr().unwrap();
     let lifecycle = Arc::new(Lifecycle::default());
     let ticket = service.submit_with(
@@ -782,7 +887,7 @@ fn silent_unclosed_worker_is_evicted_and_replanned() {
         )
         .unwrap();
         assert!(summary.campaign_complete);
-        let outcome = ticket.wait().unwrap();
+        let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
         served.store(true, Ordering::SeqCst);
         outcome
     });
@@ -845,13 +950,9 @@ fn heartbeats_keep_slow_entries_alive() {
     let (ref_report, ref_stores, ref_csvs) = reference(&campaign, &root.join("reference"));
 
     let dir = root.join("served");
-    let service = CampaignService::bind(
-        "127.0.0.1:0",
-        ServiceConfig {
-            idle_timeout: Duration::from_millis(400),
-        },
-    )
-    .unwrap();
+    let service = serve(ServiceConfig {
+        idle_timeout: Duration::from_millis(400),
+    });
     let ticket = service.submit(campaign.clone(), &dir);
     let observer = SlowFirstEntry {
         started: AtomicUsize::new(0),
@@ -870,7 +971,7 @@ fn heartbeats_keep_slow_entries_alive() {
     )
     .unwrap();
     assert!(summary.campaign_complete);
-    let outcome = ticket.wait().unwrap();
+    let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
     assert!(
         outcome.evictions.is_empty(),
         "heartbeats must prove liveness through a slow entry: {:?}",
@@ -901,7 +1002,7 @@ fn persistent_service_serves_campaigns_back_to_back() {
     let (ref_a, stores_a, csvs_a) = reference(&first, &root.join("ref-a"));
     let (ref_b, stores_b, csvs_b) = reference(&second, &root.join("ref-b"));
 
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let addr = service.local_addr().unwrap();
     let dir_a = root.join("served-a");
     let dir_b = root.join("served-b");
@@ -916,33 +1017,14 @@ fn persistent_service_serves_campaigns_back_to_back() {
         // earlier campaign gets the typed early denial and retries.
         s.spawn(|| {
             for (sequence, campaign) in [(0u64, &first), (1u64, &second)] {
-                loop {
-                    let stream = connect_with_retry(addr, Duration::from_secs(10)).unwrap();
-                    match work(
-                        stream,
-                        campaign,
-                        &factory(),
-                        &NoopCampaignObserver,
-                        &CancellationToken::new(),
-                        &WorkerOptions {
-                            sequence,
-                            ..WorkerOptions::default()
-                        },
-                    ) {
-                        Ok(summary) => {
-                            assert!(summary.campaign_complete);
-                            break;
-                        }
-                        Err(TransportError::Denied { code, .. }) if code == DENY_SEQUENCE_EARLY => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(other) => panic!("worker failed on sequence {sequence}: {other}"),
-                    }
+                match work_when_due(addr, campaign, sequence) {
+                    Ok(summary) => assert!(summary.campaign_complete),
+                    Err(other) => panic!("worker failed on sequence {sequence}: {other}"),
                 }
             }
         });
-        let outcome_a = ticket_a.wait().unwrap();
-        let outcome_b = ticket_b.wait().unwrap();
+        let outcome_a = wait_within(&ticket_a, WAIT_DEADLINE).unwrap();
+        let outcome_b = wait_within(&ticket_b, WAIT_DEADLINE).unwrap();
         (outcome_a, outcome_b)
     });
     assert_eq!(ticket_a.phase(), CampaignPhase::Done);
@@ -984,7 +1066,7 @@ fn dropping_the_service_cancels_queued_and_serving_campaigns() {
     let (ref_report, _, _) = reference(&campaign, &root.join("reference"));
     let dirs = [root.join("serving"), root.join("queued")];
 
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let serving = service.submit(campaign.clone(), &dirs[0]);
     let queued = service.submit(campaign.clone(), &dirs[1]);
     // No worker ever connects, so the first campaign serves until the
@@ -998,7 +1080,7 @@ fn dropping_the_service_cancels_queued_and_serving_campaigns() {
 
     for (ticket, dir) in [(&serving, &dirs[0]), (&queued, &dirs[1])] {
         assert_eq!(ticket.phase(), CampaignPhase::Done);
-        let outcome = ticket.wait().unwrap();
+        let outcome = wait_within(ticket, WAIT_DEADLINE).unwrap();
         assert_eq!(outcome.skipped, vec![0, 1], "every entry is skipped");
         let report = CampaignExecutor::serial()
             .run(&campaign, &factory(), resume(dir))
@@ -1028,7 +1110,7 @@ fn a_panicking_observer_fails_only_its_own_campaign() {
     let (ref_report, ref_stores, ref_csvs) = reference(&campaign, &root.join("reference"));
     let dirs = [root.join("before"), root.join("panics"), root.join("after")];
 
-    let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let service = serve(ServiceConfig::default());
     let addr = service.local_addr().unwrap();
     let tickets = [
         service.submit(campaign.clone(), &dirs[0]),
@@ -1043,37 +1125,17 @@ fn a_panicking_observer_fails_only_its_own_campaign() {
     std::thread::scope(|s| {
         s.spawn(|| {
             for sequence in 0..3u64 {
-                loop {
-                    let stream = connect_with_retry(addr, Duration::from_secs(10)).unwrap();
-                    let result = work(
-                        stream,
-                        &campaign,
-                        &factory(),
-                        &NoopCampaignObserver,
-                        &CancellationToken::new(),
-                        &WorkerOptions {
-                            sequence,
-                            ..WorkerOptions::default()
-                        },
-                    );
-                    match result {
-                        Err(TransportError::Denied { code, .. }) if code == DENY_SEQUENCE_EARLY => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        // The panicking campaign drops the connection.
-                        _ if sequence == 1 => break,
-                        Ok(summary) => {
-                            assert!(summary.campaign_complete);
-                            break;
-                        }
-                        Err(other) => panic!("worker failed on sequence {sequence}: {other}"),
-                    }
+                match work_when_due(addr, &campaign, sequence) {
+                    // The panicking campaign drops the connection.
+                    _ if sequence == 1 => {}
+                    Ok(summary) => assert!(summary.campaign_complete),
+                    Err(other) => panic!("worker failed on sequence {sequence}: {other}"),
                 }
             }
         });
     });
 
-    match tickets[1].wait() {
+    match wait_within(&tickets[1], WAIT_DEADLINE) {
         Err(MethodologyError::Panicked(message)) => {
             assert!(message.contains("observer gave up"), "{message}");
         }
@@ -1087,13 +1149,19 @@ fn a_panicking_observer_fails_only_its_own_campaign() {
     for (dir, report, what) in [
         (
             &dirs[0],
-            tickets[0].wait().unwrap().into_report().unwrap(),
+            wait_within(&tickets[0], WAIT_DEADLINE)
+                .unwrap()
+                .into_report()
+                .unwrap(),
             "before the panic",
         ),
         (&dirs[1], resumed, "panicked, then resumed locally"),
         (
             &dirs[2],
-            tickets[2].wait().unwrap().into_report().unwrap(),
+            wait_within(&tickets[2], WAIT_DEADLINE)
+                .unwrap()
+                .into_report()
+                .unwrap(),
             "after the panic",
         ),
     ] {
