@@ -2050,13 +2050,6 @@ impl Ledger {
         lock(&self.manifest).workers = workers;
     }
 
-    /// Where entry `index` is (or will be) persisted.
-    pub(crate) fn entry_path(&self, index: usize) -> Option<PathBuf> {
-        let manifest = lock(&self.manifest);
-        let shard = manifest.entries.get(index)?.shard;
-        Some(self.dir.entry_path(shard, index))
-    }
-
     /// Ends the campaign, returning the first persistence failure.
     pub(crate) fn close(self) -> Result<(), CheckpointError> {
         let failure = lock(&self.failure).take();

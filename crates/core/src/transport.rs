@@ -53,9 +53,11 @@
 //! [`CampaignService`] is an always-on daemon: one listener serves many
 //! campaigns back to back through a submission queue
 //! ([`CampaignService::submit`] returns a [`CampaignTicket`]), with a
-//! graceful drain on [`CampaignService::shutdown`]. A submission's index
-//! is its wire sequence number, which the handshake checks so that every
-//! worker reaches the campaign it asked for. Workers dial the same
+//! graceful drain on [`CampaignService::shutdown`]. A finished campaign
+//! lives only in its tickets, and dropping the service releases its port
+//! even while tickets are held. A submission's index is its wire
+//! sequence number, which the handshake checks so that every worker
+//! reaches the campaign it asked for. Workers dial the same
 //! address for every campaign and ride [`connect_with_retry`]'s
 //! exponential backoff across `ConnectionRefused` gaps instead of dying.
 //!
@@ -134,7 +136,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::campaign::Campaign;
@@ -846,21 +848,10 @@ fn read_frame_budgeted<R: Read>(
     Ok(Frame::decode_payload(tag, &payload)?)
 }
 
-/// Reads the next non-heartbeat frame (the worker-side read: heartbeats
-/// renew the deadline by arriving, then vanish).
-fn next_frame<R: Read>(r: &mut R, idle: Duration) -> Result<Frame, TransportError> {
-    loop {
-        match read_frame_budgeted(r, idle, &mut || Ok(()))? {
-            Frame::Heartbeat => cover::hit(cover::WIRE_HEARTBEAT_SKIPPED),
-            frame => return Ok(frame),
-        }
-    }
-}
-
 /// Reads the next non-heartbeat frame from a stream, tolerating timeout
-/// ticks up to `idle` of total byte-silence — the exact read loop both
-/// protocol ends run between protocol states (heartbeats renew the
-/// deadline by arriving, then vanish before the caller sees them).
+/// ticks up to `idle` of total byte-silence — the exact read loop a
+/// worker runs between protocol states (heartbeats renew the deadline by
+/// arriving, then vanish before the caller sees them).
 ///
 /// Public so stream consumers outside the coordinator/worker pair — the
 /// `fgrv-fuzz` wire harness, protocol probes, tests — can exercise the
@@ -872,7 +863,12 @@ fn next_frame<R: Read>(r: &mut R, idle: Duration) -> Result<Frame, TransportErro
 /// As [`Frame::read_from`], plus [`TransportError::DeadlineLapsed`] when
 /// the stream stays byte-silent past `idle`.
 pub fn read_next_frame<R: Read>(r: &mut R, idle: Duration) -> Result<Frame, TransportError> {
-    next_frame(r, idle)
+    loop {
+        match read_frame_budgeted(r, idle, &mut || Ok(()))? {
+            Frame::Heartbeat => cover::hit(cover::WIRE_HEARTBEAT_SKIPPED),
+            frame => return Ok(frame),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1346,40 +1342,17 @@ fn entry_failed(shared: &CoordShared<'_>, index: usize, error: MethodologyError)
     shared.observer.entry_failed(index, &error);
 }
 
-/// Serves a Fetch request from the in-memory outcome.
+/// Serves a Fetch request by re-encoding the in-memory report: the
+/// encoding is canonical, so these are the bytes the entry file holds.
 fn fetch_artifact(shared: &CoordShared<'_>, index: u64) -> Result<Frame, TransportError> {
     let index = index as usize;
-    if index >= shared.campaign.len() {
-        return Err(TransportError::Protocol(format!(
-            "fetch names entry {index} but the campaign has only {} entries",
-            shared.campaign.len()
-        )));
-    }
-    if shared.lock().outcome.reports[index].is_none() {
-        return Err(TransportError::Protocol(format!(
-            "fetch for entry {index}, which has no report"
-        )));
-    }
-    // Zero-copy path: the artifact was persisted verbatim when its Done
-    // frame arrived, so serve the file's bytes straight back instead of
-    // cloning and re-encoding the in-memory report. The cheap parse
-    // guards against a damaged or replaced file — on any doubt, fall
-    // back to re-encoding from the report.
-    if let Some(Ok(bytes)) = shared.ledger.entry_path(index).map(std::fs::read) {
-        if EntryArtifactView::parse(&bytes)
-            .is_ok_and(|v| v.index as usize == index && v.config_digest == shared.digest)
-        {
-            return Ok(Frame::Artifact { artifact: bytes });
-        }
-    }
     let state = shared.lock();
-    let Some(report) = state.outcome.reports[index].as_ref() else {
+    let Some(Some(report)) = state.outcome.reports.get(index) else {
         return Err(TransportError::Protocol(format!(
             "fetch for entry {index}, which has no report"
         )));
     };
     let bytes = crate::checkpoint::encode_entry_bytes(index as u32, shared.digest, report);
-    drop(state);
     Ok(Frame::Artifact { artifact: bytes })
 }
 
@@ -1518,59 +1491,15 @@ impl<W: Write + Send> CampaignObserver for WireObserver<'_, W> {
     }
 }
 
-/// Stop signal for the worker's heartbeat pump thread: a plain
-/// mutex-and-condvar flag, so stopping wakes the pump immediately instead
-/// of waiting out a sleep.
-struct PumpStop {
-    stopped: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl PumpStop {
-    fn new() -> Self {
-        PumpStop {
-            stopped: Mutex::new(false),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn stop(&self) {
-        *self.stopped.lock().expect("pump stop lock") = true;
-        self.cond.notify_all();
-    }
-
-    /// Waits out one heartbeat interval; true when stopped meanwhile.
-    fn wait(&self, interval: Duration) -> bool {
-        let deadline = Instant::now() + interval;
-        let mut stopped = self.stopped.lock().expect("pump stop lock");
-        loop {
-            if *stopped {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (next, _timeout) = self
-                .cond
-                .wait_timeout(stopped, deadline - now)
-                .expect("pump stop lock");
-            stopped = next;
-        }
-    }
-}
-
-/// Pumps [`Frame::Heartbeat`] every `interval` until stopped. Runs for
-/// the whole connection (the writer mutex keeps frames whole), so a
-/// worker blocked in a long measurement *or* waiting out another
-/// worker's long entry keeps proving liveness either way. A write
-/// failure just stops the pump — the work loop hits the same fault on
-/// its own next write or read and surfaces it typed.
-fn heartbeat_pump<W: Write>(writer: &Mutex<W>, stop: &PumpStop, interval: Duration) {
-    loop {
-        if stop.wait(interval) {
-            return;
-        }
+/// Pumps [`Frame::Heartbeat`] every `interval` until `stop`'s sender
+/// drops (nothing is ever sent on it). Runs for the whole connection
+/// (the writer mutex keeps frames whole), so a worker blocked in a long
+/// measurement *or* waiting out another worker's long entry keeps
+/// proving liveness either way. A write failure just stops the pump —
+/// the work loop hits the same fault on its own next write or read and
+/// surfaces it typed.
+fn heartbeat_pump<W: Write>(writer: &Mutex<W>, stop: &mpsc::Receiver<()>, interval: Duration) {
+    while let Err(mpsc::RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
         let mut w = writer.lock().expect("worker writer lock");
         let sent = Frame::Heartbeat.write_to(&mut *w).and_then(|()| w.flush());
         drop(w);
@@ -1662,7 +1591,7 @@ pub fn work<F: crate::backend::BackendFactory>(
         w.flush().map_err(io_err)?;
     }
     read_preamble_budgeted(&mut reader, idle, &mut || Ok(()))?;
-    let shard = match next_frame(&mut reader, idle)? {
+    let shard = match read_next_frame(&mut reader, idle)? {
         Frame::Welcome { shard, entries } => {
             if entries != campaign.len() as u64 {
                 return Err(TransportError::Protocol(format!(
@@ -1689,12 +1618,14 @@ pub fn work<F: crate::backend::BackendFactory>(
     };
 
     // The heartbeat pump shares the frame-atomic writer mutex for the
-    // rest of the connection; the scope joins it (after `stop`) before
-    // the writer can be dropped.
-    let stop = PumpStop::new();
+    // rest of the connection. It stops when `_beating` drops — at the end
+    // of the scope, or as a panic in the work loop unwinds through it —
+    // so the scope always joins it before the writer can be dropped.
     let run = std::thread::scope(|scope| {
-        scope.spawn(|| heartbeat_pump(&writer, &stop, options.heartbeat));
-        let result = (|| -> Result<(), TransportError> {
+        let (_beating, stop) = mpsc::channel::<()>();
+        let pump_writer = &writer;
+        scope.spawn(move || heartbeat_pump(pump_writer, &stop, options.heartbeat));
+        (|| -> Result<(), TransportError> {
             loop {
                 if cancel.is_aborted() {
                     break;
@@ -1706,7 +1637,7 @@ pub fn work<F: crate::backend::BackendFactory>(
                     break;
                 }
                 send(Frame::Request)?;
-                match next_frame(&mut reader, idle)? {
+                match read_next_frame(&mut reader, idle)? {
                     Frame::Assign { index } => {
                         let index = index as usize;
                         if index >= campaign.len() {
@@ -1768,7 +1699,7 @@ pub fn work<F: crate::backend::BackendFactory>(
                     send(Frame::Fetch {
                         index: index as u64,
                     })?;
-                    match next_frame(&mut reader, idle)? {
+                    match read_next_frame(&mut reader, idle)? {
                         Frame::Artifact { artifact } => {
                             // Validate over the frame buffer, decode the
                             // report once — no owned intermediate artifact.
@@ -1798,9 +1729,7 @@ pub fn work<F: crate::backend::BackendFactory>(
             }
 
             send(Frame::Bye)
-        })();
-        stop.stop();
-        result
+        })()
     });
     run?;
     Ok(summary)
@@ -1850,13 +1779,24 @@ struct Submission {
     policy: ErrorPolicy,
     observer: Option<Arc<dyn CampaignObserver + Send + Sync>>,
     cancel: CancellationToken,
+    slot: Arc<TicketSlot>,
 }
 
-/// Submission-order record of one campaign's lifecycle; indexed by id.
-struct ServiceRecord {
-    phase: CampaignPhase,
-    cancel: CancellationToken,
-    outcome: Option<MethodologyResult<CampaignOutcome>>,
+/// A campaign's phase and, once served, its outcome.
+type SlotState = (CampaignPhase, Option<MethodologyResult<CampaignOutcome>>);
+
+/// One campaign's [`SlotState`], shared by its tickets and, until it has
+/// been served, its [`Submission`]: a finished campaign lives only in its
+/// tickets.
+struct TicketSlot {
+    state: Mutex<SlotState>,
+    done: Condvar,
+}
+
+impl TicketSlot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.state.lock().expect("campaign service state")
+    }
 }
 
 struct ServiceShared {
@@ -1868,7 +1808,10 @@ struct ServiceShared {
 
 struct ServiceState {
     submissions: VecDeque<Submission>,
-    records: Vec<ServiceRecord>,
+    /// The token of the campaign being served, for `Drop` to cancel.
+    serving: Option<CancellationToken>,
+    /// Campaigns submitted so far: the next one's sequence number.
+    submitted: u64,
     draining: bool,
 }
 
@@ -1882,11 +1825,14 @@ impl ServiceShared {
 ///
 /// Clonable and sendable; any holder can watch the campaign's
 /// [`phase`](CampaignTicket::phase), [`cancel`](CampaignTicket::cancel)
-/// it, or [`wait`](CampaignTicket::wait) for its outcome.
+/// it, or [`wait`](CampaignTicket::wait) for its outcome. A finished
+/// campaign lives only in its tickets, and is freed with the last one;
+/// a ticket does not keep the service or its port.
 #[derive(Clone)]
 pub struct CampaignTicket {
-    shared: Arc<ServiceShared>,
-    id: u64,
+    sequence: u64,
+    cancel: CancellationToken,
+    slot: Arc<TicketSlot>,
 }
 
 impl CampaignTicket {
@@ -1896,12 +1842,12 @@ impl CampaignTicket {
     /// campaign (early arrivals are told to retry, late ones that their
     /// campaign already completed).
     pub fn sequence(&self) -> u64 {
-        self.id
+        self.sequence
     }
 
     /// Where the campaign currently sits.
     pub fn phase(&self) -> CampaignPhase {
-        self.shared.lock().records[self.id as usize].phase
+        self.slot.lock().0
     }
 
     /// Cancels the campaign: a queued submission returns an
@@ -1909,12 +1855,13 @@ impl CampaignTicket {
     /// assigning at once, and returns once the entries already running
     /// on remote workers drain.
     pub fn cancel(&self) {
-        self.shared.lock().records[self.id as usize].cancel.abort();
+        self.cancel.abort();
     }
 
     /// Blocks until the campaign finishes and returns its outcome,
-    /// cloned so every ticket holder can read it. The outcome, the
-    /// checkpoint directory and everything
+    /// cloned so every ticket holder can read it. The outcome lives in
+    /// the tickets alone, so this works after the service is dropped
+    /// too. The outcome, the checkpoint directory and everything
     /// [`crate::checkpoint::gather`] derives from it are byte-identical
     /// to a single-node run of the same campaign. Worker-reported
     /// measurement errors stay inside the outcome.
@@ -1929,16 +1876,12 @@ impl CampaignTicket {
     /// (an observer, say) panicked. The directory is then a checkpoint
     /// that a [`crate::executor::CheckpointMode::Resume`] run completes.
     pub fn wait(&self) -> MethodologyResult<CampaignOutcome> {
-        let mut state = self.shared.lock();
+        let mut state = self.slot.lock();
         loop {
-            if let Some(outcome) = &state.records[self.id as usize].outcome {
+            if let Some(outcome) = &state.1 {
                 return outcome.clone();
             }
-            state = self
-                .shared
-                .cond
-                .wait(state)
-                .expect("campaign service state");
+            state = self.slot.done.wait(state).expect("campaign service state");
         }
     }
 }
@@ -1959,7 +1902,8 @@ impl CampaignTicket {
 ///
 /// [`shutdown`](CampaignService::shutdown) drains gracefully (queued
 /// campaigns still run); dropping the service instead cancels whatever
-/// is queued or serving and joins the thread.
+/// is queued or serving and joins the thread. Either way the listener
+/// closes with the service, whatever tickets are still held.
 pub struct CampaignService {
     shared: Arc<ServiceShared>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -1970,7 +1914,8 @@ impl fmt::Debug for CampaignService {
         let state = self.shared.lock();
         f.debug_struct("CampaignService")
             .field("queued", &state.submissions.len())
-            .field("campaigns", &state.records.len())
+            .field("serving", &state.serving.is_some())
+            .field("submitted", &state.submitted)
             .field("draining", &state.draining)
             .finish()
     }
@@ -1996,7 +1941,8 @@ impl CampaignService {
             idle: config.idle_timeout,
             state: Mutex::new(ServiceState {
                 submissions: VecDeque::new(),
-                records: Vec::new(),
+                serving: None,
+                submitted: 0,
                 draining: false,
             }),
             cond: Condvar::new(),
@@ -2045,28 +1991,30 @@ impl CampaignService {
         observer: Option<Arc<dyn CampaignObserver + Send + Sync>>,
     ) -> CampaignTicket {
         let cancel = CancellationToken::new();
-        let id = {
+        let slot = Arc::new(TicketSlot {
+            state: Mutex::new((CampaignPhase::Queued, None)),
+            done: Condvar::new(),
+        });
+        let sequence = {
             let mut state = self.shared.lock();
-            let id = state.records.len() as u64;
-            state.records.push(ServiceRecord {
-                phase: CampaignPhase::Queued,
-                cancel: cancel.clone(),
-                outcome: None,
-            });
+            let id = state.submitted;
+            state.submitted += 1;
             state.submissions.push_back(Submission {
                 id,
                 campaign,
                 dir: dir.into(),
                 policy,
                 observer,
-                cancel,
+                cancel: cancel.clone(),
+                slot: Arc::clone(&slot),
             });
             id
         };
         self.shared.cond.notify_all();
         CampaignTicket {
-            shared: Arc::clone(&self.shared),
-            id,
+            sequence,
+            cancel,
+            slot,
         }
     }
 
@@ -2094,8 +2042,9 @@ impl Drop for CampaignService {
         {
             let mut state = self.shared.lock();
             state.draining = true;
-            for record in &state.records {
-                record.cancel.abort();
+            let queued = state.submissions.iter().map(|s| &s.cancel);
+            for cancel in queued.chain(&state.serving) {
+                cancel.abort();
             }
         }
         self.shared.cond.notify_all();
@@ -2110,6 +2059,7 @@ fn service_loop(shared: &ServiceShared) {
             let mut state = shared.lock();
             loop {
                 if let Some(s) = state.submissions.pop_front() {
+                    state.serving = Some(s.cancel.clone());
                     break s;
                 }
                 if state.draining {
@@ -2118,9 +2068,7 @@ fn service_loop(shared: &ServiceShared) {
                 state = shared.cond.wait(state).expect("campaign service state");
             }
         };
-        let id = submission.id as usize;
-        shared.lock().records[id].phase = CampaignPhase::Serving;
-        shared.cond.notify_all();
+        submission.slot.lock().0 = CampaignPhase::Serving;
 
         // A panic the connections did not contain (in the observer's
         // final `entry_skipped` calls, say) ends this campaign only.
@@ -2129,12 +2077,12 @@ fn service_loop(shared: &ServiceShared) {
         }))
         .unwrap_or_else(|payload| Err(MethodologyError::Panicked(panic_message(&*payload))));
 
-        let mut state = shared.lock();
-        let record = &mut state.records[id];
-        record.outcome = Some(result);
-        record.phase = CampaignPhase::Done;
-        drop(state);
-        shared.cond.notify_all();
+        *submission.slot.lock() = (CampaignPhase::Done, Some(result));
+        submission.slot.done.notify_all();
+        // The service lets go of the campaign before it clears `serving`,
+        // so an idle service holds no per-campaign state.
+        drop(submission);
+        shared.lock().serving = None;
     }
 }
 
@@ -2322,7 +2270,7 @@ mod tests {
         Frame::Heartbeat.write_to(&mut bytes).unwrap();
         Frame::Assign { index: 3 }.write_to(&mut bytes).unwrap();
         let mut cursor = &bytes[..];
-        let frame = next_frame(&mut cursor, Duration::from_secs(1)).unwrap();
+        let frame = read_next_frame(&mut cursor, Duration::from_secs(1)).unwrap();
         assert!(matches!(frame, Frame::Assign { index: 3 }));
         assert!(cursor.is_empty(), "heartbeats consumed alongside");
     }
@@ -2396,6 +2344,44 @@ mod tests {
             Err(TransportError::Truncated("test")) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// A service that has served 50 waited campaigns holds no state for
+    /// any of them once their tickets are gone: the queue is empty,
+    /// nothing is serving, and every ticket's outcome slot is freed.
+    #[test]
+    fn a_service_forgets_the_campaigns_it_served() {
+        let machine = fingrav_sim::config::SimConfig::default().machine;
+        let mut campaign = Campaign::new(crate::runner::RunnerConfig::quick(6));
+        campaign.add_all(
+            fingrav_workloads::suite::gemm_suite(&machine)
+                .into_iter()
+                .take(1)
+                .map(|k| k.desc),
+        );
+        let root = std::env::temp_dir().join(format!("fingrav-forget-{}", std::process::id()));
+        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let slots: Vec<_> = (0..50)
+            .map(|i| {
+                let ticket = service.submit(campaign.clone(), root.join(i.to_string()));
+                // Cancelled at once, so its serve returns without ever
+                // needing a worker.
+                ticket.cancel();
+                assert_eq!(ticket.wait().unwrap().skipped, vec![0]);
+                Arc::downgrade(&ticket.slot)
+            })
+            .collect();
+        // The service lets go of a campaign just after its ticket hears
+        // of it, then clears `serving`.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.shared.lock().serving.is_some() {
+            assert!(Instant::now() < deadline, "the service never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(service.shared.lock().submissions.is_empty());
+        assert!(slots.iter().all(|slot| slot.upgrade().is_none()));
+        drop(service);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

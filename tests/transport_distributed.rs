@@ -5,7 +5,7 @@
 //! serial run.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1175,6 +1175,83 @@ fn a_panicking_observer_fails_only_its_own_campaign() {
             what,
         );
     }
+    drop(service);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A held ticket does not keep the service alive: dropping the service
+/// ends its serving campaign and frees the listener's port while the
+/// ticket still holds that campaign's outcome.
+#[test]
+fn dropping_the_service_releases_its_port_while_tickets_live() {
+    let root = temp_root("port");
+    let service = serve(ServiceConfig::default());
+    let addr = service.local_addr().unwrap();
+    // No worker ever connects, so the campaign serves until the drop.
+    let ticket = service.submit(campaign_of(2), root.join("served"));
+    while ticket.phase() != CampaignPhase::Serving {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(service);
+    assert_eq!(ticket.phase(), CampaignPhase::Done);
+    let rebound = TcpListener::bind(addr);
+    assert!(rebound.is_ok(), "{addr} is still bound: {rebound:?}");
+    let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
+    assert_eq!(outcome.skipped, vec![0, 1], "every entry is skipped");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A panic in a worker's own observer unwinds out of `work`: the
+/// heartbeat pump stops with the unwinding work loop instead of keeping
+/// the connection alive. The service then re-plans the entry like any
+/// other dropped connection.
+#[test]
+fn a_worker_whose_observer_panics_returns() {
+    struct PanicOnStart;
+    impl CampaignObserver for PanicOnStart {
+        fn entry_started(&self, _index: usize, _label: &str) {
+            panic!("worker observer gave up on entry");
+        }
+    }
+    let campaign = campaign_of(2);
+    let root = temp_root("worker-panic");
+    let service = serve(ServiceConfig::default());
+    let ticket = service.submit(campaign.clone(), root.join("served"));
+    let stream = TcpStream::connect(service.local_addr().unwrap()).unwrap();
+    let (tx, rx) = mpsc::channel();
+    // Run on its own thread so a `work` that never returns fails the
+    // test instead of hanging the suite; past the deadline it is left.
+    let worker = std::thread::spawn(move || {
+        let result = work(
+            stream,
+            &campaign,
+            &factory(),
+            &PanicOnStart,
+            &CancellationToken::new(),
+            &WorkerOptions::default(),
+        );
+        tx.send(result.is_ok()).ok();
+    });
+    let deadline = Duration::from_secs(20);
+    match rx.recv_timeout(deadline) {
+        // The sender dropped as the panic unwound the thread.
+        Err(RecvTimeoutError::Disconnected) => {}
+        Ok(_) => panic!("work returned although its observer panicked"),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("work still running {deadline:?} after its observer panicked")
+        }
+    }
+    assert!(
+        worker.join().is_err(),
+        "the observer's panic reaches the caller"
+    );
+    ticket.cancel();
+    let outcome = wait_within(&ticket, WAIT_DEADLINE).unwrap();
+    assert_eq!(
+        outcome.skipped,
+        vec![0, 1],
+        "the panicked entry was re-planned"
+    );
     drop(service);
     std::fs::remove_dir_all(&root).unwrap();
 }
