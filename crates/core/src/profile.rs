@@ -12,6 +12,7 @@
 //! iterate [`ProfilePointRef`] views; [`ProfilePoint`] is the owned row
 //! value used to append points and to materialize individual rows.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use fingrav_sim::power::{Component, ComponentPower};
@@ -242,26 +243,53 @@ pub struct PlacedLog {
 }
 
 /// Places every power log of a trace on the CPU timeline and associates it
-/// with the execution it landed in (if any).
+/// with the execution it landed in (if any): the first execution whose
+/// `[cpu_start, cpu_end]` contains the log.
+///
+/// Logs and executions both ascend in CPU time, so one forward pass
+/// places them all. When the starts and the ends each ascend, the
+/// executions ending at or after a log form a suffix and those starting at
+/// or before it a prefix: the first containing execution is the first
+/// that ends at or after the log, if it starts at or before it. That holds
+/// for noisy bounds too, where an execution starts before the previous
+/// one ends. A log earlier than the one before it restarts the walk, and
+/// bounds that do not ascend fall back to scanning every execution.
 pub fn place_logs(trace: &RunTrace, sync: &TimeSync) -> Vec<PlacedLog> {
     let origin = trace
         .first_launch_cpu()
         .map(|t| t.as_nanos() as f64)
         .unwrap_or(0.0);
+    let execs = &trace.executions;
+    let ascending = execs
+        .windows(2)
+        .all(|w| w[0].cpu_start <= w[1].cpu_start && w[0].cpu_end <= w[1].cpu_end);
+    let contains = |i: usize, cpu_ns: f64| {
+        let e = execs.get(i)?;
+        let start = e.cpu_start.as_nanos() as f64;
+        let end = e.cpu_end.as_nanos() as f64;
+        (cpu_ns >= start && cpu_ns <= end).then_some((i, cpu_ns - start))
+    };
+    let (mut next, mut previous) = (0, f64::NEG_INFINITY);
     trace
         .power_logs
         .iter()
         .map(|log| {
             let cpu_ns = sync.cpu_ns_of_ticks(log.ticks.as_raw());
-            let containing_exec = trace.executions.iter().enumerate().find_map(|(i, e)| {
-                let start = e.cpu_start.as_nanos() as f64;
-                let end = e.cpu_end.as_nanos() as f64;
-                if cpu_ns >= start && cpu_ns <= end {
-                    Some((i, cpu_ns - start))
-                } else {
-                    None
+            let containing_exec = if ascending {
+                if cpu_ns.partial_cmp(&previous).is_none_or(Ordering::is_lt) {
+                    next = 0;
                 }
-            });
+                previous = cpu_ns;
+                while execs
+                    .get(next)
+                    .is_some_and(|e| (e.cpu_end.as_nanos() as f64) < cpu_ns)
+                {
+                    next += 1;
+                }
+                contains(next, cpu_ns)
+            } else {
+                (0..execs.len()).find_map(|i| contains(i, cpu_ns))
+            };
             PlacedLog {
                 cpu_ns,
                 run_time_ns: cpu_ns - origin,
@@ -274,7 +302,11 @@ pub fn place_logs(trace: &RunTrace, sync: &TimeSync) -> Vec<PlacedLog> {
 
 /// Appends a [`ProfileKind::Run`] profile (all logs, on run-relative time)
 /// for one run straight into a columnar store — the stitching fast path.
-pub fn push_run_profile_points(store: &mut ProfileStore, run: u32, placed: &[PlacedLog]) {
+pub fn push_run_profile_points<'a>(
+    store: &mut ProfileStore,
+    run: u32,
+    placed: impl IntoIterator<Item = &'a PlacedLog>,
+) {
     for l in placed {
         store.push(ProfilePoint {
             run,
@@ -288,10 +320,10 @@ pub fn push_run_profile_points(store: &mut ProfileStore, run: u32, placed: &[Pla
 
 /// Appends LOI points for executions selected by `select` (by position in
 /// the trace's execution list) straight into a columnar store.
-pub fn push_loi_points(
+pub fn push_loi_points<'a>(
     store: &mut ProfileStore,
     run: u32,
-    placed: &[PlacedLog],
+    placed: impl IntoIterator<Item = &'a PlacedLog>,
     mut select: impl FnMut(usize) -> bool,
 ) {
     for l in placed {

@@ -26,7 +26,7 @@ use crate::backend::PowerBackend;
 use crate::error::{MethodologyError, MethodologyResult};
 use crate::guidance::{GuidanceEntry, GuidanceTable};
 use crate::observe::ProfilingSink;
-use crate::profile::PowerProfile;
+use crate::profile::{place_logs, PlacedLog, PowerProfile};
 use crate::stages::StagePipeline;
 use crate::sync::TimeSync;
 
@@ -155,6 +155,57 @@ pub struct CollectedRun {
     pub sync: TimeSync,
     /// Median CPU-observed duration of the steady executions, ns.
     pub steady_median_ns: u64,
+}
+
+impl CollectedRun {
+    /// Places the run's logs once, with its own sync, and keeps only what
+    /// binning, stitching and the drift estimate read; the trace is
+    /// dropped.
+    pub fn condense(self) -> CondensedRun {
+        let execs = &self.trace.executions;
+        let logs = place_logs(&self.trace, &self.sync)
+            .into_iter()
+            .map(|placed| RunLog {
+                exec_ns: placed
+                    .containing_exec
+                    .map_or(0, |(pos, _)| execs[pos].duration_ns()),
+                placed,
+            })
+            .collect();
+        CondensedRun {
+            logs,
+            sync: self.sync,
+            steady_median_ns: self.steady_median_ns,
+        }
+    }
+}
+
+/// A collected run as the run-collection stage keeps it: its placed logs,
+/// its sync and its steady median, without the [`RunTrace`] they came
+/// from. Binning reads `steady_median_ns`, stitching reads `logs`, and
+/// the report's drift estimate reads `sync`. A run of a short kernel
+/// times hundreds of executions but lands only a handful of logs, so an
+/// entry of hundreds of runs keeps a fraction of the heap its traces
+/// took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CondensedRun {
+    /// Every power log of the run, placed on the CPU timeline, in
+    /// emission order.
+    pub logs: Vec<RunLog>,
+    /// The per-run CPU–GPU sync.
+    pub sync: TimeSync,
+    /// Median CPU-observed duration of the steady executions, ns.
+    pub steady_median_ns: u64,
+}
+
+/// One placed log of a [`CondensedRun`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunLog {
+    /// The log on the CPU timeline, with the execution it landed in.
+    pub placed: PlacedLog,
+    /// CPU-observed duration of that execution, ns (what the SSP margin
+    /// check reads); 0 when the log landed in none.
+    pub exec_ns: u64,
 }
 
 /// The full output of profiling one kernel.

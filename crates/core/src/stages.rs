@@ -51,8 +51,11 @@ use crate::guidance::GuidanceEntry;
 use crate::observe::{ForwardDeviceEvents, ProfilingEvent, ProfilingSink, StageKind};
 use crate::profile::{
     place_logs, push_loi_points, push_run_profile_points, PlacedLog, PowerProfile, ProfileKind,
+    ProfileStore,
 };
-use crate::runner::{CollectedRun, KernelPowerReport, LoggerChoice, RunnerConfig};
+use crate::runner::{
+    CollectedRun, CondensedRun, KernelPowerReport, LoggerChoice, RunLog, RunnerConfig,
+};
 use crate::stats::median_u64;
 use crate::sync::{ReadDelayCalibration, TimeSync};
 
@@ -106,10 +109,16 @@ pub struct StitchedProfiles {
 
 /// Output of the run-collection stage (paper steps 5–8): every collected
 /// run, the golden binning over them, and the stitched profiles.
+///
+/// A run is kept condensed ([`CondensedRun`]): its logs are placed once,
+/// right after the run, and its [`RunTrace`] is dropped, so an entry holds
+/// one trace at a time rather than one per run. Binning and stitching
+/// read only the condensed runs, and the stitched stores are sized
+/// exactly (see [`stitch_profiles`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCollection {
     /// All runs executed, including top-up batches, in execution order.
-    pub collected: Vec<CollectedRun>,
+    pub collected: Vec<CondensedRun>,
     /// The execution-time binning over the collected runs.
     pub binning: Binning,
     /// Profiles stitched from the golden runs.
@@ -390,13 +399,13 @@ impl<'a, B: PowerBackend> StagePipeline<'a, B> {
         self.emit(ProfilingEvent::StageStarted {
             stage: StageKind::CollectRuns,
         });
-        let mut collected: Vec<CollectedRun> = Vec::new();
+        let mut collected: Vec<CondensedRun> = Vec::new();
         let mut batch = timing.runs;
         let mut batches_left = self.config.extra_run_batches;
         loop {
             for _ in 0..batch {
                 let run = self.execute_run(kernel, ssp.executions_per_run, calibration, true)?;
-                collected.push(run);
+                collected.push(run.condense());
             }
             let binning = bin_collected(&collected, timing.margin_frac)?;
             let profiles = stitch_profiles(
@@ -639,7 +648,7 @@ fn filtered_burst_logs(probe: &ProbeRun, sse_index: u32, outlier_cutoff_ns: u64)
 /// # Errors
 ///
 /// Returns [`MethodologyError::NoGoldenRuns`] when no golden bin exists.
-pub fn bin_collected(collected: &[CollectedRun], margin: f64) -> MethodologyResult<Binning> {
+pub fn bin_collected(collected: &[CondensedRun], margin: f64) -> MethodologyResult<Binning> {
     let metrics: Vec<u64> = collected.iter().map(|r| r.steady_median_ns).collect();
     bin_durations(&metrics, margin).ok_or(MethodologyError::NoGoldenRuns)
 }
@@ -647,39 +656,50 @@ pub fn bin_collected(collected: &[CollectedRun], margin: f64) -> MethodologyResu
 /// Stage: stitches golden runs into run/SSE/SSP profiles, filtering SSP
 /// LOIs to executions whose duration stays within the golden margin
 /// (intra-run outlier rejection; paper step 9). Pure function.
+///
+/// It counts each profile's points first and then fills stores of
+/// exactly that size, so the profiles carry no growth slack.
 pub fn stitch_profiles(
     label: &str,
-    collected: &[CollectedRun],
+    collected: &[CondensedRun],
     binning: &Binning,
     sse_index: u32,
     ssp_index: u32,
     margin: f64,
 ) -> StitchedProfiles {
-    let mut run_profile = PowerProfile::new(label, ProfileKind::Run);
-    let mut sse_profile = PowerProfile::new(label, ProfileKind::Sse);
-    let mut ssp_profile = PowerProfile::new(label, ProfileKind::Ssp);
     let center = binning.golden_bin().center_ns() as f64;
+    let every = |_: &RunLog| true;
+    let in_sse = |l: &RunLog| {
+        l.placed
+            .containing_exec
+            .is_some_and(|(pos, _)| pos as u32 == sse_index)
+    };
+    let in_ssp = |l: &RunLog| {
+        l.placed
+            .containing_exec
+            .is_some_and(|(pos, _)| pos as u32 >= ssp_index)
+            && (l.exec_ns as f64 - center).abs() <= center * margin.max(0.001) * 1.5
+    };
+    let golden = || {
+        collected
+            .iter()
+            .enumerate()
+            .filter(|&(run_idx, _)| binning.is_golden(run_idx))
+    };
+    let sized = |kind: ProfileKind, keep: &dyn Fn(&RunLog) -> bool| PowerProfile {
+        label: label.to_string(),
+        kind,
+        store: ProfileStore::with_capacity(golden().map(|(_, run)| kept(run, keep).count()).sum()),
+    };
+    let mut run_profile = sized(ProfileKind::Run, &every);
+    let mut sse_profile = sized(ProfileKind::Sse, &in_sse);
+    let mut ssp_profile = sized(ProfileKind::Ssp, &in_ssp);
 
-    for (run_idx, run) in collected.iter().enumerate() {
-        if !binning.is_golden(run_idx) {
-            continue;
-        }
-        let placed = place_logs(&run.trace, &run.sync);
-        push_run_profile_points(&mut run_profile.store, run_idx as u32, &placed);
-
-        let durations = run.trace.execution_durations_ns();
-        let within_margin = |pos: usize| -> bool {
-            durations
-                .get(pos)
-                .map(|&d| (d as f64 - center).abs() <= center * margin.max(0.001) * 1.5)
-                .unwrap_or(false)
-        };
-        push_loi_points(&mut sse_profile.store, run_idx as u32, &placed, |pos| {
-            pos as u32 == sse_index
-        });
-        push_loi_points(&mut ssp_profile.store, run_idx as u32, &placed, |pos| {
-            pos as u32 >= ssp_index && within_margin(pos)
-        });
+    for (idx, run) in golden() {
+        let idx = idx as u32;
+        push_run_profile_points(&mut run_profile.store, idx, kept(run, &every));
+        push_loi_points(&mut sse_profile.store, idx, kept(run, &in_sse), |_| true);
+        push_loi_points(&mut ssp_profile.store, idx, kept(run, &in_ssp), |_| true);
     }
 
     StitchedProfiles {
@@ -687,6 +707,14 @@ pub fn stitch_profiles(
         sse: sse_profile,
         ssp: ssp_profile,
     }
+}
+
+/// The placed logs of `run` that `keep` selects, in emission order.
+fn kept<'a>(
+    run: &'a CondensedRun,
+    keep: &'a dyn Fn(&RunLog) -> bool,
+) -> impl Iterator<Item = &'a PlacedLog> {
+    run.logs.iter().filter(move |l| keep(l)).map(|l| &l.placed)
 }
 
 #[cfg(test)]
@@ -786,7 +814,8 @@ mod tests {
             collected.push(
                 pipeline
                     .execute_run(handle, 12, &calibration, true)
-                    .unwrap(),
+                    .unwrap()
+                    .condense(),
             );
         }
 

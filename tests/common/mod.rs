@@ -106,6 +106,53 @@ pub fn build_trace(starts: &[u64], ticks: &[u64]) -> RunTrace {
     trace
 }
 
+/// Builds a trace whose executions start `gaps[i]` ns after the previous
+/// start and last `lens[i]` ns, so an execution may start before the
+/// previous one ends, and whose ends need not ascend; plus power logs at
+/// `ticks`, in the given order.
+pub fn build_noisy_trace(gaps: &[u64], lens: &[u64], ticks: &[u64]) -> RunTrace {
+    let mut trace = build_trace(&[], ticks);
+    let mut start = 0;
+    for (i, (&gap, &len)) in gaps.iter().zip(lens).enumerate() {
+        start += gap;
+        trace.executions.push(TimedExecution {
+            kernel: KernelHandle::default(),
+            index: i as u32,
+            cpu_start: CpuTime::from_nanos(start),
+            cpu_end: CpuTime::from_nanos(start + len),
+        });
+    }
+    trace
+}
+
+/// Places every log by scanning all executions for the first whose bounds
+/// contain it: the reference `place_logs`' forward walk is checked
+/// against.
+pub fn place_logs_by_scan(trace: &RunTrace, sync: &TimeSync) -> Vec<PlacedLog> {
+    let origin = trace
+        .first_launch_cpu()
+        .map(|t| t.as_nanos() as f64)
+        .unwrap_or(0.0);
+    trace
+        .power_logs
+        .iter()
+        .map(|log| {
+            let cpu_ns = sync.cpu_ns_of_ticks(log.ticks.as_raw());
+            let containing_exec = trace.executions.iter().enumerate().find_map(|(i, e)| {
+                let start = e.cpu_start.as_nanos() as f64;
+                let end = e.cpu_end.as_nanos() as f64;
+                (cpu_ns >= start && cpu_ns <= end).then_some((i, cpu_ns - start))
+            });
+            PlacedLog {
+                cpu_ns,
+                run_time_ns: cpu_ns - origin,
+                containing_exec,
+                power: log.avg,
+            }
+        })
+        .collect()
+}
+
 /// Builds a [`ProfileKind::Run`] profile from placed logs as owned points:
 /// the AoS reference the columnar `push_run_profile_points` is checked
 /// against.

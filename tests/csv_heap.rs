@@ -1,6 +1,7 @@
 //! Deterministic heap cost of the CSV render and the argsort under it,
-//! of reading a persisted file, and of one warm engine run, measured
-//! with the counting allocator `fgrv-fuzz` installs. Allocation sizes
+//! of reading a persisted file, of one warm engine run and of the
+//! run-collection stage, and the exact size of a report's stitched
+//! stores, measured with the counting allocator `fgrv-fuzz` installs. Allocation sizes
 //! and counts are exact, unlike wall time, so a doubling output buffer,
 //! an extra per-row buffer or one more allocation per run fails here
 //! however noisy the host is.
@@ -9,11 +10,15 @@
 //! thread of its own, so the tests here do not see each other's heap.
 
 use fgrv_fuzz::alloc::{self, CountingAlloc};
+use fingrav::core::backend::PowerBackend;
 use fingrav::core::mmap::MappedProfile;
 use fingrav::core::profile::{ProfileAxis, ProfilePoint};
 use fingrav::core::report::columns_to_csv;
+use fingrav::core::runner::{FingravRunner, RunnerConfig};
+use fingrav::core::stages::StagePipeline;
 use fingrav::core::store::ProfileStore;
 use fingrav::sim::script::Script;
+use fingrav::sim::trace::TimedExecution;
 use fingrav::sim::{ComponentPower, SimConfig, SimDuration, Simulation};
 use fingrav::workloads::suite;
 
@@ -163,4 +168,70 @@ fn warm_engine_run_heap_is_pinned() {
         "(peak heap B, heap B the returned trace holds, allocations) \
          of a warm run/noop at seed 7"
     );
+}
+
+#[test]
+fn collect_runs_holds_placed_logs_not_traces() {
+    assert!(alloc::active(), "the counting allocator is installed");
+    // A 2K GEMV runs ~200 executions per run here and lands a few logs
+    // in them: the suite entry whose every-run traces used to dominate
+    // its heap.
+    let machine = SimConfig::default().machine;
+    let desc = suite::mb_gemv(&machine, 2048);
+    let mut sim = Simulation::new(SimConfig::default(), 5).expect("valid");
+    let handle = PowerBackend::register_kernel(&mut sim, &desc).expect("valid kernel");
+    let mut pipeline = StagePipeline::new(&mut sim, RunnerConfig::quick(80)).expect("valid");
+    let calibration = pipeline.calibrate().expect("calibrates");
+    let timing = pipeline.timing_probe(handle, &calibration).expect("times");
+    let ssp = pipeline
+        .ssp_search(handle, &calibration, &timing)
+        .expect("finds the SSP");
+    let (collection, peak) = transient_peak(|| {
+        pipeline
+            .collect_runs(handle, &desc.name, &calibration, &timing, &ssp)
+            .expect("collects")
+    });
+    let runs = collection.collected.len();
+    let executions = runs * ssp.executions_per_run as usize;
+    assert!(
+        executions > 15_000,
+        "{runs} runs of {} executions",
+        ssp.executions_per_run
+    );
+    // Keeping every run's trace peaked at 723,334 B here, 80 runs' timed
+    // executions alone taking 506,880 B. Condensed runs peak at 190,998 B:
+    // ~43 KB of placed logs, run slots and stitched stores, the rest the
+    // run in flight and what the engine allocates while it runs.
+    assert_eq!(std::mem::size_of::<TimedExecution>(), 32);
+    assert!(
+        peak < 250_000,
+        "collect_runs peaked at {peak} B over {runs} runs of {} executions",
+        ssp.executions_per_run
+    );
+}
+
+#[test]
+fn report_stores_are_sized_exactly() {
+    // Column bytes of `n` points: two `u32` and six `f64` columns and a
+    // validity word per 64 points.
+    let exact = |n: usize| n * (2 * 4 + 6 * 8) + n.div_ceil(64) * 8;
+    let machine = SimConfig::default().machine;
+    let mut sim = Simulation::new(SimConfig::default(), 5).expect("valid");
+    let report = FingravRunner::new(&mut sim, RunnerConfig::quick(80))
+        .profile(&suite::mb_gemv(&machine, 2048))
+        .expect("profiles");
+    for profile in [
+        &report.run_profile,
+        &report.sse_profile,
+        &report.ssp_profile,
+    ] {
+        assert!(!profile.is_empty(), "{} profile holds points", profile.kind);
+        assert_eq!(
+            profile.store.heap_bytes(),
+            exact(profile.len()),
+            "{} profile of {} points",
+            profile.kind,
+            profile.len()
+        );
+    }
 }

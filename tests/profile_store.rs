@@ -1,6 +1,7 @@
 //! Columnar `ProfileStore` guarantees: lossless round trips through the
 //! binary on-disk format, equivalence of columnar
-//! and legacy AoS stitching, robust rejection of damaged files, byte-for-
+//! and legacy AoS stitching, log placement's forward walk against a scan
+//! of every execution, robust rejection of damaged files, byte-for-
 //! byte CSV stability against pre-refactor golden fixtures, and binary
 //! artefact bit-identity across campaign worker counts.
 
@@ -18,7 +19,10 @@ use fingrav::workloads::suite;
 use proptest::prelude::*;
 
 mod common;
-use common::{build_store, build_trace, identity_sync, loi_points, run_profile_points};
+use common::{
+    build_noisy_trace, build_store, build_trace, identity_sync, loi_points, place_logs_by_scan,
+    run_profile_points,
+};
 
 // ---------------------------------------------------------------------
 // Property: store ⇄ binary round trips
@@ -97,6 +101,41 @@ proptest! {
         prop_assert_eq!(columnar_loi.in_exec_count(), columnar_loi.len());
         let inside = placed.iter().filter(|l| l.containing_exec.is_some()).count();
         prop_assert_eq!(columnar_run.in_exec_count(), inside);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Property: log placement's forward walk ≡ a scan of every execution
+// ---------------------------------------------------------------------
+
+proptest! {
+    /// `place_logs` finds, for every log, the first execution whose bounds
+    /// contain it, exactly as scanning every execution does: for ascending
+    /// and for overlapping bounds (an execution starting before the
+    /// previous one ends), for bounds that do not ascend (the walk's
+    /// fallback), and for logs in and out of time order.
+    #[test]
+    fn place_logs_matches_a_scan_of_every_execution(
+        gaps in prop::collection::vec(0u64..200_000, 1..40),
+        lens in prop::collection::vec(0u64..300_000, 1..40),
+        ticks in prop::collection::vec(0u64..600_000, 0..60),
+        shape in 0u32..8,
+    ) {
+        // Ascending lengths make the ends ascend with the starts; shuffled
+        // ones mostly do not.
+        let mut lens = lens;
+        if shape & 1 == 1 {
+            lens.sort_unstable();
+        }
+        let mut trace = build_noisy_trace(&gaps, &lens, &ticks);
+        if shape & 2 == 2 {
+            trace.power_logs.sort_by_key(|l| l.ticks);
+        }
+        if shape & 4 == 4 {
+            trace.executions.reverse();
+        }
+        let sync = identity_sync();
+        prop_assert_eq!(place_logs(&trace, &sync), place_logs_by_scan(&trace, &sync));
     }
 }
 

@@ -18,10 +18,13 @@ mod common;
 
 use common::{DequeLogger, DequePmWindow};
 use fingrav::core::backend::{BackendFactory, PowerBackend, SimulationFactory};
+use fingrav::core::error::MethodologyResult;
 use fingrav::core::runner::{FingravRunner, LoggerChoice, RunnerConfig};
 use fingrav::core::stages::StagePipeline;
 use fingrav::sim::dvfs::{PmConfig, PmFirmware, PmInput};
+use fingrav::sim::kernel::{KernelDesc, KernelHandle};
 use fingrav::sim::script::Script;
+use fingrav::sim::session::{AbortHandle, TelemetrySink};
 use fingrav::sim::telemetry::{AveragingPowerLogger, SampleRing};
 use fingrav::sim::trace::RunTrace;
 use fingrav::sim::{ComponentPower, GpuTicks, SimConfig, SimDuration, SimTime, Simulation};
@@ -417,34 +420,82 @@ fn ground_truth_is_recorded_only_on_request_and_moves_no_observable_byte() {
     }
 }
 
+/// A pass-through backend that records, for every script it runs, the
+/// capacities of the trace's three truth timelines and its execution
+/// count: collected runs keep no trace, so the audit looks at each one as
+/// it leaves the device.
+struct TruthAudit {
+    sim: Simulation,
+    scripts: Vec<((usize, usize, usize), usize)>,
+}
+
+impl PowerBackend for TruthAudit {
+    fn register_kernel(&mut self, desc: &KernelDesc) -> MethodologyResult<KernelHandle> {
+        PowerBackend::register_kernel(&mut self.sim, desc)
+    }
+
+    fn run_script_observed(
+        &mut self,
+        script: &Script,
+        sink: &mut dyn TelemetrySink,
+        abort: &AbortHandle,
+    ) -> MethodologyResult<RunTrace> {
+        let trace = self.sim.run_script_observed(script, sink, abort)?;
+        let truth = &trace.truth;
+        self.scripts.push((
+            (
+                truth.executions.capacity(),
+                truth.freq_changes.capacity(),
+                truth.instant_power.capacity(),
+            ),
+            trace.executions.len(),
+        ));
+        Ok(trace)
+    }
+
+    fn logger_window(&self) -> SimDuration {
+        self.sim.logger_window()
+    }
+
+    fn coarse_logger_window(&self) -> SimDuration {
+        self.sim.coarse_logger_window()
+    }
+
+    fn gpu_counter_hz(&self) -> f64 {
+        self.sim.gpu_counter_hz()
+    }
+}
+
 #[test]
 fn collect_runs_on_the_default_factory_records_no_truth() {
     let machine = SimConfig::default().machine;
     let factory = SimulationFactory::new(SimConfig::default(), 11);
-    let mut sim = factory.create(0).expect("valid");
+    let mut audit = TruthAudit {
+        sim: factory.create(0).expect("valid"),
+        scripts: Vec::new(),
+    };
     let desc = suite::cb_gemm(&machine, 4096);
-    let handle = PowerBackend::register_kernel(&mut sim, &desc).expect("valid kernel");
-    let mut pipeline = StagePipeline::new(&mut sim, RunnerConfig::quick(8)).expect("valid");
-    let calibration = pipeline.calibrate().expect("calibrates");
-    let timing = pipeline.timing_probe(handle, &calibration).expect("times");
-    let ssp = pipeline
-        .ssp_search(handle, &calibration, &timing)
-        .expect("finds the SSP");
-    let collection = pipeline
+    let handle = audit.register_kernel(&desc).expect("valid kernel");
+    let config = RunnerConfig::quick(8);
+    let (calibration, timing, ssp) = {
+        let mut pipeline = StagePipeline::new(&mut audit, config.clone()).expect("valid");
+        let calibration = pipeline.calibrate().expect("calibrates");
+        let timing = pipeline.timing_probe(handle, &calibration).expect("times");
+        let ssp = pipeline
+            .ssp_search(handle, &calibration, &timing)
+            .expect("finds the SSP");
+        (calibration, timing, ssp)
+    };
+    let probes = audit.scripts.len();
+    let collection = StagePipeline::new(&mut audit, config)
+        .expect("valid")
         .collect_runs(handle, &desc.name, &calibration, &timing, &ssp)
         .expect("collects");
+    let runs = &audit.scripts[probes..];
     assert!(!collection.collected.is_empty());
-    for run in &collection.collected {
-        let truth = &run.trace.truth;
-        assert!(!run.trace.executions.is_empty());
-        assert_eq!(
-            (
-                truth.executions.capacity(),
-                truth.freq_changes.capacity(),
-                truth.instant_power.capacity()
-            ),
-            (0, 0, 0),
-            "a methodology run pays for no truth"
-        );
+    assert_eq!(runs.len(), collection.collected.len(), "one script per run");
+    for &(truth, executions) in runs {
+        assert_eq!(executions, ssp.executions_per_run as usize);
+        assert_eq!(truth, (0, 0, 0), "a methodology run pays for no truth");
     }
 }
